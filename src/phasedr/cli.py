@@ -13,7 +13,10 @@ import sys
 import numpy as np
 
 from .experiments import (
+    ROLE_IMAGE,
+    ROLE_MASK,
     ExperimentConfig,
+    role_seed,
     run_global,
     run_local_rate,
     run_noise_sweep,
@@ -34,6 +37,7 @@ from .solvers import (
 )
 from .spectral import (
     CSV_FIELDS,
+    DENSE_GUARD,
     lambda2_power,
     linearize_at_solution,
     report_csv_row,
@@ -177,12 +181,13 @@ def _dispatch(args) -> int:
         worst = 0.0
         for t in range(args.trials):
             spec = ImageSpec(kind=args.image, shape=args.shape, margin=args.margin,
-                             seed=args.seed + t)
+                             seed=role_seed(args.seed, t, ROLE_IMAGE))
             x0 = gen_image(spec).ravel()
             x0 = x0 / np.linalg.norm(x0)
-            op = make_operator(variant, args.shape, seed=args.seed + t, patterns=patterns)
+            op = make_operator(variant, args.shape, seed=role_seed(args.seed, t, ROLE_MASK),
+                               patterns=patterns)
             report = lambda2_power(linearize_at_solution(op, x0), op)
-            if 2 * op.n * op.N <= 1_000_000:
+            if 2 * op.n * op.N <= DENSE_GUARD:
                 oracle = svd_oracle(linearize_at_solution(op, x0), op)
                 drift = abs(report.lambda2 - oracle.values[1])
                 if drift > 1e-6:

@@ -12,6 +12,7 @@ isometry, A A* = I.  Data are the magnitudes b = |A* x0|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,16 @@ class MaskSpec:
     kind: str
     seed: int
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
+        """The phasors exp(i*phi), computed on first use and frozen.
+
+        The identity mask's phasors are all exactly 1, so they are a
+        read-only broadcast of one scalar rather than n stored values.
+        """
+        if self.kind == MASK_IDENTITY:
+            return np.broadcast_to(np.complex128(1.0), self.phases.shape)
+        return _freeze(np.exp(1j * self.phases))
 
 
 def make_mask(shape: GridShape, kind: str, seed: int = 0) -> MaskSpec:
@@ -155,11 +163,14 @@ def apply_astar(op: PropagationOp, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (op.n,):
         raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
-    blocks = []
-    for mask, ov in zip(op.masks, op.oversampled):
+    out = np.empty(op.N, dtype=np.complex128)
+    start = 0
+    for mask, ov, length in zip(op.masks, op.oversampled, op.pattern_lengths):
         g = mask.values * x
-        blocks.append(dft_oversampled(g, op.shape) if ov else dft_plain(g, op.shape))
-    return op.c * np.concatenate(blocks)
+        out[start : start + length] = dft_oversampled(g, op.shape) if ov else dft_plain(g, op.shape)
+        start += length
+    out *= op.c
+    return out
 
 
 def apply_a(op: PropagationOp, y) -> np.ndarray:

@@ -4,6 +4,9 @@ Objects live on a d-dimensional support grid with per-axis extents
 (M_1+1, ..., M_d+1) and are vectorized row-major into C^n.  The matching
 oversampled frequency grid has 2*M_j+1 points per axis, the sampling at
 which a diffraction pattern determines the object's autocorrelation.
+The oversampled transforms are pruned: they skip the 1-D transforms of
+all-zero padding rows and of outputs that are cut away, and give the same
+bits as the full padded FFTs.
 """
 
 from __future__ import annotations
@@ -65,18 +68,31 @@ def dft_oversampled(x, shape: GridShape) -> np.ndarray:
     grid, so its Gram matrix is n_oversampled * I; dividing by
     sqrt(n_oversampled) makes the map isometric.  Normalization is applied
     at the measurement-operator level, not here.
+
+    The transform is pruned: each axis pass pads only that axis, so the
+    all-zero rows of the padded grid are never transformed.  Every computed
+    1-D transform is the one the full padded FFT computes, so the result is
+    bit-identical to it.
     """
     x = _as_complex_vector(x, shape.n, "dft_oversampled")
-    grid = np.zeros(shape.oversampled_dims, dtype=np.complex128)
-    grid[tuple(slice(0, m) for m in shape.dims)] = x.reshape(shape.dims)
-    return np.fft.fftn(grid).ravel()
+    axes = tuple(range(shape.ndim))
+    return np.fft.fftn(x.reshape(shape.dims), s=shape.oversampled_dims, axes=axes).ravel()
 
 
 def idft_oversampled(y, shape: GridShape) -> np.ndarray:
-    """Adjoint of :func:`dft_oversampled`, restricted to the object grid."""
+    """Adjoint of :func:`dft_oversampled`, restricted to the object grid.
+
+    The inverse is pruned: it transforms the last axis first, as ifftn
+    does, and cuts each axis to its object extent straight after
+    transforming it, so later passes skip the discarded outputs.  The
+    result is bit-identical to the full inverse FFT followed by the cut.
+    """
     y = _as_complex_vector(y, shape.n_oversampled, "idft_oversampled")
-    grid = np.fft.ifftn(y.reshape(shape.oversampled_dims)) * shape.n_oversampled
-    return grid[tuple(slice(0, m) for m in shape.dims)].ravel()
+    grid = y.reshape(shape.oversampled_dims)
+    for axis in reversed(range(shape.ndim)):
+        keep = (slice(None),) * axis + (slice(0, shape.dims[axis]),)
+        grid = np.fft.ifft(grid, axis=axis)[keep]
+    return (grid * shape.n_oversampled).ravel()
 
 
 def dft_plain(x, shape: GridShape) -> np.ndarray:
@@ -132,7 +148,4 @@ def phase_factor(y) -> np.ndarray:
     """Componentwise y/|y| with the convention 1 where |y| = 0."""
     y = np.asarray(y, dtype=np.complex128)
     mag = np.abs(y)
-    out = np.ones_like(y)
-    nz = mag > 0
-    out[nz] = y[nz] / mag[nz]
-    return out
+    return np.divide(y, mag, out=np.ones_like(y), where=mag > 0)

@@ -12,6 +12,11 @@ extension A~* of A*,
 where [.]_X truncates to the object coordinates and applies the sector
 constraint when one is active.  Every division by a magnitude uses the
 convention w = 1 where the magnitude vanishes.
+
+An FDR step, error tracking included, costs one A / A* pair: 4 FFTs for
+the two-pattern layouts.  The solver carries the object estimate A y along
+with the iterate, since AA* = I gives A y+ from quantities the step has
+already computed.
 """
 
 from __future__ import annotations
@@ -106,16 +111,24 @@ def proj_p2(y, b) -> np.ndarray:
     return np.asarray(b) * phase_factor(y)
 
 
-def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR) -> np.ndarray:
-    """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y."""
+def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None):
+    """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y.
+
+    Costs one A / A* pair.  When `estimate` holds u = A y, the step also
+    returns the next estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y),
+    which AA* = I makes exact at no extra FFT; the return value is then
+    the pair (y+, A y+).
+    """
     y = np.asarray(y, dtype=np.complex128)
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("fdr_step: non-finite iterate")
     w = np.asarray(b) * phase_factor(y)
-    x = apply_a(op, 2.0 * w - y)
-    if sector.active:
-        x = sector_project(x, sector)
-    return y + apply_astar(op, x) - w
+    z = apply_a(op, 2.0 * w - y)
+    x = sector_project(z, sector) if sector.active else z
+    y_next = y + apply_astar(op, x) - w
+    if estimate is None:
+        return y_next
+    return y_next, x + 0.5 * (estimate - z)
 
 
 def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR) -> np.ndarray:
@@ -235,8 +248,11 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
 
     Stops when the relative iterate change or (with ground truth) the
     relative aligned error drops to cfg.tol, or at cfg.max_iters.  The
-    reported object estimate is A y (FDR) or the first n coordinates of the
-    padded iterate (ODR), sector-projected when a sector is active.
+    reported object estimate is A y (FDR), tracked through the steps rather
+    than applied anew, or the first n coordinates of the padded iterate
+    (ODR), sector-projected when a sector is active.  x_hat is the estimate
+    the last history row was measured on, so history[-1][1] equals
+    relative_error exactly.
     """
     b = np.asarray(b, dtype=np.float64)
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
@@ -247,11 +263,15 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         ntilde = cfg.ntilde if cfg.ntilde is not None else op.N
         ext = extend_op(op, ntilde, seed=cfg.ext_seed)
 
-    def current_estimate(it):
-        xh = apply_a(op, it) if cfg.algorithm == ALGO_FDR else it[: op.n].copy()
+    iterate = _initial_iterate(cfg, op, ext, x0)
+    # FDR carries u = A y along, updated by fdr_step; ODR reads its object
+    # coordinates directly.
+    u = apply_a(op, iterate) if cfg.algorithm == ALGO_FDR else None
+
+    def current_estimate():
+        xh = u if u is not None else iterate[: op.n].copy()
         return sector_project(xh, cfg.sector) if cfg.sector.active else xh
 
-    iterate = _initial_iterate(cfg, op, ext, x0)
     history: list[tuple[int, float, float]] = []
     rel_errors: list[float] = []
     converged = False
@@ -264,7 +284,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             diagnostic = f"diverged: non-finite iterate at k={k}"
             break
         if x0 is not None:
-            _, err = align_phase(current_estimate(iterate), x0)
+            _, err = align_phase(current_estimate(), x0)
             rel = err / norm_x0
         else:
             rel = float("nan")
@@ -281,7 +301,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             break
 
         if cfg.algorithm == ALGO_FDR:
-            nxt = fdr_step(iterate, op, b, cfg.sector)
+            nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u)
         else:
             nxt = odr_step(iterate, ext, b, cfg.sector)
         denom = np.linalg.norm(iterate)
@@ -290,7 +310,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         k += 1
 
     if np.all(np.isfinite(iterate)):
-        x_hat = current_estimate(iterate)
+        x_hat = current_estimate()
         aligned = align_phase(x_hat, x0)[1] if x0 is not None else float("nan")
     else:
         x_hat = np.full(op.n, np.nan, dtype=np.complex128)

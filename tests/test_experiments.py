@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from phasedr.experiments import (
+    ROLE_INIT,
+    ROLE_NOISE,
     ExperimentConfig,
+    make_instance,
     prob_lower_bound,
     rank_correlation,
     ratio_to_ntilde,
@@ -14,10 +17,11 @@ from phasedr.experiments import (
     run_noise_sweep,
     run_padding_sweep,
 )
+from phasedr.forward import synthesize_data
 from phasedr.grids import GridShape
 from phasedr.images import ImageSpec
 from phasedr.io import read_csv
-from phasedr.solvers import InitSpec, SolverConfig
+from phasedr.solvers import InitSpec, SolverConfig, run_solver
 
 
 def _cfg(experiment, dims=(6, 6), trials=2, **kw):
@@ -129,6 +133,27 @@ class TestNoiseSweep:
         header, body, _ = read_csv(res.csv_path)
         assert header == ["nsr", "trial", "max_iters", "relative_error"]
         assert len(body) == 2 * 2 * 4
+
+    def test_single_run_matches_one_run_per_budget(self):
+        # Reference: a separate solve at each budget.
+        cfg = _cfg("noise-sweep", dims=(8, 8), trials=2, nsr_grid=(0.0, 0.05), base_seed=2,
+                   solver=SolverConfig(algorithm="fdr", max_iters=380, tol=1e-9))
+        rows, iters = [], []
+        for t in range(cfg.trials):
+            x0, op = make_instance(cfg, t)
+            for nsr in cfg.nsr_grid:
+                data = synthesize_data(op, x0, nsr=nsr,
+                                       noise_seed=role_seed(cfg.base_seed, t, ROLE_NOISE))
+                for budget in (380, 760):
+                    scfg = SolverConfig(algorithm="fdr", max_iters=budget, tol=1e-9,
+                                        init=InitSpec(seed=role_seed(cfg.base_seed, t, ROLE_INIT)))
+                    res = run_solver(scfg, op, data.b, x0)
+                    rows.append((nsr, t, budget, res.relative_error))
+                    iters.append(res.iterations)
+        # the sweep reads the short budget both ways: off a longer run's
+        # history (noisy runs) and from a run that stopped before it (noiseless)
+        assert max(iters) > 380 and min(iters) < 380
+        assert run_noise_sweep(cfg).rows == rows
 
     def test_nsr_grid_validated(self):
         cfg = _cfg("noise-sweep", nsr_grid=(0.0, 0.9))

@@ -19,6 +19,8 @@ from phasedr.grids import (
 from oracles import naive_dft_matrix, random_complex
 
 SHAPES = [GridShape((2, 2)), GridShape((3, 3)), GridShape((4, 4)), GridShape((2, 3))]
+# The pruned transforms loop over the axes, so also check 1-D and 3-D grids.
+AXIS_SHAPES = [GridShape((3,)), GridShape((2, 3, 4))]
 
 
 def test_grid_shape_properties():
@@ -54,12 +56,14 @@ def test_normalized_dft_is_isometric(shape):
         assert abs(np.linalg.norm(c * dft_oversampled(x, shape)) - np.linalg.norm(x)) < 1e-12
 
 
-@pytest.mark.parametrize("shape", SHAPES + [GridShape((3,)), GridShape((2, 2, 2))])
+@pytest.mark.parametrize("shape", SHAPES + AXIS_SHAPES + [GridShape((2, 2, 2))])
 def test_dft_matches_naive_sum(shape):
     rng = np.random.default_rng(7)
     phi = naive_dft_matrix(shape, oversampled=True)
     x = random_complex(rng, shape.n)
     assert np.abs(dft_oversampled(x, shape) - phi @ x).max() < 1e-10
+    y = random_complex(rng, shape.n_oversampled)
+    assert np.abs(idft_oversampled(y, shape) - phi.conj().T @ y).max() < 1e-10
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -88,7 +92,7 @@ def test_idft_of_constant_is_delta():
     assert np.linalg.norm(x - expected) < 1e-12
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", SHAPES + AXIS_SHAPES)
 def test_dft_adjoint_identity(shape):
     rng = np.random.default_rng(3)
     c = 1.0 / np.sqrt(shape.n_oversampled)

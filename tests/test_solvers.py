@@ -305,6 +305,25 @@ class TestRunSolver:
         assert res.relative_error <= 1e-9
         assert np.linalg.norm(np.abs(apply_astar(op, res.x_hat)) - data.b) < 1e-8
 
+    @pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.0, 0.5)])
+    def test_tracked_estimate_matches_fresh_adjoint(self, sector):
+        # run_solver updates A y through fdr_step instead of applying A anew;
+        # the result must match A y of the same steps taken by hand.
+        op, x0, b = _instance("one-and-half", dims=(4, 4))
+        cfg = SolverConfig(max_iters=60, tol=1e-300, sector=sector,
+                           init=InitSpec(kind="ri", seed=4))
+        res = run_solver(cfg, op, b, x0)
+        assert res.iterations == 60
+        rng = np.random.default_rng(4)
+        y = apply_astar(op, rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n))
+        for _ in range(res.iterations - 1):
+            y = fdr_step(y, op, b, sector)
+        fresh = apply_a(op, y)
+        if sector.active:
+            fresh = sector_project(fresh, sector)
+        assert np.abs(res.x_hat - fresh).max() < 1e-13
+        assert res.history[-1][1] == res.relative_error
+
     def test_odr_solver_runs(self):
         op, x0, b = _instance("one-and-half", dims=(3, 3))
         x0 = x0 / np.linalg.norm(x0)
