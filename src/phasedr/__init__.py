@@ -24,13 +24,11 @@ from .grids import (
     idft_plain,
     phase_factor,
     realify,
-    restrict,
     unrealify,
 )
 from .images import ImageSpec, gen_image, support_rank
 from .solvers import (
     NO_SECTOR,
-    POSITIVITY,
     InitSpec,
     RecoveryResult,
     SectorSpec,

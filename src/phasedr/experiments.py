@@ -2,7 +2,7 @@
 
 Every runner is deterministic given (config, base seed): trial t uses
 base_seed + t as its identity, and each random role (image, mask, init,
-noise, extension) derives its own sub-seed from it.  Runners return their
+noise) derives its own sub-seed from it.  Runners return their
 rows and summary statistics and, when an output path is configured, write a
 CSV with a `#` comment recording the configuration.
 """
@@ -32,7 +32,6 @@ ROLE_IMAGE = 1
 ROLE_MASK = 2
 ROLE_INIT = 3
 ROLE_NOISE = 4
-ROLE_EXT = 5
 
 SUCCESS_VISUAL = 1e-4
 SUCCESS_NUMERIC = 1e-8
@@ -63,13 +62,18 @@ class ExperimentConfig:
             raise ValueError("parameter grids must be nonempty")
 
     def comment(self) -> str:
+        sector = self.solver.sector
         return (
             f"experiment={self.experiment} shape={self.image.shape} kind={self.image.kind} "
             f"margin={self.image.margin} sector=({self.image.alpha},{self.image.beta}) "
             f"variant={self.variant} patterns={self.patterns} trials={self.trials} "
             f"base_seed={self.base_seed} algo={self.solver.algorithm} "
             f"max_iters={self.solver.max_iters} tol={self.solver.tol} "
-            f"init={self.solver.init.kind} ntilde={self.solver.ntilde}"
+            f"init={self.solver.init.kind} init_delta={self.solver.init.delta} "
+            f"ntilde={self.solver.ntilde} "
+            f"solver_sector=({sector.alpha},{sector.beta},{sector.active}) "
+            f"nsr_grid={','.join(map(str, self.nsr_grid))} "
+            f"ntilde_ratios={','.join(map(str, self.ntilde_ratios))}"
         )
 
 
@@ -124,7 +128,6 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
             ),
             ALGO_ODR: replace(
                 cfg.solver, algorithm=ALGO_ODR, ntilde=ntilde,
-                ext_seed=role_seed(cfg.base_seed, t, ROLE_EXT),
                 init=replace(cfg.solver.init, kind=INIT_NEAR,
                              seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
             ),
@@ -283,7 +286,6 @@ def run_padding_sweep(cfg: ExperimentConfig) -> PaddingSweepResult:
             else:
                 scfg = replace(
                     cfg.solver, algorithm=ALGO_ODR, ntilde=ntilde,
-                    ext_seed=role_seed(cfg.base_seed, t, ROLE_EXT),
                     init=replace(cfg.solver.init, kind=INIT_RANDOM,
                                  seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
                 )

@@ -192,15 +192,24 @@ def apply_a(op: PropagationOp, y) -> np.ndarray:
 class ExtendedOp:
     """Isometric extension A~* = [A*, A_perp*]: C^ntilde -> C^N.
 
-    The complement columns are an orthonormal basis of a random subspace
-    orthogonal to range(A*), built by QR from seeded Gaussian vectors; the
-    choice is not canonical and object-domain iterations may depend on it.
+    The L patterns share one image grid (the oversampled grid, or the object
+    grid for multi).  A~* fills L images h_l on it from the coordinates
+    (x, m, t) and returns each one's unitary DFT, F h_l / sqrt(grid.n):
+
+        object pixel j:  (h_1(j), ..., h_L(j)) = v_j x_j + Q_j m_j,
+        padded pixel p:  h_l(p) = t_(p,l),
+
+    with v_j = (mu_1(j), ..., mu_L(j)) / sqrt(L) and Q_j the other L-1
+    columns of the Householder reflector of v_j.  [v_j, Q_j] is unitary, so
+    all N coordinates give a unitary map whose x block is A*, and any leading
+    ntilde of them an isometry.  The fixed order: x, then the m_j pixel-major,
+    then the padded pixels by cyclic Chebyshev distance from the support
+    (ties in raster order), each pixel's L patterns interleaved.  With one
+    pattern this is the zero padding of HIO; multi has no padded pixels.
     """
 
     base: PropagationOp
     ntilde: int
-    perp: np.ndarray | None
-    seed: int
 
     @property
     def n(self) -> int:
@@ -210,44 +219,55 @@ class ExtendedOp:
     def N(self) -> int:
         return self.base.N
 
+    @cached_property
+    def layout(self) -> tuple[GridShape, np.ndarray, np.ndarray]:
+        """The image grid, the flat positions of the object pixels on it, and
+        those of coordinates n.. in the (L, grid.n) image stack."""
+        shape, L = self.base.shape, len(self.base.masks)
+        grid = GridShape(shape.oversampled_dims) if self.base.oversampled[0] else shape
+        dist = np.zeros(grid.n, dtype=np.int64)
+        for i, m, size in zip(np.indices(grid.dims).reshape(grid.ndim, -1), shape.dims, grid.dims):
+            dist = np.maximum(dist, np.where(i < m, 0, np.minimum(i - m + 1, size - i)))
+        order = np.argsort(dist, kind="stable")
+        obj, padded = order[: self.n], order[self.n :]
+        tail = np.concatenate([(obj[:, None] + grid.n * np.arange(1, L)).ravel(),
+                               (padded[:, None] + grid.n * np.arange(L)).ravel()])
+        return grid, _freeze(obj), _freeze(tail[: self.ntilde - self.n])
 
-def extend_op(op: PropagationOp, ntilde: int, seed: int = 0, attempts: int = 3) -> ExtendedOp:
-    """Extend A* with ntilde - n orthonormal columns orthogonal to range(A*)."""
+    @cached_property
+    def householder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, w, kappa): the (L, n) mask values and the reflectors I - kappa w w^H,
+        w_j = v_j + mu_1(j) e_1 and kappa_j = 2 / ||w_j||^2, that map v_j to
+        -mu_1(j) e_1; rows 2..L of the reflector applied to h give Q_j^H h."""
+        mu = np.stack([m.values for m in self.base.masks])
+        w = mu / np.sqrt(len(mu))
+        w[0] += mu[0]
+        return _freeze(mu), _freeze(w), _freeze(2.0 / np.sum(np.abs(w) ** 2, axis=0))
+
+
+def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
+    """The canonical extension of A* to ntilde columns (see :class:`ExtendedOp`)."""
     n, N = op.n, op.N
     if not n <= ntilde <= N:
         raise ValueError(f"ntilde must satisfy {n} <= ntilde <= {N}, got {ntilde}")
-    k = ntilde - n
-    if k == 0:
-        return ExtendedOp(base=op, ntilde=ntilde, perp=None, seed=int(seed))
-
-    last_err = None
-    for attempt in range(attempts):
-        rng = np.random.default_rng(seed + attempt)
-        z = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
-        for j in range(k):
-            z[:, j] -= apply_astar(op, apply_a(op, z[:, j]))
-        q, r = np.linalg.qr(z)
-        diag = np.abs(np.diag(r))
-        if diag.min() > 1e-8 * max(diag.max(), 1.0):
-            ext = ExtendedOp(base=op, ntilde=ntilde, perp=_freeze(q), seed=int(seed + attempt))
-            _verify_extension(ext)
-            return ext
-        last_err = f"rank deficiency in attempt {attempt} (min |R_jj| = {diag.min():.3e})"
-    raise RuntimeError(f"extend_op: orthonormalization failed after {attempts} attempts: {last_err}")
+    ext = ExtendedOp(base=op, ntilde=ntilde)
+    _verify_extension(ext)
+    return ext
 
 
 def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
-    q = ext.perp
-    gram_err = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()
+    """Check A~ A~* x = x and A A~*[0; t] = 0 on random vectors."""
     rng = np.random.default_rng(707)
-    cross = max(
-        np.linalg.norm(apply_a(ext.base, q @ (rng.standard_normal(q.shape[1]) + 0j)))
-        for _ in range(3)
-    )
-    if not (gram_err < tol and cross < 1e-8):
-        raise RuntimeError(
-            f"extension verification failed (gram {gram_err:.3e}, cross {cross:.3e})"
-        )
+    for _ in range(3):
+        x = rng.standard_normal(ext.ntilde) + 1j * rng.standard_normal(ext.ntilde)
+        scale = np.linalg.norm(x)
+        iso = np.linalg.norm(extended_a(ext, extended_astar(ext, x)) - x) / scale
+        x[: ext.n] = 0.0  # [0; t]
+        cross = np.linalg.norm(apply_a(ext.base, extended_astar(ext, x))) / scale
+        if not (iso < tol and cross < tol):
+            raise RuntimeError(
+                f"extension verification failed (isometry {iso:.3e}, cross {cross:.3e})"
+            )
 
 
 def extended_astar(ext: ExtendedOp, x) -> np.ndarray:
@@ -255,9 +275,15 @@ def extended_astar(ext: ExtendedOp, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (ext.ntilde,):
         raise ValueError(f"extended_astar: expected length {ext.ntilde}, got shape {x.shape}")
-    out = apply_astar(ext.base, x[: ext.n])
-    if ext.perp is not None:
-        out = out + ext.perp @ x[ext.n :]
+    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
+    images = np.zeros((len(mu), grid.n), dtype=np.complex128)
+    images.ravel()[tail] = np.sqrt(len(mu)) * x[ext.n :]
+    # sqrt(L) h = sqrt(L) Q m + mu x on the object pixels; the x block is then
+    # op.c * F(mu x), the exact arithmetic of apply_astar.
+    m = images[:, obj]
+    images[:, obj] = m - (kappa * np.sum(np.conj(w) * m, axis=0)) * w + mu * x[: ext.n]
+    out = np.concatenate([dft_plain(image, grid) for image in images])
+    out *= ext.base.c
     return out
 
 
@@ -266,10 +292,12 @@ def extended_a(ext: ExtendedOp, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
-    head = apply_a(ext.base, y)
-    if ext.perp is None:
-        return head
-    return np.concatenate([head, ext.perp.conj().T @ y])
+    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
+    images = np.stack([idft_plain(block, grid) for block in y.reshape(len(mu), grid.n)])
+    h = images[:, obj]
+    head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
+    images[:, obj] = h - (kappa * np.sum(np.conj(w) * h, axis=0)) * w
+    return np.concatenate([head, images.ravel()[tail] / np.sqrt(grid.n)])
 
 
 @dataclass(frozen=True)

@@ -134,16 +134,6 @@ def embed(x, target: int) -> np.ndarray:
     return out
 
 
-def restrict(x, n: int) -> np.ndarray:
-    """Truncate to the first n coordinates ([x]_n)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ValueError("restrict expects a flat vector")
-    if n > x.size:
-        raise ValueError(f"restrict: n {n} > length {x.size}")
-    return x[:n].copy()
-
-
 def phase_factor(y) -> np.ndarray:
     """Componentwise y/|y| with the convention 1 where |y| = 0."""
     y = np.asarray(y, dtype=np.complex128)

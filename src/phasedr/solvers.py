@@ -16,7 +16,8 @@ convention w = 1 where the magnitude vanishes.
 An FDR step, error tracking included, costs one A / A* pair: 4 FFTs for
 the two-pattern layouts.  The solver carries the object estimate A y along
 with the iterate, since AA* = I gives A y+ from quantities the step has
-already computed.
+already computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
+patterns, one forward and one inverse per pattern on the padded grid.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class SectorSpec:
 
 
 NO_SECTOR = SectorSpec(alpha=1.0, beta=1.0, active=False)
-POSITIVITY = SectorSpec(alpha=0.0, beta=0.0)
 
 
 def sector_project(x, sector: SectorSpec) -> np.ndarray:
@@ -167,13 +167,15 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings.  max_iters caps the iterate index k, the initial
+    iterate being k = 1, so a run takes at most max_iters - 1 DR steps."""
+
     algorithm: str = ALGO_FDR
     ntilde: int | None = None
     max_iters: int = 2000
     tol: float = 1e-10
     init: InitSpec = InitSpec()
     sector: SectorSpec = NO_SECTOR
-    ext_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.algorithm not in (ALGO_FDR, ALGO_ODR):
@@ -190,8 +192,11 @@ class RecoveryResult:
 
     aligned_error is min_{|a|=1} ||a x_hat - x0|| (nan without ground truth);
     relative_error divides by ||x0||.  history holds one row
-    (k, relative_error, step_residual) per iteration, where step_residual is
+    (k, relative_error, step_residual) per iterate, where step_residual is
     the relative iterate change used for stopping (nan at k = 1).
+    iterations is the index k of the last iterate, the initial iterate being
+    k = 1: the run took iterations - 1 DR steps, and history has iterations
+    rows (one fewer when the last iterate is non-finite).
     rate_estimate is the geometric-mean error ratio over a trailing window
     of at most 20 ratios among errors above 1e-12.
     """
@@ -261,7 +266,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     ext = None
     if cfg.algorithm == ALGO_ODR:
         ntilde = cfg.ntilde if cfg.ntilde is not None else op.N
-        ext = extend_op(op, ntilde, seed=cfg.ext_seed)
+        ext = extend_op(op, ntilde)
 
     iterate = _initial_iterate(cfg, op, ext, x0)
     # FDR carries u = A y along, updated by fdr_step; ODR reads its object

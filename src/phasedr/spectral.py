@@ -15,7 +15,6 @@ power iteration that estimates l_2 at scale.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,6 @@ def linearize_at_solution(op: PropagationOp, x0) -> LinearizationPoint:
     return LinearizationPoint(y=y0, b=np.abs(y0), omega=phase_factor(y0))
 
 
-def linearize_at(y, b) -> LinearizationPoint:
-    y = np.asarray(y, dtype=np.complex128)
-    return LinearizationPoint(y=y, b=np.asarray(b, dtype=np.float64), omega=phase_factor(y))
-
-
 def apply_B(pt: LinearizationPoint, op: PropagationOp, v) -> np.ndarray:
     """B v = A(omega . v): C^N -> C^n."""
     return apply_a(op, pt.omega * np.asarray(v, dtype=np.complex128))
@@ -71,15 +65,12 @@ def apply_realB_T(pt: LinearizationPoint, op: PropagationOp, u) -> np.ndarray:
     return np.real(apply_Bstar(pt, op, unrealify(u)))
 
 
-def apply_Sloc(pt: LinearizationPoint, op: PropagationOp, v, at_solution: bool = True) -> np.ndarray:
-    """Jacobian of the DR map in the rotated frame (a real-linear map).
+def apply_Sloc(pt: LinearizationPoint, op: PropagationOp, v) -> np.ndarray:
+    """Jacobian of the DR map at the solution in the rotated frame (a real-linear map).
 
-    With at_solution (|y| = b assumed),
-        S_loc v = (I - B*B) Re(v) + i B*B Im(v);
-    otherwise the general form
-        S_loc v = (I - B*B) v + i (2 B*B - I) diag(b/|y|) Im(v)
-    is evaluated at pt.y, flagging components with |y| = 0 (their radial
-    ratio is taken as 0 after applying the phase convention).
+        S_loc v = (I - B*B) Re(v) + i B*B Im(v),
+
+    which assumes |y| = b at pt.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != pt.y.shape:
@@ -88,19 +79,9 @@ def apply_Sloc(pt: LinearizationPoint, op: PropagationOp, v, at_solution: bool =
     def bstar_b(z):
         return apply_Bstar(pt, op, apply_B(pt, op, z))
 
-    if at_solution:
-        re = np.real(v).astype(np.complex128)
-        im = np.imag(v).astype(np.complex128)
-        return re - bstar_b(re) + 1j * bstar_b(im)
-
-    mag = np.abs(pt.y)
-    zero = mag == 0
-    if np.any(zero):
-        warnings.warn("apply_Sloc: zero-magnitude components; omega convention applied")
-    ratio = np.zeros_like(mag)
-    ratio[~zero] = pt.b[~zero] / mag[~zero]
-    t = (ratio * np.imag(v)).astype(np.complex128)
-    return v - bstar_b(v) + 1j * (2.0 * bstar_b(t) - t)
+    re = np.real(v).astype(np.complex128)
+    im = np.imag(v).astype(np.complex128)
+    return re - bstar_b(re) + 1j * bstar_b(im)
 
 
 @dataclass(frozen=True)
@@ -255,11 +236,3 @@ def check_gap_condition(pt: LinearizationPoint, op: PropagationOp, u) -> GapDiag
     im_norm = float(np.linalg.norm(np.imag(apply_Bstar(pt, op, u))))
     defects = np.real(apply_astar(op, u) * np.conj(pt.y))
     return GapDiagnostic(im_norm=im_norm, defects=defects)
-
-
-def remove_imaginary_axis_component(u, x0) -> np.ndarray:
-    """Remove the real-inner-product component of u along i*x0."""
-    u = np.asarray(u, dtype=np.complex128)
-    x0 = np.asarray(x0, dtype=np.complex128)
-    coef = np.imag(np.vdot(x0, u)) / (np.linalg.norm(x0) ** 2)
-    return u - coef * 1j * x0

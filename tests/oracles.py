@@ -37,10 +37,52 @@ def dense_astar(op) -> np.ndarray:
 
 
 def dense_extended_astar(ext) -> np.ndarray:
-    base = dense_astar(ext.base)
-    if ext.perp is None:
-        return base
-    return np.hstack([base, ext.perp])
+    """Dense N x ntilde matrix of A~*, assembled column by column from its definition.
+
+    Each column is an image stack on the shared pattern grid (a basis vector
+    on a padded pixel, or a column of a pixel's explicit Householder mixing on
+    an object pixel) sent through the explicit unitary DFT of that grid.
+    """
+    op = ext.base
+    L = len(op.masks)
+    dims = op.shape.oversampled_dims if op.oversampled[0] else op.shape.dims
+    grid = GridShape(dims)
+    dft = naive_dft_matrix(grid, oversampled=False) / np.sqrt(grid.n)
+    cells = list(np.ndindex(*dims))
+
+    def cyclic_chebyshev(cell):
+        return max(0 if i < m else min(i - (m - 1), size - i)
+                   for i, m, size in zip(cell, op.shape.dims, dims))
+
+    # (grid position, unitary [v_j, Q_j]) per object pixel, raster order
+    mixing = []
+    for j, cell in enumerate(np.ndindex(*op.shape.dims)):
+        v = np.array([mask.values[j] for mask in op.masks]) / np.sqrt(L)
+        w = v.copy()
+        w[0] += op.masks[0].values[j]
+        reflector = np.eye(L) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+        mixing.append((cells.index(cell), np.column_stack([v, reflector[:, 1:]])))
+
+    # object coordinates first, then the mixed coordinates pixel-major
+    stacks = []
+    for pos, basis in mixing:
+        stack = np.zeros((L, grid.n), dtype=complex)
+        stack[:, pos] = basis[:, 0]
+        stacks.append(stack)
+    for pos, basis in mixing:
+        for i in range(1, L):
+            stack = np.zeros((L, grid.n), dtype=complex)
+            stack[:, pos] = basis[:, i]
+            stacks.append(stack)
+    padded = [k for k, cell in enumerate(cells) if cyclic_chebyshev(cell) > 0]
+    padded.sort(key=lambda k: (cyclic_chebyshev(cells[k]), k))
+    for k in padded:
+        for pattern in range(L):
+            stack = np.zeros((L, grid.n), dtype=complex)
+            stack[pattern, k] = 1.0
+            stacks.append(stack)
+    columns = [np.concatenate([dft @ image for image in stack]) for stack in stacks[: ext.ntilde]]
+    return np.column_stack(columns)
 
 
 def sector_nearest_point(z: complex, alpha: float, beta: float, stages: int = 2,

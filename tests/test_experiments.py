@@ -1,5 +1,7 @@
 """Tests for the experiment runners (small, fast desk-scale configurations)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from phasedr.forward import synthesize_data
 from phasedr.grids import GridShape
 from phasedr.images import ImageSpec
 from phasedr.io import read_csv
-from phasedr.solvers import InitSpec, SolverConfig, run_solver
+from phasedr.solvers import InitSpec, SectorSpec, SolverConfig, run_solver
 
 
 def _cfg(experiment, dims=(6, 6), trials=2, **kw):
@@ -71,6 +73,21 @@ def test_ratio_to_ntilde_clamps():
 def test_rank_correlation_monotone():
     assert rank_correlation([1, 2, 3, 4], [0.1, 0.2, 0.5, 0.9]) == pytest.approx(1.0)
     assert rank_correlation([1, 2, 3, 4], [0.9, 0.5, 0.2, 0.1]) == pytest.approx(-1.0)
+
+
+def test_comment_records_every_setting():
+    # Changing any one of these settings changes the CSV configuration comment.
+    base = _cfg("padding-sweep")
+    solver = base.solver
+    changed = [
+        replace(base, nsr_grid=(0.0, 0.3)),
+        replace(base, ntilde_ratios=(4.0, 6.0)),
+        replace(base, solver=replace(solver, sector=SectorSpec(alpha=0.0, beta=0.5))),
+        replace(base, solver=replace(solver, sector=SectorSpec(alpha=0.0, beta=0.25))),
+        replace(base, solver=replace(solver, init=replace(solver.init, delta=1e-2))),
+    ]
+    comments = {cfg.comment() for cfg in [base] + changed}
+    assert len(comments) == 1 + len(changed)
 
 
 class TestLocalRate:

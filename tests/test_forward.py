@@ -1,5 +1,7 @@
 """Tests for masks, propagation operators, extensions and data synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from phasedr.forward import (
     make_operator,
     synthesize_data,
 )
-from phasedr.grids import GridShape
+from phasedr.grids import GridShape, embed
 
 from oracles import dense_astar, dense_extended_astar, naive_dft_matrix, random_complex
 
@@ -153,7 +155,6 @@ def test_length_mismatch_errors():
 def test_extend_op_trivial():
     op = _op(VARIANT_ONE_AND_HALF, GridShape((3, 3)))
     ext = extend_op(op, op.n)
-    assert ext.perp is None
     rng = np.random.default_rng(2)
     x = random_complex(rng, op.n)
     assert np.array_equal(extended_astar(ext, x), apply_astar(op, x))
@@ -161,33 +162,59 @@ def test_extend_op_trivial():
 
 def test_extend_one_mask_full_is_unitary():
     op = _op(VARIANT_ONE_MASK, GridShape((3, 3)), seed=4)
-    ext = extend_op(op, op.N, seed=11)
+    ext = extend_op(op, op.N)
     rng = np.random.default_rng(3)
     y = random_complex(rng, op.N)
     assert np.linalg.norm(extended_astar(ext, extended_a(ext, y)) - y) < 1e-10
 
 
-def test_extension_gram_matrix():
-    op = _op(VARIANT_ONE_AND_HALF, GridShape((3, 3)), seed=5)
-    ext = extend_op(op, op.n + 3, seed=21)
-    dense = dense_extended_astar(ext)
-    gram = dense.conj().T @ dense
-    assert np.abs(gram - np.eye(op.n + 3)).max() < 1e-10
+# (variant, patterns): the four layouts, multi without its plain pattern
+EXT_LAYOUTS = [(VARIANT_ONE_MASK, 3), (VARIANT_ONE_AND_HALF, 3), (VARIANT_TWO_MASK, 3),
+               (VARIANT_MULTI, 3), (VARIANT_MULTI, 4)]
+EXT_SHAPES = [GridShape((5,)), GridShape((2, 3)), GridShape((2, 3, 2))]
+EXT_CASES = pytest.mark.parametrize(
+    "variant, patterns, shape",
+    [(v, p, s) for v, p in EXT_LAYOUTS for s in EXT_SHAPES],
+    ids=[f"{v}{':' + str(p) if v == VARIANT_MULTI else ''}-{s.ndim}d"
+         for v, p in EXT_LAYOUTS for s in EXT_SHAPES],
+)
 
 
-def test_extension_orthogonality_relations():
-    op = _op(VARIANT_ONE_AND_HALF, GridShape((2, 3)), seed=6)
-    ext = extend_op(op, op.n + 4, seed=1)
-    q = ext.perp
-    assert np.abs(q.conj().T @ q - np.eye(4)).max() < 1e-10
+def _ext_op(variant, patterns, shape):
+    return make_operator(variant, shape, seed=5, patterns=patterns, with_plain=False)
+
+
+@EXT_CASES
+def test_extension_gram_matrix(variant, patterns, shape):
+    op = _ext_op(variant, patterns, shape)
+    rng = np.random.default_rng(6)
+    for ntilde in (op.n + 3, (op.n + op.N) // 2, op.N):
+        ext = extend_op(op, ntilde)
+        dense = dense_extended_astar(ext)
+        assert np.abs(dense.conj().T @ dense - np.eye(ntilde)).max() < 1e-10
+        assert np.abs(dense[:, : op.n] - dense_astar(op)).max() < 1e-10
+        x = random_complex(rng, ntilde)
+        assert np.linalg.norm(extended_astar(ext, x) - dense @ x) < 1e-10
+        y = random_complex(rng, op.N)
+        assert np.linalg.norm(extended_a(ext, y) - dense.conj().T @ y) < 1e-10
+
+
+@EXT_CASES
+def test_extension_orthogonality_relations(variant, patterns, shape):
+    op = _ext_op(variant, patterns, shape)
     rng = np.random.default_rng(8)
-    y = random_complex(rng, op.N)
-    # A A_perp* = 0 and A_perp A* = 0
-    assert np.abs(apply_a(op, q @ random_complex(rng, 4))).max() < 1e-10
-    assert np.abs(q.conj().T @ apply_astar(op, random_complex(rng, op.n))).max() < 1e-10
-    # A~ A~* = I on C^ntilde
-    x = random_complex(rng, ext.ntilde)
-    assert np.linalg.norm(extended_a(ext, extended_astar(ext, x)) - x) < 1e-10
+    for ntilde in (op.n + 1, (op.n + op.N) // 2, op.N):
+        ext = extend_op(op, ntilde)
+        # A A_perp* = 0
+        t = random_complex(rng, ntilde)
+        t[: op.n] = 0.0
+        assert np.linalg.norm(apply_a(op, extended_astar(ext, t))) < 1e-10
+        # A~ A* x = [x; 0]: A A* = I and A_perp A* = 0
+        x = random_complex(rng, op.n)
+        assert np.linalg.norm(extended_a(ext, apply_astar(op, x)) - embed(x, ntilde)) < 1e-10
+        # A~ A~* = I on C^ntilde
+        z = random_complex(rng, ntilde)
+        assert np.linalg.norm(extended_a(ext, extended_astar(ext, z)) - z) < 1e-10
 
 
 def test_extend_op_range_errors():
@@ -199,10 +226,33 @@ def test_extend_op_range_errors():
 
 
 def test_extend_op_determinism():
+    # The extension is canonical: two builds are identical.
     op = _op(VARIANT_ONE_AND_HALF, GridShape((3, 3)), seed=5)
-    a = extend_op(op, op.n + 2, seed=13)
-    b = extend_op(op, op.n + 2, seed=13)
-    assert np.array_equal(a.perp, b.perp)
+    ntilde = (op.n + op.N) // 2
+    a, b = extend_op(op, ntilde), extend_op(op, ntilde)
+    assert a.layout[0] == b.layout[0]
+    for u, v in zip(a.layout[1:] + a.householder, b.layout[1:] + b.householder):
+        assert np.array_equal(u, v)
+    rng = np.random.default_rng(9)
+    x = random_complex(rng, ntilde)
+    y = random_complex(rng, op.N)
+    assert np.array_equal(extended_astar(a, x), extended_astar(b, x))
+    assert np.array_equal(extended_a(a, y), extended_a(b, y))
+
+
+def test_extend_op_memory_is_linear():
+    # The complement is matrix-free: at 128x128 a dense N x (ntilde - n)
+    # basis would take 100 GB; the extension holds a few vectors.
+    op = make_operator(VARIANT_ONE_AND_HALF, GridShape((128, 128)), seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ext = extend_op(op, 4 * op.n)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ext.ntilde == 4 * op.n
+    assert held < 64 * op.N, f"extension holds {held} bytes, N = {op.N}"
 
 
 def test_synthesize_noiseless_exact():

@@ -176,7 +176,7 @@ class TestOdrStep:
     def test_conjugacy_at_full_padding(self, variant):
         # ntilde = N: A~* S(A~ y) = S_f(y)
         op, _, b = _instance(variant)
-        ext = extend_op(op, op.N, seed=3)
+        ext = extend_op(op, op.N)
         rng = np.random.default_rng(16)
         for _ in range(5):
             y = random_complex(rng, op.N)
@@ -186,13 +186,13 @@ class TestOdrStep:
     def test_solution_embedding_is_fixed_point(self):
         op, x0, b = _instance()
         for ntilde in [op.n, op.n + 5, op.N]:
-            ext = extend_op(op, ntilde, seed=4)
+            ext = extend_op(op, ntilde)
             x = embed(x0, ntilde)  # equals A~ (A* x0)
             assert np.linalg.norm(odr_step(x, ext, b) - x) < 1e-10
 
     def test_matches_dense_evaluation(self):
         op, _, b = _instance()
-        ext = extend_op(op, op.n + 7, seed=5)
+        ext = extend_op(op, op.n + 7)
         dense = dense_extended_astar(ext)
         rng = np.random.default_rng(17)
         x = random_complex(rng, ext.ntilde)
@@ -211,7 +211,7 @@ class TestOdrStep:
         y = random_complex(rng, op.N)
         reference = fdr_step(y, op, b)
         for ntilde in [op.n, op.n + 3, (op.n + op.N) // 2, op.N]:
-            ext = extend_op(op, ntilde, seed=6)
+            ext = extend_op(op, ntilde)
             w = b * phase_factor(y)
             via_ext = y + extended_astar(
                 ext, project_object_set(extended_a(ext, 2.0 * w - y), op.n, NO_SECTOR)
