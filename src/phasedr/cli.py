@@ -13,16 +13,14 @@ import sys
 import numpy as np
 
 from .experiments import (
-    ROLE_IMAGE,
-    ROLE_MASK,
     ExperimentConfig,
-    role_seed,
+    make_instance,
     run_global,
     run_local_rate,
     run_noise_sweep,
     run_padding_sweep,
 )
-from .forward import VARIANT_MULTI, make_operator
+from .forward import VARIANT_MULTI
 from .grids import GridShape
 from .images import KIND_RPP, KIND_TCB, ImageSpec, gen_image, support_rank
 from .io import save_pgm_pair, write_csv
@@ -85,23 +83,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phasedr", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, trials_default=20):
+    def instance(p, trials_default=20):
         p.add_argument("--shape", type=parse_shape, default=GridShape((8, 8)))
         p.add_argument("--variant", default="one-and-half",
                        help="one-mask, one-and-half, two-mask or multi:L")
-        p.add_argument("--sector", type=parse_sector, default=None,
-                       help="a,b for the sector [-a*pi, b*pi] (default: none)")
-        p.add_argument("--init", type=parse_init, default=InitSpec(kind=INIT_RANDOM))
         p.add_argument("--margin", type=int, default=1)
         p.add_argument("--image", default=KIND_RPP, choices=[KIND_RPP, KIND_TCB])
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+
+    def common(p):
+        instance(p)
+        p.add_argument("--sector", type=parse_sector, default=None,
+                       help="a,b for the sector [-a*pi, b*pi] (default: none)")
+        p.add_argument("--init", type=parse_init, default=InitSpec(kind=INIT_RANDOM))
         p.add_argument("--max-iters", type=int, default=2000)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--ntilde", type=parse_floats, default=(4.0, 5.0, 6.0, 7.0, 8.0),
                        help="padding ratios ntilde/n")
         p.add_argument("--nsr", type=parse_floats, default=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2))
-        p.add_argument("--out", default=None)
 
     g = sub.add_parser("gen-image", help="write a test image as a PGM pair")
     g.add_argument("--kind", default=KIND_RPP, choices=[KIND_RPP, KIND_TCB])
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output path stem")
 
     s = sub.add_parser("spectral-cert", help="certify the spectral gap lambda2 < 1")
-    common(s, trials_default=1)
+    instance(s, trials_default=1)
 
     for name in ("local-rate", "global", "noise-sweep", "padding-sweep"):
         common(sub.add_parser(name))
@@ -177,26 +178,29 @@ def _dispatch(args) -> int:
 
     if args.command == "spectral-cert":
         variant, patterns = split_variant(args.variant)
+        cfg = ExperimentConfig(
+            experiment="spectral-cert",
+            image=ImageSpec(kind=args.image, shape=args.shape, margin=args.margin),
+            variant=variant, patterns=patterns, trials=args.trials, base_seed=args.seed,
+        )
         rows = []
         worst = 0.0
         for t in range(args.trials):
-            spec = ImageSpec(kind=args.image, shape=args.shape, margin=args.margin,
-                             seed=role_seed(args.seed, t, ROLE_IMAGE))
-            x0 = gen_image(spec).ravel()
-            x0 = x0 / np.linalg.norm(x0)
-            op = make_operator(variant, args.shape, seed=role_seed(args.seed, t, ROLE_MASK),
-                               patterns=patterns)
-            report = lambda2_power(linearize_at_solution(op, x0), op)
+            x0, op = make_instance(cfg, t)
+            pt = linearize_at_solution(op, x0)
+            report = lambda2_power(pt, op)
             if 2 * op.n * op.N <= DENSE_GUARD:
-                oracle = svd_oracle(linearize_at_solution(op, x0), op)
+                oracle = svd_oracle(pt, op)
                 drift = abs(report.lambda2 - oracle.values[1])
                 if drift > 1e-6:
-                    raise RuntimeError(f"power/SVD disagreement {drift:.2e} at trial {t}")
-            rows.append(report_csv_row(report, args.seed + t, args.variant, op.n, op.N))
+                    raise RuntimeError(f"Lanczos/SVD disagreement {drift:.2e} at trial {t}")
+            rows.append(report_csv_row(report, args.seed, args.variant, op.n, op.N, t))
             worst = max(worst, report.lambda2)
         if args.out:
             write_csv(args.out, list(CSV_FIELDS), rows,
-                      f"experiment=spectral-cert shape={args.shape} variant={args.variant}")
+                      f"experiment=spectral-cert shape={args.shape} kind={args.image} "
+                      f"margin={args.margin} variant={args.variant} trials={args.trials} "
+                      f"base_seed={args.seed}")
         print(f"spectral-cert: {args.trials} trial(s), max lambda2 = {worst:.6f} "
               f"({'gap certified' if worst < 1.0 else 'NO GAP'})")
         return 0 if worst < 1.0 else 3

@@ -10,7 +10,7 @@ of the real 2n x N form of B.  The second singular value l_2 is the local
 contraction rate of the iteration; l_2 < 1 is the spectral gap that makes
 the convergence geometric.  This module provides matrix-free applications
 of B and S_loc, a dense SVD oracle for desk-scale checks, and a deflated
-power iteration that estimates l_2 at scale.
+Lanczos iteration that estimates l_2 at scale.
 """
 
 from __future__ import annotations
@@ -124,7 +124,18 @@ def svd_oracle(pt: LinearizationPoint, op: PropagationOp) -> SingularSystem:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Estimates of the extreme singular values and the predicted local rate."""
+    """Estimates of the extreme singular values and the predicted local rate.
+
+    `power_iters` counts the Gram matvecs (one `apply_realB` each) and
+    `converged` says whether the residual reached the tolerance; both keep
+    their power-iteration names because benchmark and experiment code read
+    them.  `next_ritz` is the square root of the second Ritz value of the
+    final Lanczos basis (nan with fewer than two basis vectors).  By Cauchy
+    interlacing it is at most l_3, so `lambda2 - next_ritz` is at least the
+    gap l_2 - l_3 that the estimate had to resolve.  `restarts` counts how
+    often the basis filled up and the iteration restarted from its top Ritz
+    vector.
+    """
 
     lambda1: float
     lambda2: float
@@ -135,15 +146,41 @@ class SpectralReport:
     power_iters: int
     converged: bool = True
     note: str = ""
+    next_ritz: float = float("nan")
+    restarts: int = 0
 
 
 CSV_FIELDS = ("seed", "variant", "n", "N", "lambda1", "lambda2", "lambda2n",
-              "residual", "power_iters", "predicted_rate")
+              "residual", "power_iters", "predicted_rate", "next_ritz", "restarts", "trial")
 
 
-def report_csv_row(report: SpectralReport, seed: int, variant: str, n: int, N: int) -> list:
+def report_csv_row(report: SpectralReport, seed: int, variant: str, n: int, N: int,
+                   trial: int) -> list:
     return [seed, variant, n, N, report.lambda1, report.lambda2, report.lambda2n,
-            report.residual, report.power_iters, report.predicted_rate]
+            report.residual, report.power_iters, report.predicted_rate,
+            report.next_ritz, report.restarts, trial]
+
+
+# Most Lanczos vectors held at once (LANCZOS_BASIS x 2n floats); a full basis
+# restarts from its top Ritz vector.  8x8 and 16x16 certificates converge
+# well inside it.
+LANCZOS_BASIS = 200
+
+
+def _top_eigenvector(T: np.ndarray, top: float) -> np.ndarray:
+    """Unit eigenvector of the symmetric T for its largest eigenvalue `top`.
+
+    Two steps of inverse iteration with a shift just above `top`, where
+    T - shift I is negative definite.  (np.linalg.eigh's divide-and-conquer
+    path runs multithreaded BLAS and can stall for tens of ms per call on a
+    busy machine; eigvalsh and solve do not.)
+    """
+    shifted = T - (top + 8 * len(T) * np.finfo(float).eps) * np.eye(len(T))
+    s = np.ones(len(T))
+    for _ in range(2):
+        s = np.linalg.solve(shifted, s)
+        s /= np.linalg.norm(s)
+    return s
 
 
 def lambda2_power(
@@ -153,12 +190,19 @@ def lambda2_power(
     max_iters: int = 50_000,
     seed: int = 0,
 ) -> SpectralReport:
-    """Estimate l_2 by power iteration on the real Gram map, deflating the top pair.
+    """Estimate l_2 by Lanczos on the real Gram map, deflating the top pair.
 
-    The top left singular vector is known exactly (the realification of the
-    object, with unit singular value), so every iterate is re-orthogonalized
-    against it and the iteration converges to l_2^2.  The reported residual
-    is ||M u - rho u|| for the final unit iterate u and Rayleigh quotient rho.
+    The top left singular vector xi1 is known exactly (the realification of
+    the object, with unit singular value), so the Gram map M = B_r B_r^T is
+    applied with xi1 projected out and its largest eigenvalue is l_2^2.
+    Symmetric Lanczos with full reorthogonalization builds a Krylov basis
+    from a seeded random start.  Once Lanczos's own residual estimate
+    beta_k |s_k| of the top Ritz pair reaches `tol`, the explicit residual
+    ||M u - rho u|| of the Ritz vector u and its Rayleigh quotient rho is
+    computed with one more matvec; the iteration stops when that is at most
+    `tol`.  `max_iters` caps the Gram matvecs, the explicit-residual ones
+    included.  Without convergence the reported residual is the last
+    estimate.  The function keeps the name its callers and the benchmark use.
     """
     x0 = apply_a(op, pt.y)
     nrm = np.linalg.norm(x0)
@@ -167,7 +211,8 @@ def lambda2_power(
     xi1 = realify(x0) / nrm
 
     def gram(u):
-        return apply_realB(pt, op, apply_realB_T(pt, op, u))
+        w = apply_realB(pt, op, apply_realB_T(pt, op, u))
+        return w - (xi1 @ w) * xi1
 
     lambda1 = float(np.linalg.norm(apply_realB_T(pt, op, xi1)))
     lambda2n = float(np.linalg.norm(apply_realB_T(pt, op, realify(-1j * x0) / nrm)))
@@ -177,22 +222,46 @@ def lambda2_power(
     u -= (xi1 @ u) * xi1
     u /= np.linalg.norm(u)
 
-    rho = 0.0
-    residual = np.inf
-    iters = 0
+    cap = min(LANCZOS_BASIS, 2 * op.n - 1)
+    V = np.empty((cap, 2 * op.n))
+    alpha = np.empty(cap)
+    beta = np.empty(cap)
+    V[0] = u
+    k = matvecs = restarts = 0
+    rho, residual, next_ritz = 0.0, np.inf, float("nan")
     converged = False
-    for iters in range(1, max_iters + 1):
-        w = gram(u)
-        w -= (xi1 @ w) * xi1
-        rho = float(u @ w)
-        residual = float(np.linalg.norm(w - rho * u))
-        wn = np.linalg.norm(w)
-        if wn == 0:
-            break
-        u = w / wn
-        if residual <= tol:
-            converged = True
-            break
+    while matvecs < max_iters:
+        w = gram(V[k])
+        matvecs += 1
+        alpha[k] = V[k] @ w
+        basis = V[: k + 1]
+        for _ in range(2):
+            w -= basis.T @ (basis @ w)
+            w -= (xi1 @ w) * xi1
+        beta[k] = np.linalg.norm(w)
+        k += 1
+
+        T = np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1) + np.diag(beta[: k - 1], 1)
+        theta = np.linalg.eigvalsh(T)
+        s = _top_eigenvector(T, theta[-1])
+        rho, residual = float(theta[-1]), float(beta[k - 1] * abs(s[-1]))
+        next_ritz = float(np.sqrt(max(theta[-2], 0.0))) if k > 1 else float("nan")
+        u = s @ V[:k]
+        u /= np.linalg.norm(u)
+        if residual <= tol and matvecs < max_iters:
+            mu = gram(u)
+            matvecs += 1
+            rho = float(u @ mu)
+            residual = float(np.linalg.norm(mu - rho * u))
+            if residual <= tol:
+                converged = True
+                break
+        if k == cap or beta[k - 1] <= np.finfo(float).eps:
+            V[0] = u
+            k = 0
+            restarts += 1
+        else:
+            V[k] = w / beta[k - 1]
 
     lam2 = float(np.sqrt(max(rho, 0.0)))
     pair = abs(
@@ -207,9 +276,11 @@ def lambda2_power(
         residual=residual,
         predicted_rate=lam2,
         pairing_defect=float(pair),
-        power_iters=iters,
+        power_iters=matvecs,
         converged=converged,
-        note="" if converged else f"power iteration hit max_iters={max_iters}",
+        note="" if converged else f"Lanczos hit max_iters={max_iters}",
+        next_ritz=next_ritz,
+        restarts=restarts,
     )
 
 

@@ -1,7 +1,10 @@
 """Tests for the command-line interface contract."""
 
-from phasedr.cli import main
+from phasedr.cli import main, parse_shape, split_variant
+from phasedr.experiments import ExperimentConfig, make_instance
+from phasedr.images import ImageSpec
 from phasedr.io import read_csv
+from phasedr.spectral import lambda2_power, linearize_at_solution
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -40,9 +43,37 @@ def test_spectral_cert_certifies_gap(tmp_path, capsys):
     assert "gap certified" in capsys.readouterr().out
     header, body, _ = read_csv(out)
     assert header[:6] == ["seed", "variant", "n", "N", "lambda1", "lambda2"]
+    assert header[-1] == "trial"
     assert len(body) == 2
-    for row in body:
+    for t, row in enumerate(body):
         assert float(row[5]) < 1.0
+        assert (row[0], row[-1]) == ("1", str(t))
+
+
+def test_spectral_cert_row_regenerates_from_file(tmp_path):
+    out = tmp_path / "cert.csv"
+    assert main([
+        "spectral-cert", "--shape", "5x5", "--variant", "multi:3", "--image", "tcb",
+        "--margin", "0", "--seed", "6", "--trials", "2", "--out", str(out),
+    ]) == 0
+    header, body, comment = read_csv(out)
+    conf = dict(item.split("=", 1) for item in comment.split())
+    row = dict(zip(header, body[1]))
+    variant, patterns = split_variant(conf["variant"])
+    cfg = ExperimentConfig(
+        experiment=conf["experiment"],
+        image=ImageSpec(kind=conf["kind"], shape=parse_shape(conf["shape"]),
+                        margin=int(conf["margin"])),
+        variant=variant, patterns=patterns, trials=int(conf["trials"]),
+        base_seed=int(row["seed"]),
+    )
+    x0, op = make_instance(cfg, int(row["trial"]))
+    report = lambda2_power(linearize_at_solution(op, x0), op)
+    assert repr(report.lambda2) == row["lambda2"]
+
+
+def test_spectral_cert_rejects_solver_options():
+    assert main(["spectral-cert", "--shape", "4x4", "--tol", "1e-3"]) == 2
 
 
 def test_global_subcommand_runs(tmp_path, capsys):

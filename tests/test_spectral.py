@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import phasedr.spectral as spectral
 from phasedr.forward import make_operator
 from phasedr.grids import GridShape, realify, unrealify
 from phasedr.images import ImageSpec, gen_image
@@ -225,8 +226,6 @@ class TestSvdOracle:
 
     def test_size_guard(self):
         op, _, pt = _instance(dims=(4, 4))
-        import phasedr.spectral as spectral
-
         old = spectral.DENSE_GUARD
         spectral.DENSE_GUARD = 10
         try:
@@ -236,17 +235,69 @@ class TestSvdOracle:
             spectral.DENSE_GUARD = old
 
 
+LAYOUTS = [
+    pytest.param("one-mask", 0, id="one-mask"),
+    pytest.param("one-and-half", 1, id="one-and-half"),
+    pytest.param("two-mask", 1, id="two-mask"),
+    pytest.param("multi", 1, id="multi3"),
+]
+
+
 class TestLambda2Power:
-    def test_matches_svd(self):
-        op, _, pt = _instance(dims=(4, 4))
+    @pytest.mark.parametrize("dims", [(4, 4), (6, 6)], ids=["4x4", "6x6"])
+    @pytest.mark.parametrize("variant,margin", LAYOUTS)
+    def test_matches_svd(self, variant, margin, dims):
+        # one-mask needs tight support for a gap (see the tests below)
+        op, _, pt = _instance(dims=dims, variant=variant, margin=margin)
         system = svd_oracle(pt, op)
         report = lambda2_power(pt, op, tol=1e-10)
-        assert report.converged
+        assert report.converged and report.note == ""
         assert abs(report.lambda2 - system.values[1]) < 1e-6
         assert report.residual <= 1e-8
         assert report.lambda1 == pytest.approx(1.0, abs=1e-8)
         assert report.lambda2n < 1e-8
         assert report.pairing_defect < 1e-10
+        # interlacing: the next Ritz value never exceeds sigma_3
+        assert report.next_ritz <= system.values[2] + 1e-12
+        assert report.restarts == 0
+
+    def test_counts_one_realB_per_matvec(self, monkeypatch):
+        op, _, pt = _instance(dims=(6, 6))
+        calls = []
+        real = spectral.apply_realB
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "apply_realB", counted)
+        report = lambda2_power(pt, op)
+        assert report.power_iters == len(calls) > 0
+
+    def test_equal_seeds_give_identical_reports(self):
+        op, _, pt = _instance(dims=(6, 6))
+        first = lambda2_power(pt, op, seed=4)
+        assert lambda2_power(pt, op, seed=4) == first
+        assert lambda2_power(pt, op, seed=5).residual != first.residual
+
+    @pytest.mark.parametrize("variant", ["one-and-half", "multi"])
+    def test_restart_still_matches_svd(self, variant, monkeypatch):
+        op, _, pt = _instance(dims=(6, 6), variant=variant)
+        monkeypatch.setattr(spectral, "LANCZOS_BASIS", 8)
+        report = lambda2_power(pt, op, tol=1e-10)
+        system = svd_oracle(pt, op)
+        assert report.converged
+        assert report.restarts > 0
+        assert abs(report.lambda2 - system.values[1]) < 1e-6
+        assert report.next_ritz <= system.values[2] + 1e-12
+
+    def test_max_iters_exhausted(self):
+        op, _, pt = _instance(dims=(6, 6))
+        report = lambda2_power(pt, op, max_iters=5)
+        assert not report.converged
+        assert "max_iters=5" in report.note
+        assert report.power_iters == 5
+        assert report.residual > 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gap_below_one_coded_oversampled(self, seed):
