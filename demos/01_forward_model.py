@@ -44,7 +44,7 @@ for variant in ["one-mask", "one-and-half", "two-mask", "multi"]:
     op = make_operator(variant, shape, seed=7, patterns=4)
     y = apply_astar(op, x)
     err = np.linalg.norm(apply_a(op, y) - x)
-    print(f"  {variant:13s} N = {op.N:4d}  modes {op.oversampled}  "
+    print(f"  {variant:13s} N = {op.N:4d}  pattern grid {op.grid}  "
           f"|A(A*x) - x| = {err:.2e}")
 
 # Magnitude data with an exact 5% noise-to-signal ratio.

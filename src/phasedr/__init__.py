@@ -36,8 +36,6 @@ from .solvers import (
     align_phase,
     fdr_step,
     odr_step,
-    proj_p1,
-    proj_p2,
     run_solver,
     sector_project,
 )

@@ -93,16 +93,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
-    def common(p):
+    def runner(p, *options):
+        """The instance options, the solver options every runner reads, and
+        those of `options` ("init", "ntilde", "nsr") this runner reads."""
         instance(p)
         p.add_argument("--sector", type=parse_sector, default=None,
                        help="a,b for the sector [-a*pi, b*pi] (default: none)")
-        p.add_argument("--init", type=parse_init, default=InitSpec(kind=INIT_RANDOM))
-        p.add_argument("--max-iters", type=int, default=2000)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--ntilde", type=parse_floats, default=(4.0, 5.0, 6.0, 7.0, 8.0),
-                       help="padding ratios ntilde/n")
-        p.add_argument("--nsr", type=parse_floats, default=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2))
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+        p.add_argument("--tol", type=float, default=SolverConfig.tol)
+        if "init" in options:
+            p.add_argument("--init", type=parse_init, default=InitSpec())
+        if "ntilde" in options:
+            p.add_argument("--ntilde", type=parse_floats, default=ExperimentConfig.ntilde_ratios,
+                           help="padding ratios ntilde/n")
+        if "nsr" in options:
+            p.add_argument("--nsr", type=parse_floats, default=ExperimentConfig.nsr_grid)
 
     g = sub.add_parser("gen-image", help="write a test image as a PGM pair")
     g.add_argument("--kind", default=KIND_RPP, choices=[KIND_RPP, KIND_TCB])
@@ -115,8 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectral-cert", help="certify the spectral gap lambda2 < 1")
     instance(s, trials_default=1)
 
-    for name in ("local-rate", "global", "noise-sweep", "padding-sweep"):
-        common(sub.add_parser(name))
+    # local-rate reads only the init's delta: every solve starts near.
+    runner(sub.add_parser("local-rate"), "init")
+    runner(sub.add_parser("global"))
+    runner(sub.add_parser("noise-sweep"), "init", "nsr")
+    runner(sub.add_parser("padding-sweep"), "ntilde")
 
     return parser
 
@@ -130,17 +138,21 @@ def _image_spec(args) -> ImageSpec:
     )
 
 
-def _experiment_config(args, experiment: str, algorithm: str = "fdr") -> ExperimentConfig:
+def _experiment_config(args, experiment: str) -> ExperimentConfig:
+    """The runner's configuration; options it does not take keep their defaults."""
     variant, patterns = split_variant(args.variant)
     sector = args.sector if args.sector is not None else NO_SECTOR
+    options = vars(args)
     solver = SolverConfig(
-        algorithm=algorithm, max_iters=args.max_iters, tol=args.tol,
-        init=args.init, sector=sector,
+        max_iters=args.max_iters, tol=args.tol, init=options.get("init", InitSpec()),
+        sector=sector,
     )
     return ExperimentConfig(
         experiment=experiment, image=_image_spec(args), variant=variant,
-        patterns=patterns, trials=args.trials, base_seed=args.seed,
-        solver=solver, nsr_grid=args.nsr, ntilde_ratios=args.ntilde, out=args.out,
+        patterns=patterns, trials=args.trials, base_seed=args.seed, solver=solver,
+        nsr_grid=options.get("nsr", ExperimentConfig.nsr_grid),
+        ntilde_ratios=options.get("ntilde", ExperimentConfig.ntilde_ratios),
+        out=args.out,
     )
 
 

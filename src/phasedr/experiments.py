@@ -108,10 +108,14 @@ class LocalRateResult:
 def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
     """Near-solution error curves for FDR and ODR against the l_2 geometric line.
 
-    Emits rows (trial, algo, k, error, lambda2_ref) with lambda2_ref = l_2^(k-1).
+    Both runs of a trial start near the solution (delta from the configured
+    init) from the same seed and differ only in the algorithm; ODR pads to
+    the configured ntilde, by default run_solver's min(4n, N).  Emits rows
+    (trial, algo, k, error, lambda2_ref) with lambda2_ref = l_2^(k-1).
     A trial counts as geometric when its error drops at least two decades below
     the starting offset; only geometric trials should enter rate statistics.
     """
+    cfg = replace(cfg, solver=replace(cfg.solver, init=replace(cfg.solver.init, kind=INIT_NEAR)))
     out = LocalRateResult()
     for t in range(cfg.trials):
         x0, op = make_instance(cfg, t)
@@ -119,22 +123,10 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
         report = lambda2_power(linearize_at_solution(op, x0), op)
         lam2 = report.lambda2
 
-        ntilde = cfg.solver.ntilde if cfg.solver.ntilde is not None else min(4 * op.n, op.N)
-        runs = {
-            ALGO_FDR: replace(
-                cfg.solver, algorithm=ALGO_FDR, ntilde=None,
-                init=replace(cfg.solver.init, kind=INIT_NEAR,
-                             seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
-            ),
-            ALGO_ODR: replace(
-                cfg.solver, algorithm=ALGO_ODR, ntilde=ntilde,
-                init=replace(cfg.solver.init, kind=INIT_NEAR,
-                             seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
-            ),
-        }
+        init = replace(cfg.solver.init, seed=role_seed(cfg.base_seed, t, ROLE_INIT))
         entry = {"trial": t, "lambda2": lam2, "power_converged": report.converged}
-        for algo, scfg in runs.items():
-            res = run_solver(scfg, op, data.b, x0)
+        for algo in (ALGO_FDR, ALGO_ODR):
+            res = run_solver(replace(cfg.solver, algorithm=algo, init=init), op, data.b, x0)
             for k, rel, _ in res.history:
                 out.rows.append((t, algo, k, rel, lam2 ** (k - 1)))
             first = res.history[0][1]
@@ -265,11 +257,14 @@ def ratio_to_ntilde(ratio: float, n: int, N: int) -> int:
 def run_padding_sweep(cfg: ExperimentConfig) -> PaddingSweepResult:
     """Final error of the object-domain iteration versus the padding ratio.
 
-    Ratios map to ntilde = min(round(ratio*n), N); the endpoint ntilde = N is
-    executed through the Fourier-domain recursion, which is the identical
-    iteration there, so those trials match FDR runs bit for bit under equal
-    seeds.  Emits rows (ratio, ntilde, trial, final_error, min_error, iters).
+    Every solve is ODR from a random start.  Ratios map to
+    ntilde = min(round(ratio*n), N); run_solver runs the endpoint ntilde = N
+    as the Fourier-domain recursion, which is the identical iteration there,
+    so those trials match FDR runs bit for bit under equal seeds.  Emits rows
+    (ratio, ntilde, trial, final_error, min_error, iters).
     """
+    cfg = replace(cfg, solver=replace(cfg.solver, algorithm=ALGO_ODR,
+                                      init=replace(cfg.solver.init, kind=INIT_RANDOM)))
     out = PaddingSweepResult()
     per_ratio: dict[float, list] = {r: [] for r in cfg.ntilde_ratios}
     for t in range(cfg.trials):
@@ -277,18 +272,10 @@ def run_padding_sweep(cfg: ExperimentConfig) -> PaddingSweepResult:
         data = synthesize_data(op, x0)
         for ratio in cfg.ntilde_ratios:
             ntilde = ratio_to_ntilde(ratio, op.n, op.N)
-            if ntilde == op.N:
-                scfg = replace(
-                    cfg.solver, algorithm=ALGO_FDR, ntilde=None,
-                    init=replace(cfg.solver.init, kind=INIT_RANDOM,
-                                 seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
-                )
-            else:
-                scfg = replace(
-                    cfg.solver, algorithm=ALGO_ODR, ntilde=ntilde,
-                    init=replace(cfg.solver.init, kind=INIT_RANDOM,
-                                 seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
-                )
+            scfg = replace(
+                cfg.solver, ntilde=ntilde,
+                init=replace(cfg.solver.init, seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
+            )
             res = run_solver(scfg, op, data.b, x0)
             final = res.relative_error
             best = np.nanmin([rel for _, rel, _ in res.history])

@@ -78,28 +78,34 @@ def make_mask(shape: GridShape, kind: str, seed: int = 0) -> MaskSpec:
 
 @dataclass(frozen=True)
 class PropagationOp:
-    """Isometric measurement map A*: C^n -> C^N and its adjoint A."""
+    """Isometric measurement map A*: C^n -> C^N and its adjoint A.
+
+    Every pattern lives on the same image grid: the oversampled grid of the
+    object, or the object grid itself when `oversampled` is False (multi).
+    """
 
     variant: str
     shape: GridShape
     masks: tuple[MaskSpec, ...]
-    oversampled: tuple[bool, ...]
-    c: float
+    oversampled: bool
 
     @property
     def n(self) -> int:
         return self.shape.n
 
-    @property
-    def pattern_lengths(self) -> tuple[int, ...]:
-        return tuple(
-            self.shape.n_oversampled if ov else self.shape.n
-            for ov in self.oversampled
-        )
+    @cached_property
+    def grid(self) -> GridShape:
+        """The image grid shared by all patterns."""
+        return GridShape(self.shape.oversampled_dims) if self.oversampled else self.shape
 
     @property
     def N(self) -> int:
-        return sum(self.pattern_lengths)
+        return len(self.masks) * self.grid.n
+
+    @cached_property
+    def c(self) -> float:
+        """The normalization 1/sqrt(N) that makes A* an isometry."""
+        return 1.0 / np.sqrt(self.N)
 
 
 def make_operator(
@@ -122,13 +128,10 @@ def make_operator(
     """
     if variant == VARIANT_ONE_MASK:
         masks = (make_mask(shape, MASK_UNIFORM, seed),)
-        oversampled = (True,)
     elif variant == VARIANT_ONE_AND_HALF:
         masks = (make_mask(shape, MASK_UNIFORM, seed), make_mask(shape, MASK_IDENTITY, seed + 1))
-        oversampled = (True, True)
     elif variant == VARIANT_TWO_MASK:
         masks = (make_mask(shape, MASK_UNIFORM, seed), make_mask(shape, MASK_UNIFORM, seed + 1))
-        oversampled = (True, True)
     elif variant == VARIANT_MULTI:
         if patterns < 2:
             raise ValueError("multi variant needs at least 2 patterns")
@@ -136,15 +139,11 @@ def make_operator(
         if with_plain:
             kinds[-1] = MASK_IDENTITY
         masks = tuple(make_mask(shape, k, seed + i) for i, k in enumerate(kinds))
-        oversampled = (False,) * patterns
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    N = sum(shape.n_oversampled if ov else shape.n for ov in oversampled)
-    op = PropagationOp(
-        variant=variant, shape=shape, masks=masks, oversampled=oversampled,
-        c=1.0 / np.sqrt(N),
-    )
+    op = PropagationOp(variant=variant, shape=shape, masks=masks,
+                       oversampled=variant != VARIANT_MULTI)
     _verify_isometry(op)
     return op
 
@@ -163,12 +162,12 @@ def apply_astar(op: PropagationOp, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (op.n,):
         raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
+    transform = dft_oversampled if op.oversampled else dft_plain
+    # out owns its buffer (the images are views into it), so callers'
+    # temporaries such as y + A*x - w can reuse it in place.
     out = np.empty(op.N, dtype=np.complex128)
-    start = 0
-    for mask, ov, length in zip(op.masks, op.oversampled, op.pattern_lengths):
-        g = mask.values * x
-        out[start : start + length] = dft_oversampled(g, op.shape) if ov else dft_plain(g, op.shape)
-        start += length
+    for image, mask in zip(out.reshape(len(op.masks), op.grid.n), op.masks):
+        image[:] = transform(mask.values * x, op.shape)
     out *= op.c
     return out
 
@@ -178,13 +177,10 @@ def apply_a(op: PropagationOp, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.N,):
         raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
+    inverse = idft_oversampled if op.oversampled else idft_plain
     out = np.zeros(op.n, dtype=np.complex128)
-    start = 0
-    for mask, ov, length in zip(op.masks, op.oversampled, op.pattern_lengths):
-        block = y[start : start + length]
-        back = idft_oversampled(block, op.shape) if ov else idft_plain(block, op.shape)
-        out += np.conj(mask.values) * back
-        start += length
+    for block, mask in zip(y.reshape(len(op.masks), op.grid.n), op.masks):
+        out += np.conj(mask.values) * inverse(block, op.shape)
     return op.c * out
 
 
@@ -223,8 +219,7 @@ class ExtendedOp:
     def layout(self) -> tuple[GridShape, np.ndarray, np.ndarray]:
         """The image grid, the flat positions of the object pixels on it, and
         those of coordinates n.. in the (L, grid.n) image stack."""
-        shape, L = self.base.shape, len(self.base.masks)
-        grid = GridShape(shape.oversampled_dims) if self.base.oversampled[0] else shape
+        shape, grid, L = self.base.shape, self.base.grid, len(self.base.masks)
         dist = np.zeros(grid.n, dtype=np.int64)
         for i, m, size in zip(np.indices(grid.dims).reshape(grid.ndim, -1), shape.dims, grid.dims):
             dist = np.maximum(dist, np.where(i < m, 0, np.minimum(i - m + 1, size - i)))

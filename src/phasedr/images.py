@@ -17,7 +17,6 @@ from .grids import GridShape
 
 KIND_RPP = "rpp"
 KIND_TCB = "tcb"
-KIND_FILE = "file"
 
 
 @dataclass(frozen=True)
@@ -30,10 +29,9 @@ class ImageSpec:
     alpha: float = 1.0
     beta: float = 1.0
     seed: int = 0
-    path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_RPP, KIND_TCB, KIND_FILE):
+        if self.kind not in (KIND_RPP, KIND_TCB):
             raise ValueError(f"unknown image kind {self.kind!r}")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
@@ -66,18 +64,7 @@ def gen_image(spec: ImageSpec) -> np.ndarray:
     """
     dims = _interior_dims(spec)
 
-    if spec.kind == KIND_FILE:
-        from .io import load_pgm_pair
-
-        if spec.path is None:
-            raise ValueError("file image needs a path")
-        interior = load_pgm_pair(spec.path)
-        if interior.shape != dims:
-            raise ValueError(
-                f"file image interior {interior.shape} does not fit grid "
-                f"{spec.shape} with margin {spec.margin}"
-            )
-    elif spec.kind == KIND_RPP:
+    if spec.kind == KIND_RPP:
         rng = np.random.default_rng(spec.seed)
         phases = rng.uniform(-spec.alpha * np.pi, spec.beta * np.pi, dims)
         interior = _bump(dims) * np.exp(1j * phases)

@@ -10,8 +10,10 @@ extension A~* of A*,
     x+ = x + [A~(2 b.w) - x]_X - A~(b.w),  w = A~*x / |A~*x|,
 
 where [.]_X truncates to the object coordinates and applies the sector
-constraint when one is active.  Every division by a magnitude uses the
-convention w = 1 where the magnitude vanishes.
+constraint when one is active.  At ntilde = N, A~* is unitary and ODR is
+FDR in the coordinates x = A~ y, so run_solver runs it as FDR.  Every
+division by a magnitude uses the convention w = 1 where the magnitude
+vanishes.
 
 An FDR step, error tracking included, costs one A / A* pair: 4 FFTs for
 the two-pattern layouts.  The solver carries the object estimate A y along
@@ -67,11 +69,12 @@ def sector_project(x, sector: SectorSpec) -> np.ndarray:
     """Componentwise nearest point in the sector {r e^{it}: t in [-a*pi, b*pi]}.
 
     Angles within a quarter turn of a sector edge project onto that edge's
-    ray; anything further maps to 0.  Idempotent; total (no sector -> copy).
+    ray; anything further maps to 0.  Idempotent.  An inactive sector is the
+    identity: it returns the input itself (as complex128), not a copy.
     """
     x = np.asarray(x, dtype=np.complex128)
     if not sector.active:
-        return x.copy()
+        return x
     a = sector.alpha * np.pi
     b = sector.beta * np.pi
     theta = np.angle(x)
@@ -94,37 +97,26 @@ def project_object_set(x, n: int, sector: SectorSpec) -> np.ndarray:
     """[x]_X for a padded vector: sector (or identity) on the first n coords, 0 beyond."""
     x = np.asarray(x, dtype=np.complex128)
     out = np.zeros_like(x)
-    out[:n] = sector_project(x[:n], sector) if sector.active else x[:n]
+    out[:n] = sector_project(x[:n], sector)
     return out
-
-
-def proj_p1(y, op: PropagationOp, sector: SectorSpec = NO_SECTOR) -> np.ndarray:
-    """P1 y = A*[A y]_X, the projection onto the diffracted-field set A* X."""
-    x = apply_a(op, y)
-    if sector.active:
-        x = sector_project(x, sector)
-    return apply_astar(op, x)
-
-
-def proj_p2(y, b) -> np.ndarray:
-    """P2 y = b . y/|y|, the projection onto the magnitude set {|y| = b}."""
-    return np.asarray(b) * phase_factor(y)
 
 
 def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None):
     """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y.
 
-    Costs one A / A* pair.  When `estimate` holds u = A y, the step also
-    returns the next estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y),
-    which AA* = I makes exact at no extra FFT; the return value is then
-    the pair (y+, A y+).
+    P1 y = A*[A y]_X projects onto the diffracted-field set A* X and
+    P2 y = b . y/|y| onto the magnitude set {|y| = b}.  Costs one A / A*
+    pair.  When `estimate` holds u = A y, the step also returns the next
+    estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y), which AA* = I
+    makes exact at no extra FFT; the return value is then the pair
+    (y+, A y+).
     """
     y = np.asarray(y, dtype=np.complex128)
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("fdr_step: non-finite iterate")
     w = np.asarray(b) * phase_factor(y)
     z = apply_a(op, 2.0 * w - y)
-    x = sector_project(z, sector) if sector.active else z
+    x = sector_project(z, sector)
     y_next = y + apply_astar(op, x) - w
     if estimate is None:
         return y_next
@@ -168,7 +160,9 @@ class InitSpec:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver settings.  max_iters caps the iterate index k, the initial
-    iterate being k = 1, so a run takes at most max_iters - 1 DR steps."""
+    iterate being k = 1, so a run takes at most max_iters - 1 DR steps.
+    ntilde is the ODR padding: FDR ignores it, ODR defaults it to
+    min(4n, N), and ODR at ntilde = N runs the FDR recursion."""
 
     algorithm: str = ALGO_FDR
     ntilde: int | None = None
@@ -224,32 +218,32 @@ def estimate_rate(errors, floor: float = RATE_FLOOR, window: int = RATE_WINDOW) 
     return float((tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1)))
 
 
-def _initial_iterate(cfg: SolverConfig, op: PropagationOp, ext: ExtendedOp | None, x0):
-    init = cfg.init
-    n = op.n
+def _initial_iterate(init: InitSpec, op: PropagationOp, ext: ExtendedOp | None, x0):
+    """The first iterate: a start object lifted by A* (FDR) or embedded in
+    C^ntilde (ODR).  The near start perturbs the lifted x0 in iterate space."""
+    def lift(v):
+        return apply_astar(op, v) if ext is None else embed(v, ext.ntilde)
+
     if init.kind == INIT_NEAR:
         if x0 is None:
             raise ValueError("NearSolution initialization needs the true object")
         rng = np.random.default_rng(init.seed)
-        if cfg.algorithm == ALGO_FDR:
-            base = apply_astar(op, x0)
-        else:
-            base = embed(np.asarray(x0, dtype=np.complex128), ext.ntilde)
+        base = lift(x0)
         pert = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
         return base + init.delta * pert / np.linalg.norm(pert)
-
     if init.kind == INIT_RANDOM:
         rng = np.random.default_rng(init.seed)
-        x_init = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:  # constant: all-ones object
-        x_init = np.ones(n, dtype=np.complex128)
-    if cfg.algorithm == ALGO_FDR:
-        return apply_astar(op, x_init)
-    return embed(x_init, ext.ntilde)
+        return lift(rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n))
+    return lift(np.ones(op.n, dtype=np.complex128))  # constant: all-ones object
 
 
 def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResult:
     """Iterate FDR or ODR from the configured initialization.
+
+    FDR runs on all N coordinates and ignores cfg.ntilde.  ODR runs on
+    cfg.ntilde coordinates, min(4n, N) when unset; at ntilde = N it is the
+    FDR recursion and runs as FDR, bit for bit.  Any other ntilde outside
+    [n, N] raises ValueError.
 
     Stops when the relative iterate change or (with ground truth) the
     relative aligned error drops to cfg.tol, or at cfg.max_iters.  The
@@ -263,19 +257,19 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
     norm_x0 = np.linalg.norm(x0) if x0 is not None else float("nan")
 
-    ext = None
-    if cfg.algorithm == ALGO_ODR:
-        ntilde = cfg.ntilde if cfg.ntilde is not None else op.N
-        ext = extend_op(op, ntilde)
+    if cfg.algorithm == ALGO_FDR:
+        ntilde = op.N
+    else:
+        ntilde = cfg.ntilde if cfg.ntilde is not None else min(4 * op.n, op.N)
+    ext = None if ntilde == op.N else extend_op(op, ntilde)
 
-    iterate = _initial_iterate(cfg, op, ext, x0)
+    iterate = _initial_iterate(cfg.init, op, ext, x0)
     # FDR carries u = A y along, updated by fdr_step; ODR reads its object
     # coordinates directly.
-    u = apply_a(op, iterate) if cfg.algorithm == ALGO_FDR else None
+    u = apply_a(op, iterate) if ext is None else None
 
     def current_estimate():
-        xh = u if u is not None else iterate[: op.n].copy()
-        return sector_project(xh, cfg.sector) if cfg.sector.active else xh
+        return sector_project(u if ext is None else iterate[: op.n].copy(), cfg.sector)
 
     history: list[tuple[int, float, float]] = []
     rel_errors: list[float] = []
@@ -305,7 +299,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         if k >= cfg.max_iters:
             break
 
-        if cfg.algorithm == ALGO_FDR:
+        if ext is None:
             nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u)
         else:
             nxt = odr_step(iterate, ext, b, cfg.sector)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from phasedr.grids import GridShape
+from phasedr.solvers import NO_SECTOR, sector_project
 
 
 def naive_dft_matrix(shape: GridShape, oversampled: bool) -> np.ndarray:
@@ -29,11 +30,27 @@ def naive_dft_matrix(shape: GridShape, oversampled: bool) -> np.ndarray:
 
 def dense_astar(op) -> np.ndarray:
     """Dense N x n matrix of A*, assembled from the explicit DFT blocks."""
-    blocks = [
-        naive_dft_matrix(op.shape, ov) * mask.values[None, :]
-        for mask, ov in zip(op.masks, op.oversampled)
-    ]
-    return op.c * np.vstack(blocks)
+    phi = naive_dft_matrix(op.shape, op.oversampled)
+    return op.c * np.vstack([phi * mask.values[None, :] for mask in op.masks])
+
+
+def proj_p1(y, op, sector=NO_SECTOR) -> np.ndarray:
+    """Reference P1 y = A*[A y]_X, the projection onto the diffracted-field set A* X.
+
+    Dense A* from explicit DFT sums; the pixelwise sector map is the library's
+    sector_project, which has its own grid-search oracle below.
+    """
+    dense = dense_astar(op)
+    return dense @ sector_project(dense.conj().T @ y, sector)
+
+
+def proj_p2(y, b) -> np.ndarray:
+    """Reference P2 y = b . y/|y| onto the magnitude set {|y| = b}, with y/|y| = 1 at y = 0."""
+    y = np.asarray(y, dtype=complex)
+    mag = np.abs(y)
+    unit = np.ones_like(y)
+    unit[mag > 0] = y[mag > 0] / mag[mag > 0]
+    return np.asarray(b) * unit
 
 
 def dense_extended_astar(ext) -> np.ndarray:
@@ -45,7 +62,7 @@ def dense_extended_astar(ext) -> np.ndarray:
     """
     op = ext.base
     L = len(op.masks)
-    dims = op.shape.oversampled_dims if op.oversampled[0] else op.shape.dims
+    dims = op.shape.oversampled_dims if op.oversampled else op.shape.dims
     grid = GridShape(dims)
     dft = naive_dft_matrix(grid, oversampled=False) / np.sqrt(grid.n)
     cells = list(np.ndindex(*dims))

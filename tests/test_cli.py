@@ -1,5 +1,7 @@
 """Tests for the command-line interface contract."""
 
+import pytest
+
 from phasedr.cli import main, parse_shape, split_variant
 from phasedr.experiments import ExperimentConfig, make_instance
 from phasedr.images import ImageSpec
@@ -76,6 +78,21 @@ def test_spectral_cert_rejects_solver_options():
     assert main(["spectral-cert", "--shape", "4x4", "--tol", "1e-3"]) == 2
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("global", "--init", "near:0.5"),
+    ("global", "--ntilde", "9"),
+    ("global", "--nsr", "0.3"),
+    ("padding-sweep", "--nsr", "0.3"),
+    ("padding-sweep", "--init", "ci"),
+    ("noise-sweep", "--ntilde", "4"),
+    ("local-rate", "--ntilde", "4"),
+    ("local-rate", "--nsr", "0.3"),
+])
+def test_runner_rejects_options_it_ignores(command, option, value):
+    # Each runner takes only the options it reads.
+    assert main([command, "--shape", "4x4", "--trials", "1", option, value]) == 2
+
+
 def test_global_subcommand_runs(tmp_path, capsys):
     out = tmp_path / "glob.csv"
     code = main([
@@ -124,7 +141,7 @@ def test_local_rate_subcommand(tmp_path, capsys):
 def test_one_mask_sector_global(tmp_path):
     out = tmp_path / "sector.csv"
     code = main([
-        "global", "--variant", "one-mask", "--sector", "0,0.5", "--init", "ci",
+        "global", "--variant", "one-mask", "--sector", "0,0.5",
         "--shape", "6x6", "--margin", "0", "--trials", "1", "--seed", "3",
         "--max-iters", "200", "--out", str(out),
     ])

@@ -90,6 +90,21 @@ def test_comment_records_every_setting():
     assert len(comments) == 1 + len(changed)
 
 
+@pytest.mark.parametrize("experiment, runner, forced", [
+    ("local-rate", run_local_rate, "init=near "),
+    ("padding-sweep", run_padding_sweep, "algo=odr "),
+])
+def test_comment_records_forced_settings(tmp_path, experiment, runner, forced):
+    # The runner forces these settings on every solve, whatever the config says.
+    cfg = _cfg(experiment, dims=(4, 4), trials=1, ntilde_ratios=(4.0,),
+               out=str(tmp_path / "out.csv"),
+               solver=SolverConfig(algorithm="fdr", max_iters=5, init=InitSpec(kind="ci")))
+    _, _, comment = read_csv(runner(cfg).csv_path)
+    assert forced in comment
+    if experiment == "padding-sweep":
+        assert "init=ri " in comment
+
+
 class TestLocalRate:
     def test_rows_and_rate(self, tmp_path):
         cfg = _cfg("local-rate", out=str(tmp_path / "rate.csv"),
@@ -208,7 +223,6 @@ class TestPaddingSweep:
             glob_final[trial] = rel  # last row per trial wins
         for ratio, ntilde, trial, final, best, iters in res.rows:
             if ratio == 8.0:
-                op_N = ntilde
                 assert final == glob_final[trial]
         header, body, _ = read_csv(res.csv_path)
         assert header == ["ratio", "ntilde", "trial", "final_error", "min_error", "iters"]

@@ -73,6 +73,15 @@ def test_pattern_counts_and_lengths():
     assert all(m.kind == MASK_UNIFORM for m in coded.masks)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_patterns_share_one_grid(variant):
+    s = GridShape((3, 4))
+    op = _op(variant, s)
+    assert op.grid == (s if variant == VARIANT_MULTI else GridShape((5, 7)))
+    assert op.N == len(op.masks) * op.grid.n
+    assert op.c == 1.0 / np.sqrt(op.N)
+
+
 def test_one_and_half_has_one_plain_pattern():
     op = _op(VARIANT_ONE_AND_HALF, GridShape((3, 3)))
     assert op.masks[0].kind == MASK_UNIFORM

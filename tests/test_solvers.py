@@ -1,5 +1,7 @@
 """Tests for projections, DR steps, phase alignment and the solver driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,14 +23,12 @@ from phasedr.solvers import (
     align_phase,
     fdr_step,
     odr_step,
-    proj_p1,
-    proj_p2,
     project_object_set,
     run_solver,
     sector_project,
 )
 
-from oracles import dense_astar, dense_extended_astar, random_complex
+from oracles import dense_astar, dense_extended_astar, proj_p1, proj_p2, random_complex
 
 
 def _instance(variant="one-and-half", dims=(3, 3), mask_seed=5, x_seed=9):
@@ -79,7 +79,7 @@ class TestSectorProject:
     def test_inactive_sector_identity(self):
         rng = np.random.default_rng(4)
         x = random_complex(rng, 10)
-        assert np.array_equal(sector_project(x, NO_SECTOR), x)
+        assert sector_project(x, NO_SECTOR) is x
 
     def test_padded_components_map_to_zero(self):
         rng = np.random.default_rng(5)
@@ -97,10 +97,23 @@ class TestSectorProject:
             SectorSpec(-0.1, 0.5)
 
 
+def _p1(y, op, sector=NO_SECTOR):
+    """P1 as fdr_step evaluates it: A* of the sector-projected A y."""
+    return apply_astar(op, sector_project(apply_a(op, y), sector))
+
+
+def _p2(y, b):
+    """P2 as fdr_step and odr_step evaluate it."""
+    return b * phase_factor(y)
+
+
 class TestProjections:
+    # The library's P1 and P2 live inside the DR steps; these check them,
+    # and the dense reference map in oracles.py, directly.
     def test_p1_fixed_point(self):
         op, x0, b = _instance()
         y = apply_astar(op, x0)
+        assert np.linalg.norm(_p1(y, op) - y) < 1e-10
         assert np.linalg.norm(proj_p1(y, op) - y) < 1e-10
 
     def test_p1_idempotent(self):
@@ -108,36 +121,40 @@ class TestProjections:
         rng = np.random.default_rng(8)
         y = random_complex(rng, op.N)
         for sector in [NO_SECTOR, SectorSpec(0.0, 0.5)]:
-            p = proj_p1(y, op, sector)
-            assert np.linalg.norm(proj_p1(p, op, sector) - p) < 1e-10
+            p = _p1(y, op, sector)
+            assert np.linalg.norm(_p1(p, op, sector) - p) < 1e-10
 
     def test_p1_matches_dense(self):
         op, _, _ = _instance()
         dense = dense_astar(op)
         rng = np.random.default_rng(9)
         y = random_complex(rng, op.N)
-        assert np.linalg.norm(proj_p1(y, op) - dense @ (dense.conj().T @ y)) < 1e-10
+        assert np.linalg.norm(_p1(y, op) - dense @ (dense.conj().T @ y)) < 1e-10
+        for sector in [NO_SECTOR, SectorSpec(0.0, 0.5)]:
+            assert np.linalg.norm(_p1(y, op, sector) - proj_p1(y, op, sector)) < 1e-10
 
     def test_p2_radial(self):
         rng = np.random.default_rng(10)
         b = np.abs(rng.standard_normal(12))
         omega = np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
+        assert np.linalg.norm(_p2(2.0 * b * omega, b) - b * omega) < 1e-14
         assert np.linalg.norm(proj_p2(2.0 * b * omega, b) - b * omega) < 1e-14
 
     def test_p2_zero_convention(self):
         b = np.array([2.0, 3.0])
         y = np.array([0.0, 1j])
-        out = proj_p2(y, b)
-        assert out[0] == 2.0
-        assert out[1] == pytest.approx(3j)
+        for out in (_p2(y, b), proj_p2(y, b)):
+            assert out[0] == 2.0
+            assert out[1] == pytest.approx(3j)
 
     def test_p2_magnitudes_exact(self):
         rng = np.random.default_rng(12)
         b = np.abs(rng.standard_normal(40))
         y = random_complex(rng, 40)
-        p = proj_p2(y, b)
-        assert np.allclose(np.abs(proj_p2(p, b)), np.abs(p), rtol=1e-15, atol=0)
+        p = _p2(y, b)
+        assert np.allclose(np.abs(_p2(p, b)), np.abs(p), rtol=1e-15, atol=0)
         assert np.allclose(np.abs(p), b, rtol=1e-15, atol=0)
+        assert np.allclose(p, proj_p2(y, b), rtol=1e-15, atol=0)
 
 
 class TestFdrStep:
@@ -329,8 +346,48 @@ class TestRunSolver:
         x0 = x0 / np.linalg.norm(x0)
         b = np.abs(apply_astar(op, x0))
         cfg = SolverConfig(
-            algorithm="odr", ntilde=op.N, max_iters=400, tol=1e-11,
+            algorithm="odr", ntilde=op.N - 1, max_iters=400, tol=1e-11,
             init=InitSpec(kind="near", seed=3, delta=1e-3),
         )
         res = run_solver(cfg, op, b, x0)
         assert res.relative_error <= 1e-9
+
+
+def _same_run(a, b):
+    return (np.array_equal(np.array(a.history), np.array(b.history), equal_nan=True)
+            and np.array_equal(a.x_hat, b.x_hat) and a.iterations == b.iterations)
+
+
+class TestIterationChoice:
+    # run_solver owns the FDR/ODR choice and the ODR padding default.
+    @pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.0, 0.5)])
+    @pytest.mark.parametrize("kind", ["ri", "ci", "near"])
+    def test_odr_at_full_padding_is_fdr_bitwise(self, sector, kind):
+        op, x0, b = _instance("one-and-half", dims=(4, 4))
+        cfg = SolverConfig(max_iters=40, tol=1e-300, sector=sector,
+                           init=InitSpec(kind=kind, seed=6, delta=1e-2))
+        fdr = run_solver(cfg, op, b, x0)
+        odr = run_solver(replace(cfg, algorithm="odr", ntilde=op.N), op, b, x0)
+        assert fdr.iterations == 40
+        assert _same_run(odr, fdr)
+
+    def test_fdr_ignores_ntilde(self):
+        op, x0, b = _instance()
+        cfg = SolverConfig(max_iters=30, init=InitSpec(kind="ri", seed=2))
+        assert _same_run(run_solver(replace(cfg, ntilde=op.n + 1), op, b, x0),
+                         run_solver(cfg, op, b, x0))
+
+    @pytest.mark.parametrize("variant", ["one-and-half", "multi"])
+    def test_odr_default_padding(self, variant):
+        # min(4n, N): below N for one-and-half, N itself for multi with 3 patterns
+        op, x0, b = _instance(variant, dims=(4, 4))
+        cfg = SolverConfig(algorithm="odr", max_iters=30, tol=1e-300,
+                           init=InitSpec(kind="near", seed=1, delta=1e-2))
+        explicit = run_solver(replace(cfg, ntilde=min(4 * op.n, op.N)), op, b, x0)
+        assert _same_run(run_solver(cfg, op, b, x0), explicit)
+
+    def test_odr_padding_out_of_range(self):
+        op, x0, b = _instance()
+        for ntilde in (op.n - 1, op.N + 1):
+            with pytest.raises(ValueError):
+                run_solver(SolverConfig(algorithm="odr", ntilde=ntilde), op, b, x0)
