@@ -53,7 +53,7 @@ def parse_shape(text: str) -> GridShape:
 def parse_sector(text: str) -> SectorSpec:
     try:
         alpha, beta = (float(p) for p in text.split(","))
-        return SectorSpec(alpha=alpha, beta=beta, active=True)
+        return SectorSpec(alpha=alpha, beta=beta)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad sector {text!r}: {exc}") from None
 
@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         """The instance options, the solver options every runner reads, and
         those of `options` ("init", "ntilde", "nsr") this runner reads."""
         instance(p)
-        p.add_argument("--sector", type=parse_sector, default=None,
-                       help="a,b for the sector [-a*pi, b*pi] (default: none)")
+        p.add_argument("--sector", type=parse_sector, default=NO_SECTOR,
+                       help="a,b for the sector [-a*pi, b*pi] (default: 1,1, no constraint)")
         p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
         p.add_argument("--tol", type=float, default=SolverConfig.tol)
         if "init" in options:
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-image", help="write a test image as a PGM pair")
     g.add_argument("--kind", default=KIND_RPP, choices=[KIND_RPP, KIND_TCB])
     g.add_argument("--shape", type=parse_shape, default=GridShape((16, 16)))
-    g.add_argument("--sector", type=parse_sector, default=None)
+    g.add_argument("--sector", type=parse_sector, default=NO_SECTOR)
     g.add_argument("--margin", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output path stem")
@@ -130,22 +130,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _image_spec(args) -> ImageSpec:
-    sector = args.sector if args.sector is not None else NO_SECTOR
-    return ImageSpec(
-        kind=args.image, shape=args.shape, margin=args.margin,
-        alpha=sector.alpha if sector.active else 1.0,
-        beta=sector.beta if sector.active else 1.0,
-    )
+    return ImageSpec(kind=args.image, shape=args.shape, margin=args.margin,
+                     alpha=args.sector.alpha, beta=args.sector.beta)
 
 
 def _experiment_config(args, experiment: str) -> ExperimentConfig:
     """The runner's configuration; options it does not take keep their defaults."""
     variant, patterns = split_variant(args.variant)
-    sector = args.sector if args.sector is not None else NO_SECTOR
     options = vars(args)
     solver = SolverConfig(
         max_iters=args.max_iters, tol=args.tol, init=options.get("init", InitSpec()),
-        sector=sector,
+        sector=args.sector,
     )
     return ExperimentConfig(
         experiment=experiment, image=_image_spec(args), variant=variant,
@@ -178,10 +173,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gen-image":
-        sector = args.sector if args.sector is not None else NO_SECTOR
         spec = ImageSpec(kind=args.kind, shape=args.shape, margin=args.margin,
-                         alpha=sector.alpha if sector.active else 1.0,
-                         beta=sector.beta if sector.active else 1.0, seed=args.seed)
+                         alpha=args.sector.alpha, beta=args.sector.beta, seed=args.seed)
         grid = gen_image(spec)
         paths = save_pgm_pair(args.out, grid)
         print(f"gen-image: {args.kind} {args.shape} margin={args.margin} "
@@ -197,11 +190,14 @@ def _dispatch(args) -> int:
         )
         rows = []
         worst = 0.0
+        unconverged = []
         for t in range(args.trials):
             x0, op = make_instance(cfg, t)
             pt = linearize_at_solution(op, x0)
             report = lambda2_power(pt, op)
-            if 2 * op.n * op.N <= DENSE_GUARD:
+            if not report.converged:
+                unconverged.append(t)
+            elif 2 * op.n * op.N <= DENSE_GUARD:
                 oracle = svd_oracle(pt, op)
                 drift = abs(report.lambda2 - oracle.values[1])
                 if drift > 1e-6:
@@ -213,19 +209,22 @@ def _dispatch(args) -> int:
                       f"experiment=spectral-cert shape={args.shape} kind={args.image} "
                       f"margin={args.margin} variant={args.variant} trials={args.trials} "
                       f"base_seed={args.seed}")
-        print(f"spectral-cert: {args.trials} trial(s), max lambda2 = {worst:.6f} "
-              f"({'gap certified' if worst < 1.0 else 'NO GAP'})")
-        return 0 if worst < 1.0 else 3
+        if unconverged:
+            verdict = f"NOT CONVERGED on trial(s) {', '.join(map(str, unconverged))}"
+        else:
+            verdict = "gap certified" if worst < 1.0 else "NO GAP"
+        print(f"spectral-cert: {args.trials} trial(s), max lambda2 = {worst:.6f} ({verdict})")
+        return 0 if verdict == "gap certified" else 3
 
     runners = {
-        "local-rate": ("local-rate", run_local_rate),
-        "global": ("global", run_global),
-        "noise-sweep": ("noise-sweep", run_noise_sweep),
-        "padding-sweep": ("padding-sweep", run_padding_sweep),
+        "local-rate": run_local_rate,
+        "global": run_global,
+        "noise-sweep": run_noise_sweep,
+        "padding-sweep": run_padding_sweep,
     }
-    name, runner = runners[args.command]
+    name = args.command
     cfg = _experiment_config(args, name)
-    result = runner(cfg)
+    result = runners[name](cfg)
     summary = _summarize(name, result)
     print(f"{name}: {summary}" + (f" -> {result.csv_path}" if result.csv_path else ""))
     return 0

@@ -61,17 +61,20 @@ class ExperimentConfig:
         if not self.nsr_grid or not self.ntilde_ratios:
             raise ValueError("parameter grids must be nonempty")
 
-    def comment(self) -> str:
+    def comment(self, algos: tuple[str, ...] = (), inits: tuple[str, ...] = ()) -> str:
+        """`key=value` pairs; `algos` / `inits` name what a runner ran when not the solver's."""
         sector = self.solver.sector
+        algos = algos or (self.solver.algorithm,)
+        inits = inits or (self.solver.init.kind,)
         return (
             f"experiment={self.experiment} shape={self.image.shape} kind={self.image.kind} "
             f"margin={self.image.margin} sector=({self.image.alpha},{self.image.beta}) "
             f"variant={self.variant} patterns={self.patterns} trials={self.trials} "
-            f"base_seed={self.base_seed} algo={self.solver.algorithm} "
+            f"base_seed={self.base_seed} algo={','.join(algos)} "
             f"max_iters={self.solver.max_iters} tol={self.solver.tol} "
-            f"init={self.solver.init.kind} init_delta={self.solver.init.delta} "
+            f"init={','.join(inits)} init_delta={self.solver.init.delta} "
             f"ntilde={self.solver.ntilde} "
-            f"solver_sector=({sector.alpha},{sector.beta},{sector.active}) "
+            f"solver_sector=({sector.alpha},{sector.beta}) "
             f"nsr_grid={','.join(map(str, self.nsr_grid))} "
             f"ntilde_ratios={','.join(map(str, self.ntilde_ratios))}"
         )
@@ -110,12 +113,16 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
 
     Both runs of a trial start near the solution (delta from the configured
     init) from the same seed and differ only in the algorithm; ODR pads to
-    the configured ntilde, by default run_solver's min(4n, N).  Emits rows
+    the configured ntilde, by default run_solver's min(4n, N).  Each trial
+    entry records that padding as `odr_ntilde`: at odr_ntilde = N (for
+    instance multi with L <= 4 patterns) ODR is the FDR recursion, so the
+    trial's odr rows repeat its fdr rows.  Emits rows
     (trial, algo, k, error, lambda2_ref) with lambda2_ref = l_2^(k-1).
     A trial counts as geometric when its error drops at least two decades below
     the starting offset; only geometric trials should enter rate statistics.
     """
     cfg = replace(cfg, solver=replace(cfg.solver, init=replace(cfg.solver.init, kind=INIT_NEAR)))
+    algos = (ALGO_FDR, ALGO_ODR)
     out = LocalRateResult()
     for t in range(cfg.trials):
         x0, op = make_instance(cfg, t)
@@ -125,7 +132,7 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
 
         init = replace(cfg.solver.init, seed=role_seed(cfg.base_seed, t, ROLE_INIT))
         entry = {"trial": t, "lambda2": lam2, "power_converged": report.converged}
-        for algo in (ALGO_FDR, ALGO_ODR):
+        for algo in algos:
             res = run_solver(replace(cfg.solver, algorithm=algo, init=init), op, data.b, x0)
             for k, rel, _ in res.history:
                 out.rows.append((t, algo, k, rel, lam2 ** (k - 1)))
@@ -134,11 +141,14 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
             entry[f"{algo}_rate"] = res.rate_estimate
             entry[f"{algo}_final"] = final
             entry[f"{algo}_geometric"] = bool(final <= 1e-2 * first)
+            if algo == ALGO_ODR:
+                entry["odr_ntilde"] = res.ntilde
         out.trials.append(entry)
 
     if cfg.out:
         out.csv_path = write_csv(
-            cfg.out, ["trial", "algo", "k", "error", "lambda2_ref"], out.rows, cfg.comment()
+            cfg.out, ["trial", "algo", "k", "error", "lambda2_ref"], out.rows,
+            cfg.comment(algos=algos),
         )
     return out
 
@@ -181,7 +191,7 @@ def run_global(cfg: ExperimentConfig, inits: tuple[str, ...] = (INIT_RANDOM, INI
     out.success = {key: count / cfg.trials for key, count in reached.items()}
     if cfg.out:
         out.csv_path = write_csv(
-            cfg.out, ["trial", "init", "k", "relative_error"], out.rows, cfg.comment()
+            cfg.out, ["trial", "init", "k", "relative_error"], out.rows, cfg.comment(inits=inits)
         )
     return out
 

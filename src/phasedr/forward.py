@@ -81,17 +81,20 @@ class PropagationOp:
     """Isometric measurement map A*: C^n -> C^N and its adjoint A.
 
     Every pattern lives on the same image grid: the oversampled grid of the
-    object, or the object grid itself when `oversampled` is False (multi).
+    object, or the object grid itself for multi (`oversampled` is False).
     """
 
     variant: str
     shape: GridShape
     masks: tuple[MaskSpec, ...]
-    oversampled: bool
 
     @property
     def n(self) -> int:
         return self.shape.n
+
+    @property
+    def oversampled(self) -> bool:
+        return self.variant != VARIANT_MULTI
 
     @cached_property
     def grid(self) -> GridShape:
@@ -142,8 +145,7 @@ def make_operator(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    op = PropagationOp(variant=variant, shape=shape, masks=masks,
-                       oversampled=variant != VARIANT_MULTI)
+    op = PropagationOp(variant=variant, shape=shape, masks=masks)
     _verify_isometry(op)
     return op
 

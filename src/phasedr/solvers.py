@@ -49,20 +49,23 @@ INIT_NEAR = "near"
 
 @dataclass(frozen=True)
 class SectorSpec:
-    """Pixelwise argument constraint arg x(j) in [-alpha*pi, beta*pi]."""
+    """Pixelwise argument constraint arg x(j) in [-alpha*pi, beta*pi].
+
+    `active` unless alpha = beta = 1 (NO_SECTOR), the whole plane."""
 
     alpha: float
     beta: float
-    active: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ValueError("sector bounds must lie in [0, 1]")
-        if self.active and self.alpha == 1.0 and self.beta == 1.0:
-            raise ValueError("active sector must be a proper subset of (-pi, pi]")
+
+    @property
+    def active(self) -> bool:
+        return self.alpha < 1.0 or self.beta < 1.0
 
 
-NO_SECTOR = SectorSpec(alpha=1.0, beta=1.0, active=False)
+NO_SECTOR = SectorSpec(1.0, 1.0)
 
 
 def sector_project(x, sector: SectorSpec) -> np.ndarray:
@@ -184,15 +187,19 @@ class SolverConfig:
 class RecoveryResult:
     """Outcome of a solver run.
 
-    aligned_error is min_{|a|=1} ||a x_hat - x0|| (nan without ground truth);
-    relative_error divides by ||x0||.  history holds one row
-    (k, relative_error, step_residual) per iterate, where step_residual is
-    the relative iterate change used for stopping (nan at k = 1).
-    iterations is the index k of the last iterate, the initial iterate being
-    k = 1: the run took iterations - 1 DR steps, and history has iterations
-    rows (one fewer when the last iterate is non-finite).
+    x_hat is the object estimate the last history row was measured on, and
+    aligned_error = min_{|a|=1} ||a x_hat - x0|| (nan without ground truth);
+    relative_error divides by ||x0||, so it equals history[-1][1].  history
+    holds one row (k, relative_error, step_residual) per iterate, where
+    step_residual is the relative iterate change used for stopping (nan at
+    k = 1).  iterations is the index k of the last iterate, the initial
+    iterate being k = 1: the run took iterations - 1 DR steps, and history
+    has iterations rows.  When the last iterate is non-finite, history has
+    one row fewer, x_hat is all nan and both errors are nan.
     rate_estimate is the geometric-mean error ratio over a trailing window
-    of at most 20 ratios among errors above 1e-12.
+    of at most 20 ratios among errors above 1e-12.  ntilde is the number of
+    coordinates the iteration ran on: N for FDR, and for ODR its resolved
+    padding (at ntilde = N the run was the FDR recursion).
     """
 
     x_hat: np.ndarray
@@ -201,6 +208,7 @@ class RecoveryResult:
     iterations: int
     converged: bool
     rate_estimate: float
+    ntilde: int
     history: list[tuple[int, float, float]] = field(default_factory=list)
     diagnostic: str = ""
 
@@ -209,12 +217,12 @@ RATE_FLOOR = 1e-12
 RATE_WINDOW = 20
 
 
-def estimate_rate(errors, floor: float = RATE_FLOOR, window: int = RATE_WINDOW) -> float:
-    """Geometric-mean ratio of the trailing errors above the floor."""
-    usable = [e for e in errors if np.isfinite(e) and e > floor]
+def estimate_rate(errors) -> float:
+    """Geometric-mean ratio of the last RATE_WINDOW + 1 errors above RATE_FLOOR."""
+    usable = [e for e in errors if np.isfinite(e) and e > RATE_FLOOR]
     if len(usable) < 2:
         return float("nan")
-    tail = usable[-(window + 1):]
+    tail = usable[-(RATE_WINDOW + 1):]
     return float((tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1)))
 
 
@@ -243,15 +251,16 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     FDR runs on all N coordinates and ignores cfg.ntilde.  ODR runs on
     cfg.ntilde coordinates, min(4n, N) when unset; at ntilde = N it is the
     FDR recursion and runs as FDR, bit for bit.  Any other ntilde outside
-    [n, N] raises ValueError.
+    [n, N] raises ValueError.  The result records the resolved ntilde.
 
     Stops when the relative iterate change or (with ground truth) the
-    relative aligned error drops to cfg.tol, or at cfg.max_iters.  The
-    reported object estimate is A y (FDR), tracked through the steps rather
-    than applied anew, or the first n coordinates of the padded iterate
-    (ODR), sector-projected when a sector is active.  x_hat is the estimate
-    the last history row was measured on, so history[-1][1] equals
-    relative_error exactly.
+    relative aligned error drops to cfg.tol, at cfg.max_iters, or at a
+    non-finite iterate.  Each iterate is evaluated once: its object
+    estimate is A y (FDR), tracked through the steps rather than applied
+    anew, or the first n coordinates of the padded iterate (ODR),
+    sector-projected when a sector is active.  The result is the last
+    evaluation, so history[-1][1] equals relative_error exactly; a
+    non-finite iterate evaluates to an all-nan x_hat with nan errors.
     """
     b = np.asarray(b, dtype=np.float64)
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
@@ -268,11 +277,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     # coordinates directly.
     u = apply_a(op, iterate) if ext is None else None
 
-    def current_estimate():
-        return sector_project(u if ext is None else iterate[: op.n].copy(), cfg.sector)
-
     history: list[tuple[int, float, float]] = []
-    rel_errors: list[float] = []
     converged = False
     diagnostic = ""
     k = 1
@@ -281,14 +286,14 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     while True:
         if not np.all(np.isfinite(iterate)):
             diagnostic = f"diverged: non-finite iterate at k={k}"
+            x_hat = np.full(op.n, np.nan, dtype=np.complex128)
+            aligned = float("nan")
+            rel = aligned / norm_x0
             break
-        if x0 is not None:
-            _, err = align_phase(current_estimate(), x0)
-            rel = err / norm_x0
-        else:
-            rel = float("nan")
+        x_hat = sector_project(u if ext is None else iterate[: op.n].copy(), cfg.sector)
+        aligned = align_phase(x_hat, x0)[1] if x0 is not None else float("nan")
+        rel = aligned / norm_x0
         history.append((k, rel, step_res))
-        rel_errors.append(rel)
 
         if x0 is not None and rel <= cfg.tol:
             converged = True
@@ -308,21 +313,14 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         iterate = nxt
         k += 1
 
-    if np.all(np.isfinite(iterate)):
-        x_hat = current_estimate()
-        aligned = align_phase(x_hat, x0)[1] if x0 is not None else float("nan")
-    else:
-        x_hat = np.full(op.n, np.nan, dtype=np.complex128)
-        aligned = float("nan")
-        converged = False
-
     return RecoveryResult(
         x_hat=x_hat,
         aligned_error=aligned,
-        relative_error=aligned / norm_x0 if x0 is not None else float("nan"),
+        relative_error=rel,
         iterations=k,
         converged=converged,
-        rate_estimate=estimate_rate(rel_errors),
+        rate_estimate=estimate_rate([row[1] for row in history]),
+        ntilde=ntilde,
         history=history,
         diagnostic=diagnostic,
     )

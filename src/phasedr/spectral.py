@@ -124,12 +124,14 @@ def svd_oracle(pt: LinearizationPoint, op: PropagationOp) -> SingularSystem:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Estimates of the extreme singular values and the predicted local rate.
+    """Estimates of the extreme singular values l_1, l_2 and l_2n.
 
+    `lambda2` is also the predicted local rate of the DR iterations.
     `power_iters` counts the Gram matvecs (one `apply_realB` each) and
     `converged` says whether the residual reached the tolerance; both keep
     their power-iteration names because benchmark and experiment code read
-    them.  `next_ritz` is the square root of the second Ritz value of the
+    them.  Without convergence `lambda2` is only the last Ritz estimate, and
+    `spectral-cert` exits 3.  `next_ritz` is the square root of the second Ritz value of the
     final Lanczos basis (nan with fewer than two basis vectors).  By Cauchy
     interlacing it is at most l_3, so `lambda2 - next_ritz` is at least the
     gap l_2 - l_3 that the estimate had to resolve.  `restarts` counts how
@@ -141,7 +143,6 @@ class SpectralReport:
     lambda2: float
     lambda2n: float
     residual: float
-    predicted_rate: float
     pairing_defect: float
     power_iters: int
     converged: bool = True
@@ -151,14 +152,13 @@ class SpectralReport:
 
 
 CSV_FIELDS = ("seed", "variant", "n", "N", "lambda1", "lambda2", "lambda2n",
-              "residual", "power_iters", "predicted_rate", "next_ritz", "restarts", "trial")
+              "residual", "power_iters", "next_ritz", "restarts", "trial")
 
 
 def report_csv_row(report: SpectralReport, seed: int, variant: str, n: int, N: int,
                    trial: int) -> list:
     return [seed, variant, n, N, report.lambda1, report.lambda2, report.lambda2n,
-            report.residual, report.power_iters, report.predicted_rate,
-            report.next_ritz, report.restarts, trial]
+            report.residual, report.power_iters, report.next_ritz, report.restarts, trial]
 
 
 # Most Lanczos vectors held at once (LANCZOS_BASIS x 2n floats); a full basis
@@ -274,7 +274,6 @@ def lambda2_power(
         lambda2=lam2,
         lambda2n=lambda2n,
         residual=residual,
-        predicted_rate=lam2,
         pairing_defect=float(pair),
         power_iters=matvecs,
         converged=converged,

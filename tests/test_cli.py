@@ -1,5 +1,7 @@
 """Tests for the command-line interface contract."""
 
+from functools import partial
+
 import pytest
 
 from phasedr.cli import main, parse_shape, split_variant
@@ -72,6 +74,12 @@ def test_spectral_cert_row_regenerates_from_file(tmp_path):
     x0, op = make_instance(cfg, int(row["trial"]))
     report = lambda2_power(linearize_at_solution(op, x0), op)
     assert repr(report.lambda2) == row["lambda2"]
+
+
+def test_spectral_cert_fails_without_convergence(monkeypatch, capsys):
+    monkeypatch.setattr("phasedr.cli.lambda2_power", partial(lambda2_power, max_iters=5))
+    assert main(["spectral-cert", "--shape", "6x6", "--seed", "1", "--trials", "2"]) == 3
+    assert "NOT CONVERGED on trial(s) 0, 1" in capsys.readouterr().out
 
 
 def test_spectral_cert_rejects_solver_options():

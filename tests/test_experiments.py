@@ -93,9 +93,12 @@ def test_comment_records_every_setting():
 @pytest.mark.parametrize("experiment, runner, forced", [
     ("local-rate", run_local_rate, "init=near "),
     ("padding-sweep", run_padding_sweep, "algo=odr "),
+    ("global", run_global, "init=ri,ci "),
+    ("local-rate", run_local_rate, "algo=fdr,odr "),
 ])
 def test_comment_records_forced_settings(tmp_path, experiment, runner, forced):
-    # The runner forces these settings on every solve, whatever the config says.
+    # The runner forces these settings on every solve, or runs each of the
+    # listed ones, whatever the config says.
     cfg = _cfg(experiment, dims=(4, 4), trials=1, ntilde_ratios=(4.0,),
                out=str(tmp_path / "out.csv"),
                solver=SolverConfig(algorithm="fdr", max_iters=5, init=InitSpec(kind="ci")))
@@ -130,6 +133,24 @@ class TestLocalRate:
         a = run_local_rate(cfg)
         b = run_local_rate(cfg)
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize("variant", ["multi", "one-and-half"])
+    def test_odr_padding_recorded(self, variant):
+        # multi:3 at 5x5 has N = 75 < 4n = 100, so ODR pads to N and its rows
+        # are the FDR rows; one-and-half pads to 4n < N.
+        cfg = _cfg("local-rate", dims=(5, 5), trials=1, variant=variant, patterns=3,
+                   solver=SolverConfig(max_iters=30, tol=1e-12))
+        res = run_local_rate(cfg)
+        _, op = make_instance(cfg, 0)
+        (entry,) = res.trials
+        fdr = [row[2:] for row in res.rows if row[1] == "fdr"]
+        odr = [row[2:] for row in res.rows if row[1] == "odr"]
+        if variant == "multi":
+            assert entry["odr_ntilde"] == op.N
+            assert odr == fdr
+        else:
+            assert entry["odr_ntilde"] == 4 * op.n < op.N
+            assert odr != fdr
 
 
 class TestGlobal:

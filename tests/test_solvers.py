@@ -91,8 +91,7 @@ class TestSectorProject:
         assert np.all(out[5:] == 0)
 
     def test_sector_validation(self):
-        with pytest.raises(ValueError):
-            SectorSpec(1.0, 1.0, active=True)
+        assert not SectorSpec(1.0, 1.0).active
         with pytest.raises(ValueError):
             SectorSpec(-0.1, 0.5)
 
@@ -351,6 +350,32 @@ class TestRunSolver:
         )
         res = run_solver(cfg, op, b, x0)
         assert res.relative_error <= 1e-9
+
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_non_finite_iterate_ends_the_run(self, algorithm):
+        # One nan magnitude makes every coordinate of the second iterate nan.
+        op, x0, b = _instance("one-and-half", dims=(4, 4))
+        b = b.copy()
+        b[3] = np.nan
+        cfg = SolverConfig(algorithm=algorithm, max_iters=50, init=InitSpec(kind="ri", seed=2))
+        res = run_solver(cfg, op, b, x0)
+        assert res.diagnostic == "diverged: non-finite iterate at k=2"
+        assert res.iterations == 2
+        assert len(res.history) == res.iterations - 1
+        assert res.x_hat.shape == (op.n,) and np.all(np.isnan(res.x_hat))
+        assert np.isnan(res.aligned_error) and np.isnan(res.relative_error)
+        assert not res.converged
+
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_estimate_does_not_depend_on_ground_truth(self, algorithm):
+        op, x0, b = _instance("one-and-half", dims=(4, 4))
+        cfg = SolverConfig(algorithm=algorithm, max_iters=40, tol=1e-300,
+                           sector=SectorSpec(0.0, 0.5), init=InitSpec(kind="ri", seed=8))
+        blind = run_solver(cfg, op, b)
+        tracked = run_solver(cfg, op, b, x0)
+        assert blind.iterations == tracked.iterations == 40
+        assert np.array_equal(blind.x_hat, tracked.x_hat)
+        assert np.isnan(blind.relative_error) and tracked.relative_error > 0
 
 
 def _same_run(a, b):
