@@ -60,6 +60,7 @@ from .experiments import (
     run_local_rate,
     run_noise_sweep,
     run_padding_sweep,
+    run_spectral_cert,
 )
 
 __version__ = "0.1.0"

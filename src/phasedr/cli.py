@@ -14,16 +14,16 @@ import numpy as np
 
 from .experiments import (
     ExperimentConfig,
-    make_instance,
     run_global,
     run_local_rate,
     run_noise_sweep,
     run_padding_sweep,
+    run_spectral_cert,
 )
 from .forward import VARIANT_MULTI
 from .grids import GridShape
 from .images import KIND_RPP, KIND_TCB, ImageSpec, gen_image, support_rank
-from .io import save_pgm_pair, write_csv
+from .io import save_pgm_pair
 from .solvers import (
     INIT_CONSTANT,
     INIT_NEAR,
@@ -32,14 +32,6 @@ from .solvers import (
     InitSpec,
     SectorSpec,
     SolverConfig,
-)
-from .spectral import (
-    CSV_FIELDS,
-    DENSE_GUARD,
-    lambda2_power,
-    linearize_at_solution,
-    report_csv_row,
-    svd_oracle,
 )
 
 
@@ -129,21 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _image_spec(args) -> ImageSpec:
-    return ImageSpec(kind=args.image, shape=args.shape, margin=args.margin,
-                     alpha=args.sector.alpha, beta=args.sector.beta)
-
-
 def _experiment_config(args, experiment: str) -> ExperimentConfig:
     """The runner's configuration; options it does not take keep their defaults."""
     variant, patterns = split_variant(args.variant)
     options = vars(args)
-    solver = SolverConfig(
-        max_iters=args.max_iters, tol=args.tol, init=options.get("init", InitSpec()),
-        sector=args.sector,
-    )
+    solver = SolverConfig(**{key: options[key] for key in ("max_iters", "tol", "init", "sector")
+                             if key in options})
+    image = ImageSpec(kind=args.image, shape=args.shape, margin=args.margin,
+                      alpha=solver.sector.alpha, beta=solver.sector.beta)
     return ExperimentConfig(
-        experiment=experiment, image=_image_spec(args), variant=variant,
+        experiment=experiment, image=image, variant=variant,
         patterns=patterns, trials=args.trials, base_seed=args.seed, solver=solver,
         nsr_grid=options.get("nsr", ExperimentConfig.nsr_grid),
         ntilde_ratios=options.get("ntilde", ExperimentConfig.ntilde_ratios),
@@ -181,42 +168,8 @@ def _dispatch(args) -> int:
               f"support_rank={support_rank(grid)} -> {paths[0]}")
         return 0
 
-    if args.command == "spectral-cert":
-        variant, patterns = split_variant(args.variant)
-        cfg = ExperimentConfig(
-            experiment="spectral-cert",
-            image=ImageSpec(kind=args.image, shape=args.shape, margin=args.margin),
-            variant=variant, patterns=patterns, trials=args.trials, base_seed=args.seed,
-        )
-        rows = []
-        worst = 0.0
-        unconverged = []
-        for t in range(args.trials):
-            x0, op = make_instance(cfg, t)
-            pt = linearize_at_solution(op, x0)
-            report = lambda2_power(pt, op)
-            if not report.converged:
-                unconverged.append(t)
-            elif 2 * op.n * op.N <= DENSE_GUARD:
-                oracle = svd_oracle(pt, op)
-                drift = abs(report.lambda2 - oracle.values[1])
-                if drift > 1e-6:
-                    raise RuntimeError(f"Lanczos/SVD disagreement {drift:.2e} at trial {t}")
-            rows.append(report_csv_row(report, args.seed, args.variant, op.n, op.N, t))
-            worst = max(worst, report.lambda2)
-        if args.out:
-            write_csv(args.out, list(CSV_FIELDS), rows,
-                      f"experiment=spectral-cert shape={args.shape} kind={args.image} "
-                      f"margin={args.margin} variant={args.variant} trials={args.trials} "
-                      f"base_seed={args.seed}")
-        if unconverged:
-            verdict = f"NOT CONVERGED on trial(s) {', '.join(map(str, unconverged))}"
-        else:
-            verdict = "gap certified" if worst < 1.0 else "NO GAP"
-        print(f"spectral-cert: {args.trials} trial(s), max lambda2 = {worst:.6f} ({verdict})")
-        return 0 if verdict == "gap certified" else 3
-
     runners = {
+        "spectral-cert": run_spectral_cert,
         "local-rate": run_local_rate,
         "global": run_global,
         "noise-sweep": run_noise_sweep,
@@ -227,10 +180,14 @@ def _dispatch(args) -> int:
     result = runners[name](cfg)
     summary = _summarize(name, result)
     print(f"{name}: {summary}" + (f" -> {result.csv_path}" if result.csv_path else ""))
-    return 0
+    # Only the certificate has a verdict that can fail.
+    return 0 if getattr(result, "certified", True) else 3
 
 
 def _summarize(name: str, result) -> str:
+    if name == "spectral-cert":
+        return (f"{len(result.rows)} trial(s), max lambda2 = {result.max_lambda2:.6f} "
+                f"({result.verdict})")
     if name == "local-rate":
         lams = [t["lambda2"] for t in result.trials]
         rates = [t["fdr_rate"] for t in result.trials if t["fdr_geometric"]]

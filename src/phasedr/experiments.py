@@ -1,4 +1,4 @@
-"""Desk-scale experiment runners: local rates, global recovery, noise, padding.
+"""Desk-scale experiment runners: spectral gap, local rates, global, noise, padding.
 
 Every runner is deterministic given (config, base seed): trial t uses
 base_seed + t as its identity, and each random role (image, mask, init,
@@ -26,7 +26,7 @@ from .solvers import (
     SolverConfig,
     run_solver,
 )
-from .spectral import lambda2_power, linearize_at_solution
+from .spectral import DENSE_GUARD, lambda2_power, linearize_at_solution, svd_oracle
 
 ROLE_IMAGE = 1
 ROLE_MASK = 2
@@ -61,16 +61,22 @@ class ExperimentConfig:
         if not self.nsr_grid or not self.ntilde_ratios:
             raise ValueError("parameter grids must be nonempty")
 
+    def instance_comment(self) -> str:
+        """`key=value` pairs of what make_instance builds, for runners that run no solver."""
+        return (
+            f"experiment={self.experiment} shape={self.image.shape} kind={self.image.kind} "
+            f"margin={self.image.margin} sector=({self.image.alpha},{self.image.beta}) "
+            f"variant={self.variant} patterns={self.patterns} trials={self.trials} "
+            f"base_seed={self.base_seed}"
+        )
+
     def comment(self, algos: tuple[str, ...] = (), inits: tuple[str, ...] = ()) -> str:
         """`key=value` pairs; `algos` / `inits` name what a runner ran when not the solver's."""
         sector = self.solver.sector
         algos = algos or (self.solver.algorithm,)
         inits = inits or (self.solver.init.kind,)
         return (
-            f"experiment={self.experiment} shape={self.image.shape} kind={self.image.kind} "
-            f"margin={self.image.margin} sector=({self.image.alpha},{self.image.beta}) "
-            f"variant={self.variant} patterns={self.patterns} trials={self.trials} "
-            f"base_seed={self.base_seed} algo={','.join(algos)} "
+            f"{self.instance_comment()} algo={','.join(algos)} "
             f"max_iters={self.solver.max_iters} tol={self.solver.tol} "
             f"init={','.join(inits)} init_delta={self.solver.init.delta} "
             f"ntilde={self.solver.ntilde} "
@@ -94,11 +100,68 @@ def make_instance(cfg: ExperimentConfig, trial: int):
     return x0, op
 
 
+def _trial_solver(cfg: ExperimentConfig, trial: int, **changes) -> SolverConfig:
+    """cfg.solver with `changes` and the trial's own init seed."""
+    init = replace(cfg.solver.init, seed=role_seed(cfg.base_seed, trial, ROLE_INIT))
+    return replace(cfg.solver, init=init, **changes)
+
+
 def _iters_to(history, threshold: float) -> float:
     for k, rel, _ in history:
         if rel <= threshold:
             return float(k)
     return float("nan")
+
+
+@dataclass
+class SpectralCertResult:
+    rows: list = field(default_factory=list)
+    unconverged: list = field(default_factory=list)
+    max_lambda2: float = 0.0
+    csv_path: Path | None = None
+
+    @property
+    def certified(self) -> bool:
+        return not self.unconverged and self.max_lambda2 < 1.0
+
+    @property
+    def verdict(self) -> str:
+        if self.unconverged:
+            return f"NOT CONVERGED on trial(s) {', '.join(map(str, self.unconverged))}"
+        return "gap certified" if self.certified else "NO GAP"
+
+
+def run_spectral_cert(cfg: ExperimentConfig) -> SpectralCertResult:
+    """Lanczos l_2 at each trial's solution; certified if all converged below 1.
+
+    Converged trials with 2n*N <= DENSE_GUARD are checked against the dense
+    SVD oracle, and a drift above 1e-6 raises RuntimeError.  Emits rows
+    (seed, variant, n, N, lambda1, lambda2, lambda2n, residual, power_iters,
+    next_ritz, restarts, trial); no solver runs, so the comment has instance keys only.
+    """
+    out = SpectralCertResult()
+    for t in range(cfg.trials):
+        x0, op = make_instance(cfg, t)
+        pt = linearize_at_solution(op, x0)
+        report = lambda2_power(pt, op)
+        if not report.converged:
+            out.unconverged.append(t)
+        elif 2 * op.n * op.N <= DENSE_GUARD:
+            drift = abs(report.lambda2 - svd_oracle(pt, op).values[1])
+            if drift > 1e-6:
+                raise RuntimeError(f"Lanczos/SVD disagreement {drift:.2e} at trial {t}")
+        out.rows.append((cfg.base_seed, cfg.variant, op.n, op.N, report.lambda1, report.lambda2,
+                         report.lambda2n, report.residual, report.power_iters,
+                         report.next_ritz, report.restarts, t))
+        out.max_lambda2 = max(out.max_lambda2, report.lambda2)
+    if cfg.out:
+        out.csv_path = write_csv(
+            cfg.out,
+            ["seed", "variant", "n", "N", "lambda1", "lambda2", "lambda2n",
+             "residual", "power_iters", "next_ritz", "restarts", "trial"],
+            out.rows, cfg.instance_comment(),
+        )
+    return out
 
 
 @dataclass
@@ -117,7 +180,10 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
     entry records that padding as `odr_ntilde`: at odr_ntilde = N (for
     instance multi with L <= 4 patterns) ODR is the FDR recursion, so the
     trial's odr rows repeat its fdr rows.  Emits rows
-    (trial, algo, k, error, lambda2_ref) with lambda2_ref = l_2^(k-1).
+    (trial, algo, k, error, lambda2_ref) with lambda2_ref = l_2^(k-1), the
+    FDR reference line, on the rows of both algorithms.  Below full padding
+    ODR's local rate is the second eigenvalue modulus of its own Jacobian,
+    not l_2, so odr rows need not follow that line.
     A trial counts as geometric when its error drops at least two decades below
     the starting offset; only geometric trials should enter rate statistics.
     """
@@ -130,10 +196,9 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
         report = lambda2_power(linearize_at_solution(op, x0), op)
         lam2 = report.lambda2
 
-        init = replace(cfg.solver.init, seed=role_seed(cfg.base_seed, t, ROLE_INIT))
         entry = {"trial": t, "lambda2": lam2, "power_converged": report.converged}
         for algo in algos:
-            res = run_solver(replace(cfg.solver, algorithm=algo, init=init), op, data.b, x0)
+            res = run_solver(_trial_solver(cfg, t, algorithm=algo), op, data.b, x0)
             for k, rel, _ in res.history:
                 out.rows.append((t, algo, k, rel, lam2 ** (k - 1)))
             first = res.history[0][1]
@@ -173,13 +238,9 @@ def run_global(cfg: ExperimentConfig, inits: tuple[str, ...] = (INIT_RANDOM, INI
     for t in range(cfg.trials):
         x0, op = make_instance(cfg, t)
         data = synthesize_data(op, x0)
+        scfg = _trial_solver(cfg, t)
         for init in inits:
-            scfg = replace(
-                cfg.solver,
-                init=replace(cfg.solver.init, kind=init,
-                             seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
-            )
-            res = run_solver(scfg, op, data.b, x0)
+            res = run_solver(replace(scfg, init=replace(scfg.init, kind=init)), op, data.b, x0)
             best = np.inf
             for k, rel, _ in res.history:
                 out.rows.append((t, init, k, rel))
@@ -227,12 +288,7 @@ def run_noise_sweep(cfg: ExperimentConfig) -> NoiseSweepResult:
         for nsr in cfg.nsr_grid:
             data = synthesize_data(op, x0, nsr=nsr,
                                    noise_seed=role_seed(cfg.base_seed, t, ROLE_NOISE))
-            scfg = replace(
-                cfg.solver, max_iters=full,
-                init=replace(cfg.solver.init,
-                             seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
-            )
-            res = run_solver(scfg, op, data.b, x0)
+            res = run_solver(_trial_solver(cfg, t, max_iters=full), op, data.b, x0)
             at_short = res.history[short - 1][1] if res.iterations > short else res.relative_error
             for budget, err in zip(budgets, (at_short, res.relative_error)):
                 out.rows.append((nsr, t, budget, err))
@@ -282,11 +338,7 @@ def run_padding_sweep(cfg: ExperimentConfig) -> PaddingSweepResult:
         data = synthesize_data(op, x0)
         for ratio in cfg.ntilde_ratios:
             ntilde = ratio_to_ntilde(ratio, op.n, op.N)
-            scfg = replace(
-                cfg.solver, ntilde=ntilde,
-                init=replace(cfg.solver.init, seed=role_seed(cfg.base_seed, t, ROLE_INIT)),
-            )
-            res = run_solver(scfg, op, data.b, x0)
+            res = run_solver(_trial_solver(cfg, t, ntilde=ntilde), op, data.b, x0)
             final = res.relative_error
             best = np.nanmin([rel for _, rel, _ in res.history])
             out.rows.append((ratio, ntilde, t, final, float(best), res.iterations))

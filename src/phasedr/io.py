@@ -76,40 +76,40 @@ def load_pgm_pair(stem: str | Path) -> np.ndarray:
     return out[0] + 1j * out[1]
 
 
-def save_mask(path: str | Path, phases: np.ndarray) -> None:
-    """Mask export: header "PHASES n", then n phase values (radians, row-major)."""
-    phases = np.asarray(phases, dtype=np.float64).ravel()
-    lines = [f"PHASES {phases.size}"] + [repr(float(v)) for v in phases]
+def _save_values(path: str | Path, tag: str, values: np.ndarray) -> None:
+    """Header "TAG count", then one float repr per line."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    lines = [f"{tag} {values.size}"] + [repr(float(v)) for v in values]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_mask(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text().split()
-    if not lines or lines[0] != "PHASES":
-        raise ValueError(f"{path}: not a mask file")
-    count = int(lines[1])
-    values = np.array([float(t) for t in lines[2 : 2 + count]])
+def _load_values(path: str | Path, tag: str, kind: str) -> np.ndarray:
+    tokens = Path(path).read_text().split()
+    if not tokens or tokens[0] != tag:
+        raise ValueError(f"{path}: not a {kind} file")
+    count = int(tokens[1])
+    values = np.array([float(t) for t in tokens[2 : 2 + count]])
     if values.size != count:
-        raise ValueError(f"{path}: expected {count} phases, found {values.size}")
+        raise ValueError(f"{path}: expected {count} values, found {values.size}")
     return values
+
+
+def save_mask(path: str | Path, phases: np.ndarray) -> None:
+    """Mask export: header "PHASES n", then n phase values (radians, row-major)."""
+    _save_values(path, "PHASES", phases)
+
+
+def load_mask(path: str | Path) -> np.ndarray:
+    return _load_values(path, "PHASES", "mask")
 
 
 def save_data(path: str | Path, b: np.ndarray) -> None:
     """Magnitude-data export: header "B N", then N nonnegative values."""
-    b = np.asarray(b, dtype=np.float64).ravel()
-    lines = [f"B {b.size}"] + [repr(float(v)) for v in b]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save_values(path, "B", b)
 
 
 def load_data(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text().split()
-    if not lines or lines[0] != "B":
-        raise ValueError(f"{path}: not a data file")
-    count = int(lines[1])
-    values = np.array([float(t) for t in lines[2 : 2 + count]])
-    if values.size != count:
-        raise ValueError(f"{path}: expected {count} values, found {values.size}")
-    return values
+    return _load_values(path, "B", "data")
 
 
 def write_csv(path: str | Path, header: list[str], rows, config_comment: str = "") -> Path:

@@ -255,7 +255,8 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
 
     Stops when the relative iterate change or (with ground truth) the
     relative aligned error drops to cfg.tol, at cfg.max_iters, or at a
-    non-finite iterate.  Each iterate is evaluated once: its object
+    non-finite iterate, read off the step's change after the initial
+    iterate.  Each iterate is evaluated once: its object
     estimate is A y (FDR), tracked through the steps rather than applied
     anew, or the first n coordinates of the padded iterate (ODR),
     sector-projected when a sector is active.  The result is the last
@@ -282,9 +283,10 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     diagnostic = ""
     k = 1
     step_res = float("nan")
+    finite = np.all(np.isfinite(iterate))
 
     while True:
-        if not np.all(np.isfinite(iterate)):
+        if not finite:
             diagnostic = f"diverged: non-finite iterate at k={k}"
             x_hat = np.full(op.n, np.nan, dtype=np.complex128)
             aligned = float("nan")
@@ -308,8 +310,12 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u)
         else:
             nxt = odr_step(iterate, ext, b, cfg.sector)
+        change = np.linalg.norm(nxt - iterate)
+        # nxt is finite when its change from the finite iterate is; only an
+        # overflowing change needs the full check.
+        finite = np.isfinite(change) or np.all(np.isfinite(nxt))
         denom = np.linalg.norm(iterate)
-        step_res = float(np.linalg.norm(nxt - iterate) / denom) if denom > 0 else float("inf")
+        step_res = float(change / denom) if denom > 0 else float("inf")
         iterate = nxt
         k += 1
 

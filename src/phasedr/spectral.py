@@ -151,16 +151,6 @@ class SpectralReport:
     restarts: int = 0
 
 
-CSV_FIELDS = ("seed", "variant", "n", "N", "lambda1", "lambda2", "lambda2n",
-              "residual", "power_iters", "next_ritz", "restarts", "trial")
-
-
-def report_csv_row(report: SpectralReport, seed: int, variant: str, n: int, N: int,
-                   trial: int) -> list:
-    return [seed, variant, n, N, report.lambda1, report.lambda2, report.lambda2n,
-            report.residual, report.power_iters, report.next_ritz, report.restarts, trial]
-
-
 # Most Lanczos vectors held at once (LANCZOS_BASIS x 2n floats); a full basis
 # restarts from its top Ritz vector.  8x8 and 16x16 certificates converge
 # well inside it.

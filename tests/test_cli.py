@@ -1,14 +1,19 @@
 """Tests for the command-line interface contract."""
 
+import shlex
+from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from phasedr.cli import main, parse_shape, split_variant
-from phasedr.experiments import ExperimentConfig, make_instance
+from phasedr.cli import build_parser, main, parse_shape
+from phasedr.experiments import ExperimentConfig, make_instance, run_spectral_cert
 from phasedr.images import ImageSpec
 from phasedr.io import read_csv
 from phasedr.spectral import lambda2_power, linearize_at_solution
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -55,31 +60,68 @@ def test_spectral_cert_certifies_gap(tmp_path, capsys):
 
 
 def test_spectral_cert_row_regenerates_from_file(tmp_path):
+    for layout in ("multi:3", "multi:2"):
+        out = tmp_path / f"cert-{layout[-1]}.csv"
+        assert main([
+            "spectral-cert", "--shape", "5x5", "--variant", layout, "--image", "tcb",
+            "--margin", "0", "--seed", "6", "--trials", "2", "--out", str(out),
+        ]) == 0
+        header, body, comment = read_csv(out)
+        conf = dict(item.split("=", 1) for item in comment.split())
+        row = dict(zip(header, body[1]))
+        assert row["variant"] == conf["variant"] == "multi"
+        cfg = ExperimentConfig(
+            experiment=conf["experiment"],
+            image=ImageSpec(kind=conf["kind"], shape=parse_shape(conf["shape"]),
+                            margin=int(conf["margin"])),
+            variant=conf["variant"], patterns=int(conf["patterns"]),
+            trials=int(conf["trials"]), base_seed=int(row["seed"]),
+        )
+        x0, op = make_instance(cfg, int(row["trial"]))
+        report = lambda2_power(linearize_at_solution(op, x0), op)
+        assert repr(report.lambda2) == row["lambda2"]
+
+
+def test_spectral_cert_comment_claims_no_solve(tmp_path):
     out = tmp_path / "cert.csv"
-    assert main([
-        "spectral-cert", "--shape", "5x5", "--variant", "multi:3", "--image", "tcb",
-        "--margin", "0", "--seed", "6", "--trials", "2", "--out", str(out),
-    ]) == 0
-    header, body, comment = read_csv(out)
-    conf = dict(item.split("=", 1) for item in comment.split())
-    row = dict(zip(header, body[1]))
-    variant, patterns = split_variant(conf["variant"])
-    cfg = ExperimentConfig(
-        experiment=conf["experiment"],
-        image=ImageSpec(kind=conf["kind"], shape=parse_shape(conf["shape"]),
-                        margin=int(conf["margin"])),
-        variant=variant, patterns=patterns, trials=int(conf["trials"]),
-        base_seed=int(row["seed"]),
-    )
-    x0, op = make_instance(cfg, int(row["trial"]))
-    report = lambda2_power(linearize_at_solution(op, x0), op)
-    assert repr(report.lambda2) == row["lambda2"]
+    assert main(["spectral-cert", "--shape", "4x4", "--out", str(out)]) == 0
+    keys = [item.split("=", 1)[0] for item in read_csv(out)[2].split()]
+    assert keys == ["experiment", "shape", "kind", "margin", "sector", "variant",
+                    "patterns", "trials", "base_seed"]
+
+
+def test_spectral_cert_runner_gives_the_cli_rows(tmp_path):
+    out = tmp_path / "cert.csv"
+    assert main(["spectral-cert", "--shape", "5x5", "--variant", "two-mask", "--seed", "2",
+                 "--trials", "2", "--out", str(out)]) == 0
+    cfg = ExperimentConfig(experiment="spectral-cert",
+                           image=ImageSpec(kind="rpp", shape=parse_shape("5x5"), margin=1),
+                           variant="two-mask", trials=2, base_seed=2)
+    res = run_spectral_cert(cfg)
+    assert res.certified and res.csv_path is None
+    assert read_csv(out)[1] == [[str(v) for v in row] for row in res.rows]
 
 
 def test_spectral_cert_fails_without_convergence(monkeypatch, capsys):
-    monkeypatch.setattr("phasedr.cli.lambda2_power", partial(lambda2_power, max_iters=5))
+    monkeypatch.setattr("phasedr.experiments.lambda2_power", partial(lambda2_power, max_iters=5))
     assert main(["spectral-cert", "--shape", "6x6", "--seed", "1", "--trials", "2"]) == 3
     assert "NOT CONVERGED on trial(s) 0, 1" in capsys.readouterr().out
+
+
+def test_spectral_cert_reports_no_gap(monkeypatch, capsys):
+    # One coded pattern with a margin of zeros has l_2 = 1, as the SVD oracle
+    # confirms; a report at exactly 1 passes the oracle check and fails the gap.
+    monkeypatch.setattr("phasedr.experiments.lambda2_power",
+                        lambda pt, op: replace(lambda2_power(pt, op), lambda2=1.0))
+    assert main(["spectral-cert", "--shape", "4x4", "--variant", "one-mask"]) == 3
+    assert "max lambda2 = 1.000000 (NO GAP)" in capsys.readouterr().out
+
+
+def test_spectral_cert_fails_on_oracle_drift(monkeypatch, capsys):
+    monkeypatch.setattr("phasedr.experiments.lambda2_power",
+                        lambda pt, op: replace(lambda2_power(pt, op), lambda2=0.5))
+    assert main(["spectral-cert", "--shape", "6x6", "--seed", "1", "--trials", "2"]) == 3
+    assert "Lanczos/SVD disagreement" in capsys.readouterr().err
 
 
 def test_spectral_cert_rejects_solver_options():
@@ -165,3 +207,15 @@ def test_multi_variant_parsing(tmp_path):
         "--trials", "1", "--seed", "0", "--max-iters", "150",
     ])
     assert code == 0
+
+
+def test_readme_command_lines_parse():
+    # Every command line in README's "Command line" block parses (nothing runs).
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("phasedr ")]
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in argvs} == {
+        "gen-image", "spectral-cert", "global", "local-rate", "noise-sweep", "padding-sweep"}

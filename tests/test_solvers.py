@@ -206,6 +206,13 @@ class TestOdrStep:
             x = embed(x0, ntilde)  # equals A~ (A* x0)
             assert np.linalg.norm(odr_step(x, ext, b) - x) < 1e-10
 
+    def test_nonfinite_rejected(self):
+        op, _, b = _instance()
+        ext = extend_op(op, 4 * op.n)
+        x = np.full(ext.ntilde, np.nan, dtype=complex)
+        with pytest.raises(FloatingPointError):
+            odr_step(x, ext, b)
+
     def test_matches_dense_evaluation(self):
         op, _, b = _instance()
         ext = extend_op(op, op.n + 7)
@@ -365,6 +372,17 @@ class TestRunSolver:
         assert res.x_hat.shape == (op.n,) and np.all(np.isnan(res.x_hat))
         assert np.isnan(res.aligned_error) and np.isnan(res.relative_error)
         assert not res.converged
+
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_overflowing_step_change_is_not_non_finite(self, algorithm):
+        # At magnitudes near 1e160 the step-change norm overflows while every
+        # iterate stays finite; the run goes on to max_iters.
+        op, x0, b = _instance("one-and-half", dims=(4, 4))
+        cfg = SolverConfig(algorithm=algorithm, max_iters=10, init=InitSpec(kind="ri", seed=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_solver(cfg, op, 1e160 * b, 1e160 * x0)
+        assert res.diagnostic == "" and res.iterations == 10
+        assert np.all(np.isfinite(res.x_hat))
 
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
     def test_estimate_does_not_depend_on_ground_truth(self, algorithm):
