@@ -7,6 +7,10 @@ A measurement stacks one masked DFT per pattern,
 where each Phi is the oversampled DFT of the object grid (or the plain DFT
 for the unoversampled multi-pattern setup) and c normalizes A* to an
 isometry, A A* = I.  Data are the magnitudes b = |A* x0|.
+
+Each application of A*, A, A~* or A~ hands all its patterns to grids in one
+stacked transform call, which may run them on separate cores; the results
+are bit for bit those of transforming one pattern at a time.
 """
 
 from __future__ import annotations
@@ -160,30 +164,34 @@ def _verify_isometry(op: PropagationOp, tol: float = 1e-10) -> None:
 
 
 def apply_astar(op: PropagationOp, x) -> np.ndarray:
-    """A* x: stacked masked DFTs, length N."""
+    """A* x: stacked masked DFTs, length N, from one stacked transform call."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (op.n,):
         raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
     transform = dft_oversampled if op.oversampled else dft_plain
-    # out owns its buffer (the images are views into it), so callers'
-    # temporaries such as y + A*x - w can reuse it in place.
-    out = np.empty(op.N, dtype=np.complex128)
-    for image, mask in zip(out.reshape(len(op.masks), op.grid.n), op.masks):
-        image[:] = transform(mask.values * x, op.shape)
+    masked = np.empty((len(op.masks), op.n), dtype=np.complex128)
+    for row, mask in zip(masked, op.masks):
+        np.multiply(mask.values, x, out=row)
+    out = transform(masked, op.shape)
     out *= op.c
+    # Flattened in place, so out still owns its buffer and callers'
+    # temporaries such as y + A*x - w can reuse it.
+    out.resize(op.N)
     return out
 
 
 def apply_a(op: PropagationOp, y) -> np.ndarray:
-    """A y: adjoint of apply_astar, length n."""
+    """A y: adjoint of apply_astar, length n, from one stacked transform call.
+
+    The masked pattern images are summed in pattern order onto zeros."""
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.N,):
         raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
     inverse = idft_oversampled if op.oversampled else idft_plain
-    out = np.zeros(op.n, dtype=np.complex128)
-    for block, mask in zip(y.reshape(len(op.masks), op.grid.n), op.masks):
-        out += np.conj(mask.values) * inverse(block, op.shape)
-    return op.c * out
+    images = inverse(y.reshape(len(op.masks), op.grid.n), op.shape)
+    for image, mask in zip(images, op.masks):
+        np.multiply(np.conj(mask.values), image, out=image)
+    return op.c * np.add.reduce(images, axis=0, initial=0)
 
 
 @dataclass(frozen=True)
@@ -279,8 +287,9 @@ def extended_astar(ext: ExtendedOp, x) -> np.ndarray:
     # op.c * F(mu x), the exact arithmetic of apply_astar.
     m = images[:, obj]
     images[:, obj] = m - (kappa * np.sum(np.conj(w) * m, axis=0)) * w + mu * x[: ext.n]
-    out = np.concatenate([dft_plain(image, grid) for image in images])
+    out = dft_plain(images, grid)
     out *= ext.base.c
+    out.resize(ext.N)
     return out
 
 
@@ -290,7 +299,7 @@ def extended_a(ext: ExtendedOp, y) -> np.ndarray:
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
     (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
-    images = np.stack([idft_plain(block, grid) for block in y.reshape(len(mu), grid.n)])
+    images = idft_plain(y.reshape(len(mu), grid.n), grid)
     h = images[:, obj]
     head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
     images[:, obj] = h - (kappa * np.sum(np.conj(w) * h, axis=0)) * w

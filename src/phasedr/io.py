@@ -87,7 +87,11 @@ def _load_values(path: str | Path, tag: str, kind: str) -> np.ndarray:
     tokens = Path(path).read_text().split()
     if not tokens or tokens[0] != tag:
         raise ValueError(f"{path}: not a {kind} file")
-    count = int(tokens[1])
+    try:
+        count = int(tokens[1])
+    except (IndexError, ValueError):
+        raise ValueError(
+            f"{path}: {kind} header needs an integer value count after {tag}") from None
     values = np.array([float(t) for t in tokens[2 : 2 + count]])
     if values.size != count:
         raise ValueError(f"{path}: expected {count} values, found {values.size}")

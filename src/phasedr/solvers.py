@@ -16,10 +16,12 @@ division by a magnitude uses the convention w = 1 where the magnitude
 vanishes.
 
 An FDR step, error tracking included, costs one A / A* pair: 4 FFTs for
-the two-pattern layouts.  The solver carries the object estimate A y along
-with the iterate, since AA* = I gives A y+ from quantities the step has
-already computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
+the two-pattern layouts, made as two stacked transform calls.  The solver
+carries the object estimate A y along with the iterate, since AA* = I
+gives A y+ from quantities the step has already computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
 patterns, one forward and one inverse per pattern on the padded grid.
+The solver's norms and phase alignment sum without BLAS, so its
+diagnostics do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -136,15 +138,40 @@ def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR) -> np.ndarra
     return x + project_object_set(2.0 * z - x, ext.n, sector) - z
 
 
+def _dot(u, v) -> float:
+    """Sum of u * v over two real vectors, by one einsum reduction.
+
+    Not BLAS, so the summation order, and hence every digit, is the same
+    whatever the BLAS threading, and no BLAS threads wake up to compete
+    with the transform workers."""
+    return float(np.einsum("i,i->", u, v))
+
+
+def _floats(v) -> np.ndarray:
+    """The interleaved (re, im) float view of a complex vector."""
+    return np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+
+
+def _norm(v) -> float:
+    """||v|| of a complex vector, summed over its float view by :func:`_dot`."""
+    f = _floats(v)
+    return float(np.sqrt(_dot(f, f)))
+
+
 def align_phase(x, x0) -> tuple[complex, float]:
-    """Optimal global phase alpha (|alpha| = 1) and the error ||alpha x - x0||."""
+    """Optimal global phase alpha (|alpha| = 1) and the error ||alpha x - x0||.
+
+    The inner product's imaginary part is the difference of two real dots
+    summed in the same order, so align_phase(x0, x0) gives exactly
+    alpha = 1 and error 0."""
     x = np.asarray(x, dtype=np.complex128)
     x0 = np.asarray(x0, dtype=np.complex128)
     if x.shape != x0.shape:
         raise ValueError("align_phase: length mismatch")
-    z = np.vdot(x, x0)
+    f, f0 = _floats(x), _floats(x0)
+    z = complex(_dot(f, f0), _dot(f[0::2], f0[1::2]) - _dot(f[1::2], f0[0::2]))
     alpha = z / abs(z) if z != 0 else 1.0 + 0.0j
-    return complex(alpha), float(np.linalg.norm(alpha * x - x0))
+    return complex(alpha), _norm(alpha * x - x0)
 
 
 @dataclass(frozen=True)
@@ -265,7 +292,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     """
     b = np.asarray(b, dtype=np.float64)
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
-    norm_x0 = np.linalg.norm(x0) if x0 is not None else float("nan")
+    norm_x0 = _norm(x0) if x0 is not None else float("nan")
 
     if cfg.algorithm == ALGO_FDR:
         ntilde = op.N
@@ -310,11 +337,11 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u)
         else:
             nxt = odr_step(iterate, ext, b, cfg.sector)
-        change = np.linalg.norm(nxt - iterate)
+        change = _norm(nxt - iterate)
         # nxt is finite when its change from the finite iterate is; only an
         # overflowing change needs the full check.
         finite = np.isfinite(change) or np.all(np.isfinite(nxt))
-        denom = np.linalg.norm(iterate)
+        denom = _norm(iterate)
         step_res = float(change / denom) if denom > 0 else float("inf")
         iterate = nxt
         k += 1

@@ -2,13 +2,16 @@
 
 Everything here is built from definitions (explicit DFT sums, dense matrix
 assembly, grid search) and never calls the FFT-based code paths it verifies.
+The exception is the per-pattern loops at the end: they redo an operator's
+arithmetic one pattern at a time on the flat DFTs (themselves checked against
+explicit sums), as references for the stacked operators' exact bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from phasedr.grids import GridShape
+from phasedr.grids import GridShape, dft_oversampled, dft_plain, idft_oversampled, idft_plain
 from phasedr.solvers import NO_SECTOR, sector_project
 
 
@@ -134,3 +137,44 @@ def fd_jacobian_residual(step, y0, direction, jacobian_dir, eps: float) -> float
 
 def random_complex(rng, size: int) -> np.ndarray:
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def per_pattern_astar(op, x) -> np.ndarray:
+    """A* x one pattern at a time: each masked image through the flat DFT."""
+    transform = dft_oversampled if op.oversampled else dft_plain
+    out = np.empty(op.N, dtype=np.complex128)
+    for image, mask in zip(out.reshape(len(op.masks), op.grid.n), op.masks):
+        image[:] = transform(mask.values * x, op.shape)
+    out *= op.c
+    return out
+
+
+def per_pattern_a(op, y) -> np.ndarray:
+    """A y one pattern at a time, each unmasked image added onto zeros."""
+    inverse = idft_oversampled if op.oversampled else idft_plain
+    out = np.zeros(op.n, dtype=np.complex128)
+    for block, mask in zip(y.reshape(len(op.masks), op.grid.n), op.masks):
+        out += np.conj(mask.values) * inverse(block, op.shape)
+    return op.c * out
+
+
+def per_pattern_extended_astar(ext, x) -> np.ndarray:
+    """A~* x with one flat plain DFT per pattern image."""
+    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
+    images = np.zeros((len(mu), grid.n), dtype=np.complex128)
+    images.ravel()[tail] = np.sqrt(len(mu)) * x[ext.n :]
+    m = images[:, obj]
+    images[:, obj] = m - (kappa * np.sum(np.conj(w) * m, axis=0)) * w + mu * x[: ext.n]
+    out = np.concatenate([dft_plain(image, grid) for image in images])
+    out *= ext.base.c
+    return out
+
+
+def per_pattern_extended_a(ext, y) -> np.ndarray:
+    """A~ y with one flat inverse plain DFT per pattern block."""
+    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
+    images = np.stack([idft_plain(block, grid) for block in y.reshape(len(mu), grid.n)])
+    h = images[:, obj]
+    head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
+    images[:, obj] = h - (kappa * np.sum(np.conj(w) * h, axis=0)) * w
+    return np.concatenate([head, images.ravel()[tail] / np.sqrt(grid.n)])

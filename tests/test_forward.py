@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phasedr import grids
 from phasedr.forward import (
     MASK_IDENTITY,
     MASK_UNIFORM,
@@ -23,7 +24,16 @@ from phasedr.forward import (
 )
 from phasedr.grids import GridShape, embed
 
-from oracles import dense_astar, dense_extended_astar, naive_dft_matrix, random_complex
+from oracles import (
+    dense_astar,
+    dense_extended_astar,
+    naive_dft_matrix,
+    per_pattern_a,
+    per_pattern_astar,
+    per_pattern_extended_a,
+    per_pattern_extended_astar,
+    random_complex,
+)
 
 VARIANTS = [VARIANT_ONE_MASK, VARIANT_ONE_AND_HALF, VARIANT_TWO_MASK, VARIANT_MULTI]
 SHAPES = [GridShape((2, 2)), GridShape((3, 3)), GridShape((4, 4)), GridShape((2, 3))]
@@ -309,3 +319,29 @@ def test_delta_object_identity_masks_constant_b():
 def test_bad_variant():
     with pytest.raises(ValueError):
         make_operator("three-mask", GridShape((2, 2)))
+
+
+def _bits(v):
+    return np.ascontiguousarray(v).view(np.float64)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", [GridShape((4, 4)), GridShape((2, 3, 4))], ids=str)
+def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, threaded, monkeypatch):
+    if threaded:
+        monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+    op = _op(variant, shape, seed=6)
+    rng = np.random.default_rng(31)
+    x = random_complex(rng, op.n)
+    y = random_complex(rng, op.N)
+    astar = apply_astar(op, x)
+    assert astar.shape == (op.N,) and astar.flags.owndata
+    assert np.array_equal(_bits(astar), _bits(per_pattern_astar(op, x)))
+    assert np.array_equal(_bits(apply_a(op, y)), _bits(per_pattern_a(op, y)))
+
+    ext = extend_op(op, min(4 * op.n, op.N))
+    xt = random_complex(rng, ext.ntilde)
+    assert np.array_equal(_bits(extended_astar(ext, xt)),
+                          _bits(per_pattern_extended_astar(ext, xt)))
+    assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_extended_a(ext, y)))

@@ -1,8 +1,15 @@
 """Tests for the grid/DFT substrate."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from phasedr import grids
 from phasedr.grids import (
     GridShape,
     dft_oversampled,
@@ -167,3 +174,111 @@ def test_phase_factor_convention():
     assert w[0] == 1.0
     assert np.allclose(w, [1.0, 1.0, -1j], atol=1e-15)
     assert np.allclose(np.abs(w), 1.0, atol=0)
+
+
+def test_grid_shape_extents_are_computed_once():
+    s = GridShape((4, 5))
+    assert s.oversampled_dims is s.oversampled_dims
+    assert (s.n, s.oversampled_dims, s.n_oversampled) == (20, (7, 9), 63)
+    # The cached extents leave equality and hashing to dims alone.
+    assert s == GridShape((4, 5)) and hash(s) == hash(GridShape((4, 5)))
+
+
+DFTS = [dft_oversampled, idft_oversampled, dft_plain, idft_plain]
+STACK_SHAPES = [GridShape((5,)), GridShape((3, 4)), GridShape((2, 3, 4))]
+
+
+def _stack_input(fn, shape, k, seed):
+    length = shape.n_oversampled if fn is idft_oversampled else shape.n
+    return random_complex(np.random.default_rng(seed), k * length).reshape(k, length)
+
+
+@pytest.mark.parametrize("fn", DFTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_stack_equals_flat_calls_bitwise(fn, shape, k):
+    stack = _stack_input(fn, shape, k, seed=k)
+    got = fn(stack, shape)
+    want = np.stack([fn(row, shape) for row in stack])
+    assert got.shape == want.shape and got.flags.owndata
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("fn", DFTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+def test_threaded_stack_equals_serial_bitwise(fn, shape, monkeypatch):
+    stack = _stack_input(fn, shape, 3, seed=21)
+    serial = fn(stack, shape)
+    monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)  # every stack runs on the pool
+    threaded = fn(stack, shape)
+    assert np.array_equal(threaded.view(np.float64), serial.view(np.float64))
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # Eight callers race to start a fresh pool and then share it; every
+    # result must still equal its serial value.
+    shape = GridShape((3, 5))
+    stacks = [_stack_input(dft_oversampled, shape, 3, seed=s) for s in range(8)]
+    want = [dft_oversampled(stack, shape) for stack in stacks]
+    monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+    monkeypatch.setattr(grids, "_pool", None)
+    monkeypatch.setattr(grids, "_pool_ways", 0)
+    results = [[] for _ in stacks]
+
+    def caller(i):
+        for _ in range(20):
+            results[i].append(dft_oversampled(stacks[i], shape))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(stacks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        if grids._pool is not None:
+            grids._pool.shutdown()
+    for got, ref in zip(results, want):
+        assert len(got) == 20
+        assert all(np.array_equal(g.view(np.float64), ref.view(np.float64)) for g in got)
+
+
+def test_stack_shape_errors():
+    s = GridShape((2, 2))
+    with pytest.raises(ValueError):
+        dft_oversampled(np.zeros((2, 5), dtype=complex), s)
+    with pytest.raises(ValueError):
+        idft_oversampled(np.zeros((2, 4), dtype=complex), s)
+    with pytest.raises(ValueError):
+        dft_plain(np.zeros((1, 2, 4), dtype=complex), s)
+
+
+_FORK_PROBE = """
+import os, signal
+import numpy as np
+from phasedr import grids
+grids.PARALLEL_MIN_POINTS = 1
+s = grids.GridShape((3, 4))
+x = np.ones((2, s.n), dtype=complex)
+want = grids.dft_oversampled(x, s)  # starts the pool
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child waiting on the parent's threads would hang
+    os._exit(0 if np.array_equal(grids.dft_oversampled(x, s), want) else 1)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_its_own_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _FORK_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -1,5 +1,7 @@
 """Tests for the plain-text file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ def test_bad_headers(tmp_path):
         load_mask(p)
     with pytest.raises(ValueError):
         load_data(p)
+
+
+@pytest.mark.parametrize("load, tag", [(load_mask, "PHASES"), (load_data, "B")])
+@pytest.mark.parametrize("count", ["", " 2.5", " two"])
+def test_header_without_integer_count(tmp_path, load, tag, count):
+    # A tag-only file and a non-integer count are malformed headers like a
+    # wrong tag: a ValueError naming the file, not IndexError or a bare int().
+    p = tmp_path / "values.txt"
+    p.write_text(f"{tag}{count}\n1.0\n2.0\n")
+    with pytest.raises(ValueError, match=re.escape(str(p))):
+        load(p)
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,6 +1,10 @@
 """Tests for projections, DR steps, phase alignment and the solver driver."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +438,40 @@ class TestIterationChoice:
         for ntilde in (op.n - 1, op.N + 1):
             with pytest.raises(ValueError):
                 run_solver(SolverConfig(algorithm="odr", ntilde=ntilde), op, b, x0)
+
+
+# A 64x64 one-and-half solve from a random start; prints repr(history) and
+# the bytes of x_hat.  Its iterates (N = 32258) are longer than the vectors
+# whose dot products OpenBLAS keeps on one thread.
+_BLAS_PROBE = """
+import numpy as np
+from phasedr.forward import make_operator, synthesize_data
+from phasedr.grids import GridShape
+from phasedr.solvers import InitSpec, SolverConfig, run_solver
+shape = GridShape((64, 64))
+rng = np.random.default_rng(3)
+x0 = rng.uniform(0.0, 1.0, shape.n) * np.exp(2j * np.pi * rng.uniform(size=shape.n))
+op = make_operator("one-and-half", shape, seed=4)
+b = synthesize_data(op, x0).b
+res = run_solver(SolverConfig(max_iters=31, tol=1e-300, init=InitSpec(kind="ri", seed=5)),
+                 op, b, x0)
+print(repr(res.history))
+print(res.x_hat.tobytes().hex())
+"""
+
+
+def test_diagnostics_do_not_depend_on_blas_threads():
+    # The DR loop's norms and phase alignment avoid BLAS, whose threaded
+    # reductions sum in a thread-count-dependent order.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    history, x_hat = outputs[0].splitlines()
+    assert history.count("(") == 31 and len(x_hat) == 2 * 16 * 4096
+    assert outputs[0] == outputs[1]
