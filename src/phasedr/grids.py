@@ -142,7 +142,8 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
 
     def task(rows: slice):
         """Allocate the buffers of these rows here, on the calling thread, and
-        return the call that transforms them into out."""
+        return the call that transforms them into out (numpy.fft's out=,
+        hence NumPy >= 2.0)."""
         m = src[rows].shape[0]
         if inverse:
             # One buffer: after the first pass each pass runs in place on the
