@@ -62,6 +62,15 @@ class MaskSpec:
             return np.broadcast_to(np.complex128(1.0), self.phases.shape)
         return _freeze(np.exp(1j * self.phases))
 
+    @cached_property
+    def conj_values(self) -> np.ndarray:
+        """conj(values), computed on first use and frozen.  The identity
+        mask's is again a broadcast scalar, conj(1) = 1 - 0j, so it gives
+        the same signed zeros as conjugating values."""
+        if self.kind == MASK_IDENTITY:
+            return np.broadcast_to(np.conj(np.complex128(1.0)), self.phases.shape)
+        return _freeze(np.conj(self.values))
+
 
 def make_mask(shape: GridShape, kind: str, seed: int = 0) -> MaskSpec:
     """Draw a phase mask.
@@ -163,34 +172,56 @@ def _verify_isometry(op: PropagationOp, tol: float = 1e-10) -> None:
             raise RuntimeError(f"operator normalization failed: |AA*x - x|/|x| = {err:.3e}")
 
 
-def apply_astar(op: PropagationOp, x) -> np.ndarray:
-    """A* x: stacked masked DFTs, length N, from one stacked transform call."""
+def apply_astar(op: PropagationOp, x, after=None, out=None) -> np.ndarray:
+    """A* x: stacked masked DFTs, length N, from one stacked transform call.
+
+    The masking and the scaling by op.c run in the transform's hooks.
+    after(rows), when given, then runs on those rows of the (L, grid.n)
+    pattern view of the result, on the pool for large grids (see grids).
+    The result is written into out when given, a length-N complex128
+    buffer, and returned."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (op.n,):
         raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
+    if out is None:
+        out = np.empty(op.N, dtype=np.complex128)
     transform = dft_oversampled if op.oversampled else dft_plain
     masked = np.empty((len(op.masks), op.n), dtype=np.complex128)
-    for row, mask in zip(masked, op.masks):
-        np.multiply(mask.values, x, out=row)
-    out = transform(masked, op.shape)
-    out *= op.c
-    # Flattened in place, so out still owns its buffer and callers'
-    # temporaries such as y + A*x - w can reuse it.
-    out.resize(op.N)
+    images = out.reshape(len(op.masks), op.grid.n)
+
+    def mask(rows):
+        for row, m in zip(masked[rows], op.masks[rows]):
+            np.multiply(m.values, x, out=row)
+
+    def scale(rows):
+        images[rows] *= op.c
+        if after is not None:
+            after(rows)
+
+    transform(masked, op.shape, before=mask, after=scale, out=images)
     return out
 
 
-def apply_a(op: PropagationOp, y) -> np.ndarray:
+def apply_a(op: PropagationOp, y, before=None) -> np.ndarray:
     """A y: adjoint of apply_astar, length n, from one stacked transform call.
 
-    The masked pattern images are summed in pattern order onto zeros."""
+    before(rows), when given, first fills those rows of the (L, grid.n)
+    pattern view of y, which must then be a complex128 buffer, on the pool
+    for large grids (see grids).  The conjugate-mask multiply runs in the
+    transform's after hook; the masked pattern images are then summed in
+    pattern order onto zeros."""
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.N,):
         raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
     inverse = idft_oversampled if op.oversampled else idft_plain
-    images = inverse(y.reshape(len(op.masks), op.grid.n), op.shape)
-    for image, mask in zip(images, op.masks):
-        np.multiply(np.conj(mask.values), image, out=image)
+    images = np.empty((len(op.masks), op.n), dtype=np.complex128)
+
+    def unmask(rows):
+        for image, m in zip(images[rows], op.masks[rows]):
+            np.multiply(m.conj_values, image, out=image)
+
+    inverse(y.reshape(len(op.masks), op.grid.n), op.shape, before=before, after=unmask,
+            out=images)
     return op.c * np.add.reduce(images, axis=0, initial=0)
 
 

@@ -15,6 +15,13 @@ row i of a stacked result equals the flat call on row i bit for bit.  A
 stack on a grid of fewer than PARALLEL_MIN_POINTS image points runs as one
 numpy call per axis; on larger grids each row is one task, and the tasks
 run on a shared pool of (usable CPUs - 1) threads plus the calling thread.
+
+A call may bring pointwise work along as two hooks, each given a slice of
+rows: before(rows) fills those rows of the input, and after(rows) consumes
+those rows of the output.  On the pool they run inside each row's task,
+next to its transform; below PARALLEL_MIN_POINTS they run once, over all
+rows, around the stacked call.  A call writes its result into a caller's
+out buffer when given one.
 """
 
 from __future__ import annotations
@@ -108,7 +115,9 @@ def _run_tasks(tasks) -> None:
 
     The workers call only numpy, on buffers the caller allocated: they
     allocate no result memory, and no phasedr function (which perfbench's
-    tracer may wrap, assuming one thread) runs off the calling thread."""
+    tracer may wrap, assuming one thread) runs off the calling thread.  A
+    caller's hooks keep to the same rules.  An exception raised in a task
+    is raised here, on the calling thread."""
     pool, ways = _worker_pool()
     ways = min(ways, len(tasks))
     futures = [pool.submit(lambda share=tasks[j::ways]: [run() for run in share])
@@ -117,17 +126,28 @@ def _run_tasks(tasks) -> None:
         for run in tasks[::ways]:
             run()
     finally:
+        # Every task has ended before this returns or raises, also when
+        # one of them raised: they write into the caller's buffers.
         for f in futures:
-            f.result()
+            f.exception()
+    for f in futures:
+        f.result()
 
 
-def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what: str) -> np.ndarray:
+def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what: str,
+               before=None, after=None, out=None) -> np.ndarray:
     """The d-axis DFT between the object grid and the image grid, flat or stacked.
 
     Forward: each axis, last first, is transformed at its image extent, the
     zero padding coming from numpy's n=.  Inverse: each axis, last first, is
     inverse-transformed in place and cut to its object extent, then the
     result is scaled by the image size, the adjoint's normalization.
+
+    before(rows) fills those rows of v before they are transformed, and
+    after(rows) runs once those rows of the result are written (see the
+    module docstring); rows is a slice of the stack's rows.  The result is
+    written into out when given, a C-contiguous buffer of the result's
+    shape, and returned.
     """
     dims, d = shape.dims, shape.ndim
     src_dims = image if inverse else dims
@@ -138,20 +158,25 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
                          f"stack, got shape {v.shape}")
     src = v.reshape(-1, *src_dims)
     k = src.shape[0]
-    out = np.empty((k, out_len), dtype=np.complex128)
+    out_shape = v.shape[:-1] + (out_len,)
+    if out is None:
+        out = np.empty(out_shape, dtype=np.complex128)
+    elif out.shape != out_shape or not out.flags.c_contiguous:
+        raise ValueError(f"{what}: out must be a C-contiguous {out_shape} array")
+    dest_rows = out.reshape(k, out_len)
 
     def task(rows: slice):
         """Allocate the buffers of these rows here, on the calling thread, and
-        return the call that transforms them into out (numpy.fft's out=,
-        hence NumPy >= 2.0)."""
+        return the call that fills, transforms and hands on these rows
+        (numpy.fft's out=, hence NumPy >= 2.0)."""
         m = src[rows].shape[0]
         if inverse:
             # One buffer: after the first pass each pass runs in place on the
             # cut view the previous one left.
             work = np.empty((m, *image), dtype=np.complex128)
-            dest = out[rows].reshape(m, *dims)
+            dest = dest_rows[rows].reshape(m, *dims)
 
-            def run():
+            def fft():
                 a, view = src[rows], work
                 for axis in reversed(range(d)):
                     np.fft.ifft(a, n=image[axis], axis=axis + 1, out=view)
@@ -160,14 +185,21 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
         else:
             # bufs[j] takes the pass over axis j, which pads it; the last
             # pass writes into out.
-            bufs = [out[rows].reshape(m, *image)] + [
+            bufs = [dest_rows[rows].reshape(m, *image)] + [
                 np.empty((m, *dims[:j], *image[j:]), dtype=np.complex128) for j in range(1, d)]
 
-            def run():
+            def fft():
                 a = src[rows]
                 for axis in reversed(range(d)):
                     np.fft.fft(a, n=image[axis], axis=axis + 1, out=bufs[axis])
                     a = bufs[axis]
+
+        def run():
+            if before is not None:
+                before(rows)
+            fft()
+            if after is not None:
+                after(rows)
 
         return run
 
@@ -175,10 +207,10 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
         _run_tasks([task(slice(i, i + 1)) for i in range(k)])
     else:
         task(slice(None))()
-    return out[0] if v.ndim == 1 else out
+    return out
 
 
-def dft_oversampled(x, shape: GridShape) -> np.ndarray:
+def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
     """Oversampled DFT: zero-pad to the (2M_j+1) grid per axis, then FFT.
 
     Returns the unnormalized transform of length shape.n_oversampled, or a
@@ -193,10 +225,10 @@ def dft_oversampled(x, shape: GridShape) -> np.ndarray:
     1-D transform is the one the full padded FFT computes, so the result is
     bit-identical to it.
     """
-    return _transform(x, shape, shape.oversampled_dims, False, "dft_oversampled")
+    return _transform(x, shape, shape.oversampled_dims, False, "dft_oversampled", before, after, out)
 
 
-def idft_oversampled(y, shape: GridShape) -> np.ndarray:
+def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
     """Adjoint of :func:`dft_oversampled`, restricted to the object grid.
 
     Takes a flat vector or a (k, n_oversampled) stack.  The inverse is
@@ -205,17 +237,17 @@ def idft_oversampled(y, shape: GridShape) -> np.ndarray:
     passes skip the discarded outputs.  The result is bit-identical to the
     full inverse FFT followed by the cut.
     """
-    return _transform(y, shape, shape.oversampled_dims, True, "idft_oversampled")
+    return _transform(y, shape, shape.oversampled_dims, True, "idft_oversampled", before, after, out)
 
 
-def dft_plain(x, shape: GridShape) -> np.ndarray:
+def dft_plain(x, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
     """Unoversampled (standard) DFT on the object grid itself, flat or stacked."""
-    return _transform(x, shape, shape.dims, False, "dft_plain")
+    return _transform(x, shape, shape.dims, False, "dft_plain", before, after, out)
 
 
-def idft_plain(y, shape: GridShape) -> np.ndarray:
+def idft_plain(y, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
     """Adjoint of :func:`dft_plain` (Gram matrix is n * I), flat or stacked."""
-    return _transform(y, shape, shape.dims, True, "idft_plain")
+    return _transform(y, shape, shape.dims, True, "idft_plain", before, after, out)
 
 
 def realify(v) -> np.ndarray:
@@ -248,5 +280,13 @@ def embed(x, target: int) -> np.ndarray:
 def phase_factor(y) -> np.ndarray:
     """Componentwise y/|y| with the convention 1 where |y| = 0."""
     y = np.asarray(y, dtype=np.complex128)
+    return _phase(y, np.empty_like(y))
+
+
+def _phase(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """phase_factor of the complex128 array y, written into out and returned.
+
+    Calls only numpy, so transform hooks may run it on the pool."""
+    out.fill(1.0)
     mag = np.abs(y)
-    return np.divide(y, mag, out=np.ones_like(y), where=mag > 0)
+    return np.divide(y, mag, out=out, where=mag > 0)

@@ -16,9 +16,12 @@ division by a magnitude uses the convention w = 1 where the magnitude
 vanishes.
 
 An FDR step, error tracking included, costs one A / A* pair: 4 FFTs for
-the two-pattern layouts, made as two stacked transform calls.  The solver
-carries the object estimate A y along with the iterate, since AA* = I
-gives A y+ from quantities the step has already computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
+the two-pattern layouts, made as two stacked transform calls.  Its
+pointwise work is per pattern, so it runs in those calls' hooks, inside
+each pattern's transform task (see grids); only the sum over patterns in
+A joins them.  The solver carries the object estimate A y along with the
+iterate, since AA* = I gives A y+ from quantities the step has already
+computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
 patterns, one forward and one inverse per pattern on the padded grid.
 The solver's norms and phase alignment sum without BLAS, so its
 diagnostics do not depend on the BLAS thread count.
@@ -39,7 +42,7 @@ from .forward import (
     extended_a,
     extended_astar,
 )
-from .grids import embed, phase_factor
+from .grids import _phase, embed, phase_factor
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -115,14 +118,35 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y), which AA* = I
     makes exact at no extra FFT; the return value is then the pair
     (y+, A y+).
+
+    Everything but the pattern sum inside A is per pattern, so it runs in
+    the transforms' hooks, next to each pattern's transform: the finiteness
+    check and the reflection 2 P2 y - y before A, the update after A*.
     """
     y = np.asarray(y, dtype=np.complex128)
-    if not np.all(np.isfinite(y)):
-        raise FloatingPointError("fdr_step: non-finite iterate")
-    w = np.asarray(b) * phase_factor(y)
-    z = apply_a(op, 2.0 * w - y)
+    shape = (len(op.masks), op.grid.n)
+    ys, bs = y.reshape(shape), np.asarray(b).reshape(shape)
+    w = np.empty(shape, dtype=np.complex128)  # P2 y
+    r = np.empty(op.N, dtype=np.complex128)  # 2 P2 y - y, then A* x, then y+
+    rs = r.reshape(shape)
+
+    def reflect(rows):
+        yr, wr, rr = ys[rows], w[rows], rs[rows]
+        if not np.isfinite(yr).all():
+            raise FloatingPointError("fdr_step: non-finite iterate")
+        _phase(yr, wr)
+        np.multiply(bs[rows], wr, out=wr)
+        np.multiply(2.0, wr, out=rr)
+        np.subtract(rr, yr, out=rr)
+
+    def update(rows):
+        rr = rs[rows]
+        np.add(ys[rows], rr, out=rr)
+        np.subtract(rr, w[rows], out=rr)
+
+    z = apply_a(op, r, before=reflect)
     x = sector_project(z, sector)
-    y_next = y + apply_astar(op, x) - w
+    y_next = apply_astar(op, x, after=update, out=r)
     if estimate is None:
         return y_next
     return y_next, x + 0.5 * (estimate - z)

@@ -214,6 +214,34 @@ def test_threaded_stack_equals_serial_bitwise(fn, shape, monkeypatch):
     assert np.array_equal(threaded.view(np.float64), serial.view(np.float64))
 
 
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+@pytest.mark.parametrize("fn", DFTS, ids=lambda f: f.__name__)
+def test_hooks_fill_and_consume_every_row_once(fn, threaded, monkeypatch):
+    if threaded:
+        monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+    shape = GridShape((3, 4))
+    stack = _stack_input(fn, shape, 3, seed=5)
+    want = fn(stack, shape)
+    src = np.empty_like(stack)
+    out = np.empty_like(want)
+    seen = {}  # row index -> that row of the result as after() saw it
+
+    def before(rows):
+        src[rows] = stack[rows]
+
+    def after(rows):
+        for i in range(3)[rows]:
+            assert i not in seen
+            seen[i] = out[i].copy()
+        out[rows] *= 2.0
+
+    got = fn(src, shape, before=before, after=after, out=out)
+    assert got is out
+    assert np.array_equal(np.stack([seen[i] for i in range(3)]).view(np.float64),
+                          want.view(np.float64))
+    assert np.array_equal(got.view(np.float64), (2.0 * want).view(np.float64))
+
+
 def test_concurrent_callers_share_the_pool(monkeypatch):
     # Eight callers race to start a fresh pool and then share it; every
     # result must still equal its serial value.
@@ -255,6 +283,8 @@ def test_stack_shape_errors():
         idft_oversampled(np.zeros((2, 4), dtype=complex), s)
     with pytest.raises(ValueError):
         dft_plain(np.zeros((1, 2, 4), dtype=complex), s)
+    with pytest.raises(ValueError):
+        dft_plain(np.zeros((2, 4), dtype=complex), s, out=np.empty((2, 3), dtype=complex))
 
 
 _FORK_PROBE = """

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phasedr import grids
 from phasedr.forward import (
     apply_a,
     apply_astar,
@@ -32,7 +33,15 @@ from phasedr.solvers import (
     sector_project,
 )
 
-from oracles import dense_astar, dense_extended_astar, proj_p1, proj_p2, random_complex
+from oracles import (
+    dense_astar,
+    dense_extended_astar,
+    per_pattern_a,
+    per_pattern_astar,
+    proj_p1,
+    proj_p2,
+    random_complex,
+)
 
 
 def _instance(variant="one-and-half", dims=(3, 3), mask_seed=5, x_seed=9):
@@ -189,6 +198,52 @@ class TestFdrStep:
         y = np.full(op.N, np.nan, dtype=complex)
         with pytest.raises(FloatingPointError):
             fdr_step(y, op, b)
+
+
+def _bits(v):
+    return np.ascontiguousarray(v).view(np.float64)
+
+
+def _oracle_fdr_step(y, op, b, sector, estimate):
+    """fdr_step's arithmetic written out on the per-pattern operator loops."""
+    w = b * phase_factor(y)
+    z = per_pattern_a(op, 2.0 * w - y)
+    x = sector_project(z, sector)
+    return y + per_pattern_astar(op, x) - w, x + 0.5 * (estimate - z)
+
+
+class TestFdrStepBits:
+    # The step runs its pointwise work in the transforms' hooks, per pattern
+    # on the pool or once over all patterns; both give the oracle's bits.
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.25, 0.5)], ids=["free", "sector"])
+    @pytest.mark.parametrize("variant", ["one-mask", "one-and-half", "two-mask", "multi"])
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4)], ids=str)
+    def test_matches_per_pattern_oracle(self, dims, variant, sector, threaded, monkeypatch):
+        if threaded:
+            monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+        op, _, b = _instance(variant, dims=dims, mask_seed=8, x_seed=4)
+        rng = np.random.default_rng(17)
+        y = random_complex(rng, op.N)
+        y[::7] = 0.0  # w = 1 where |y| = 0
+        u = random_complex(rng, op.n)
+        want_y, want_u = _oracle_fdr_step(y, op, b, sector, u)
+        got_y, got_u = fdr_step(y, op, b, sector, estimate=u)
+        assert np.array_equal(_bits(got_y), _bits(want_y))
+        assert np.array_equal(_bits(got_u), _bits(want_u))
+        assert np.array_equal(_bits(fdr_step(y, op, b, sector)), _bits(want_y))
+
+    def test_nonfinite_raises_on_the_pool_and_the_pool_recovers(self, monkeypatch):
+        monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+        op, _, b = _instance("two-mask", dims=(4, 4))
+        y = random_complex(np.random.default_rng(18), op.N)
+        for bad in (0, op.grid.n):  # in the first and in the last pattern's task
+            z = y.copy()
+            z[bad + 3] = np.inf
+            with pytest.raises(FloatingPointError):
+                fdr_step(z, op, b)
+            assert np.array_equal(_bits(fdr_step(y, op, b)),
+                                  _bits(_oracle_fdr_step(y, op, b, NO_SECTOR, 0.0)[0]))
 
 
 class TestOdrStep:
@@ -398,6 +453,19 @@ class TestRunSolver:
         assert blind.iterations == tracked.iterations == 40
         assert np.array_equal(blind.x_hat, tracked.x_hat)
         assert np.isnan(blind.relative_error) and tracked.relative_error > 0
+
+
+def test_pattern_parallel_solve_matches_serial_bitwise(monkeypatch):
+    # 64x64 runs on a 127x127 grid, which reaches the pool unpatched.
+    op, x0, b = _instance("one-and-half", dims=(64, 64), mask_seed=2, x_seed=6)
+    assert op.grid.n >= grids.PARALLEL_MIN_POINTS
+    cfg = SolverConfig(max_iters=30, tol=1e-300, init=InitSpec(kind="near", seed=3, delta=1e-2))
+    pooled = run_solver(cfg, op, b, x0)
+    monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", op.grid.n + 1)
+    serial = run_solver(cfg, op, b, x0)
+    assert pooled.iterations == serial.iterations == 30
+    assert pooled.x_hat.tobytes() == serial.x_hat.tobytes()
+    assert repr(pooled.history) == repr(serial.history)
 
 
 def _same_run(a, b):
