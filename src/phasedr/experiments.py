@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .forward import make_operator, synthesize_data
+from .grids import _norm
 from .images import ImageSpec, gen_image
 from .io import write_csv
 from .solvers import (
@@ -91,7 +92,7 @@ def make_instance(cfg: ExperimentConfig, trial: int):
     img_spec = replace(cfg.image, seed=role_seed(cfg.base_seed, trial, ROLE_IMAGE))
     grid = gen_image(img_spec)
     x0 = grid.ravel()
-    x0 = x0 / np.linalg.norm(x0)
+    x0 = x0 / _norm(x0)
     op = make_operator(
         cfg.variant, cfg.image.shape,
         seed=role_seed(cfg.base_seed, trial, ROLE_MASK),

@@ -265,6 +265,26 @@ def unrealify(p) -> np.ndarray:
     return p[:half] + 1j * p[half:]
 
 
+def _dot(u, v) -> float:
+    """Sum of u * v over two real vectors, by one einsum reduction.
+
+    Not BLAS, so the summation order, and hence every digit, is the same
+    whatever the BLAS threading, and no BLAS threads wake up to compete
+    with the transform workers."""
+    return float(np.einsum("i,i->", u, v))
+
+
+def _floats(v) -> np.ndarray:
+    """The interleaved (re, im) float view of a complex vector."""
+    return np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+
+
+def _norm(v) -> float:
+    """||v|| of a real or complex vector, summed over its complex float view by :func:`_dot`."""
+    f = _floats(v)
+    return float(np.sqrt(_dot(f, f)))
+
+
 def embed(x, target: int) -> np.ndarray:
     """Zero padding: append zeros up to flat length `target`."""
     x = np.asarray(x, dtype=np.complex128)

@@ -23,8 +23,9 @@ A joins them.  The solver carries the object estimate A y along with the
 iterate, since AA* = I gives A y+ from quantities the step has already
 computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
 patterns, one forward and one inverse per pattern on the padded grid.
-The solver's norms and phase alignment sum without BLAS, so its
-diagnostics do not depend on the BLAS thread count.
+The solver's norms, its near start and its phase alignment sum without
+BLAS (grids._norm), so its iterates and diagnostics do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .forward import (
     extended_a,
     extended_astar,
 )
-from .grids import _phase, embed, phase_factor
+from .grids import _dot, _floats, _norm, _phase, embed, phase_factor
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -162,26 +163,6 @@ def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR) -> np.ndarra
     return x + project_object_set(2.0 * z - x, ext.n, sector) - z
 
 
-def _dot(u, v) -> float:
-    """Sum of u * v over two real vectors, by one einsum reduction.
-
-    Not BLAS, so the summation order, and hence every digit, is the same
-    whatever the BLAS threading, and no BLAS threads wake up to compete
-    with the transform workers."""
-    return float(np.einsum("i,i->", u, v))
-
-
-def _floats(v) -> np.ndarray:
-    """The interleaved (re, im) float view of a complex vector."""
-    return np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-
-
-def _norm(v) -> float:
-    """||v|| of a complex vector, summed over its float view by :func:`_dot`."""
-    f = _floats(v)
-    return float(np.sqrt(_dot(f, f)))
-
-
 def align_phase(x, x0) -> tuple[complex, float]:
     """Optimal global phase alpha (|alpha| = 1) and the error ||alpha x - x0||.
 
@@ -289,7 +270,7 @@ def _initial_iterate(init: InitSpec, op: PropagationOp, ext: ExtendedOp | None, 
         rng = np.random.default_rng(init.seed)
         base = lift(x0)
         pert = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
-        return base + init.delta * pert / np.linalg.norm(pert)
+        return base + init.delta * pert / _norm(pert)
     if init.kind == INIT_RANDOM:
         rng = np.random.default_rng(init.seed)
         return lift(rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n))

@@ -1,6 +1,10 @@
 """Tests for the experiment runners (small, fast desk-scale configurations)."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +264,33 @@ class TestPaddingSweep:
         cfg = _cfg("padding-sweep", dims=(6, 6), trials=2, ntilde_ratios=(4.0,),
                    solver=SolverConfig(algorithm="fdr", max_iters=60, tol=1e-9))
         assert run_padding_sweep(cfg).rows == run_padding_sweep(cfg).rows
+
+
+# A 128x128 instance (n = 16384, longer than the vectors whose dot products
+# OpenBLAS keeps on one thread) and its near start; prints their bytes.
+_SETUP_PROBE = """
+from phasedr.experiments import ExperimentConfig, make_instance
+from phasedr.grids import GridShape
+from phasedr.images import ImageSpec
+from phasedr.solvers import InitSpec, _initial_iterate
+cfg = ExperimentConfig(experiment="global", image=ImageSpec(kind="rpp", shape=GridShape((128, 128))))
+x0, op = make_instance(cfg, 0)
+start = _initial_iterate(InitSpec(kind="near", seed=1), op, None, x0)
+print(x0.tobytes().hex())
+print(start.tobytes().hex())
+"""
+
+
+def test_instance_and_near_start_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _SETUP_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    x0, start = outputs[0].splitlines()
+    assert len(x0) == 2 * 16 * 128 * 128 and len(start) == 2 * 16 * 2 * 255 * 255
+    assert outputs[0] == outputs[1]
