@@ -63,15 +63,6 @@ class MaskSpec:
             return np.broadcast_to(np.complex128(1.0), self.phases.shape)
         return _freeze(np.exp(1j * self.phases))
 
-    @cached_property
-    def conj_values(self) -> np.ndarray:
-        """conj(values), computed on first use and frozen.  The identity
-        mask's is again a broadcast scalar, conj(1) = 1 - 0j, so it gives
-        the same signed zeros as conjugating values."""
-        if self.kind == MASK_IDENTITY:
-            return np.broadcast_to(np.conj(np.complex128(1.0)), self.phases.shape)
-        return _freeze(np.conj(self.values))
-
 
 def make_mask(shape: GridShape, kind: str, seed: int = 0) -> MaskSpec:
     """Draw a phase mask.
@@ -189,10 +180,11 @@ def apply_astar(op: PropagationOp, x, after=None, out=None) -> np.ndarray:
     transform = dft_oversampled if op.oversampled else dft_plain
     masked = np.empty((len(op.masks), op.n), dtype=np.complex128)
     images = out.reshape(len(op.masks), op.grid.n)
+    mus = [m.values for m in op.masks]  # cached here, not in a hook
 
     def mask(rows):
-        for row, m in zip(masked[rows], op.masks[rows]):
-            np.multiply(m.values, x, out=row)
+        for row, mu in zip(masked[rows], mus[rows]):
+            np.multiply(mu, x, out=row)
 
     def scale(rows):
         images[rows] *= op.c
@@ -216,10 +208,11 @@ def apply_a(op: PropagationOp, y, before=None) -> np.ndarray:
         raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
     inverse = idft_oversampled if op.oversampled else idft_plain
     images = np.empty((len(op.masks), op.n), dtype=np.complex128)
+    conjs = [np.conj(m.values) for m in op.masks]  # here, not in a hook
 
     def unmask(rows):
-        for image, m in zip(images[rows], op.masks[rows]):
-            np.multiply(m.conj_values, image, out=image)
+        for image, conj in zip(images[rows], conjs[rows]):
+            np.multiply(conj, image, out=image)
 
     inverse(y.reshape(len(op.masks), op.grid.n), op.shape, before=before, after=unmask,
             out=images)

@@ -110,7 +110,7 @@ def project_object_set(x, n: int, sector: SectorSpec) -> np.ndarray:
     return out
 
 
-def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None):
+def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None, out=None):
     """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y.
 
     P1 y = A*[A y]_X projects onto the diffracted-field set A* X and
@@ -118,7 +118,8 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     pair.  When `estimate` holds u = A y, the step also returns the next
     estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y), which AA* = I
     makes exact at no extra FFT; the return value is then the pair
-    (y+, A y+).
+    (y+, A y+).  y+ is written into out when given, a length-N complex128
+    buffer that does not overlap y.
 
     Everything but the pattern sum inside A is per pattern, so it runs in
     the transforms' hooks, next to each pattern's transform: the finiteness
@@ -128,7 +129,8 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     shape = (len(op.masks), op.grid.n)
     ys, bs = y.reshape(shape), np.asarray(b).reshape(shape)
     w = np.empty(shape, dtype=np.complex128)  # P2 y
-    r = np.empty(op.N, dtype=np.complex128)  # 2 P2 y - y, then A* x, then y+
+    r = np.empty(op.N, dtype=np.complex128) if out is None else out
+    # r holds 2 P2 y - y, then A* x, then y+.
     rs = r.reshape(shape)
 
     def reflect(rows):
@@ -316,6 +318,10 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     k = 1
     step_res = float("nan")
     finite = np.all(np.isfinite(iterate))
+    # FDR writes each step into the buffer of the iterate before last, so a
+    # step allocates no N-length buffer that outlives it (glibc would
+    # otherwise trim its heap and fault the pages back in every step).
+    spare = None
 
     while True:
         if not finite:
@@ -339,7 +345,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             break
 
         if ext is None:
-            nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u)
+            nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u, out=spare)
         else:
             nxt = odr_step(iterate, ext, b, cfg.sector)
         change = _norm(nxt - iterate)
@@ -348,7 +354,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         finite = np.isfinite(change) or np.all(np.isfinite(nxt))
         denom = _norm(iterate)
         step_res = float(change / denom) if denom > 0 else float("inf")
-        iterate = nxt
+        iterate, spare = nxt, (iterate if ext is None else None)
         k += 1
 
     return RecoveryResult(

@@ -232,6 +232,9 @@ class TestFdrStepBits:
         assert np.array_equal(_bits(got_y), _bits(want_y))
         assert np.array_equal(_bits(got_u), _bits(want_u))
         assert np.array_equal(_bits(fdr_step(y, op, b, sector)), _bits(want_y))
+        buf = np.full(op.N, np.nan, dtype=complex)
+        assert fdr_step(y, op, b, sector, out=buf) is buf
+        assert np.array_equal(_bits(buf), _bits(want_y))
 
     def test_nonfinite_raises_on_the_pool_and_the_pool_recovers(self, monkeypatch):
         monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
