@@ -225,7 +225,8 @@ def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None) -> n
     1-D transform is the one the full padded FFT computes, so the result is
     bit-identical to it.
     """
-    return _transform(x, shape, shape.oversampled_dims, False, "dft_oversampled", before, after, out)
+    return _transform(x, shape, shape.oversampled_dims, False, "dft_oversampled",
+                      before, after, out)
 
 
 def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
@@ -237,7 +238,8 @@ def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None) -> 
     passes skip the discarded outputs.  The result is bit-identical to the
     full inverse FFT followed by the cut.
     """
-    return _transform(y, shape, shape.oversampled_dims, True, "idft_oversampled", before, after, out)
+    return _transform(y, shape, shape.oversampled_dims, True, "idft_oversampled",
+                      before, after, out)
 
 
 def dft_plain(x, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
@@ -280,7 +282,7 @@ def _floats(v) -> np.ndarray:
 
 
 def _norm(v) -> float:
-    """||v|| of a real or complex vector, summed over its complex float view by :func:`_dot`."""
+    """||v|| of a real or complex vector, summed over its float view by :func:`_dot`."""
     f = _floats(v)
     return float(np.sqrt(_dot(f, f)))
 

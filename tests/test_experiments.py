@@ -273,7 +273,8 @@ from phasedr.experiments import ExperimentConfig, make_instance
 from phasedr.grids import GridShape
 from phasedr.images import ImageSpec
 from phasedr.solvers import InitSpec, _initial_iterate
-cfg = ExperimentConfig(experiment="global", image=ImageSpec(kind="rpp", shape=GridShape((128, 128))))
+cfg = ExperimentConfig(experiment="global",
+                       image=ImageSpec(kind="rpp", shape=GridShape((128, 128))))
 x0, op = make_instance(cfg, 0)
 start = _initial_iterate(InitSpec(kind="near", seed=1), op, None, x0)
 print(x0.tobytes().hex())
