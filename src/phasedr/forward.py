@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import sqrt
 
 import numpy as np
 
@@ -237,6 +238,15 @@ class ExtendedOp:
     then the padded pixels by cyclic Chebyshev distance from the support
     (ties in raster order), each pixel's L patterns interleaved.  With one
     pattern this is the zero padding of HIO; multi has no padded pixels.
+
+    The object pixels are the leading (L, *dims) block of the (L, *grid)
+    image stack, in raster order, so the operators address x and m through
+    slice views of it (the m block laid in as a reshape/transpose); only the
+    padded pixels keep an index array.  extended_astar and extended_a take
+    the transform hooks and buffers of apply_astar and apply_a: A~* builds
+    its image stack in its result buffer and transforms it in place, and a
+    caller's before hook to A~ fills its input, which A~ then overwrites
+    with the pattern images.
     """
 
     base: PropagationOp
@@ -251,28 +261,31 @@ class ExtendedOp:
         return self.base.N
 
     @cached_property
-    def layout(self) -> tuple[GridShape, np.ndarray, np.ndarray]:
-        """The image grid, the flat positions of the object pixels on it, and
-        those of coordinates n.. in the (L, grid.n) image stack."""
+    def layout(self) -> tuple[GridShape, tuple[slice, ...], np.ndarray]:
+        """The image grid; the index of the (L, *dims) object block in the
+        (L, *grid.dims) image stack; and the flat positions in the (L, grid.n)
+        stack of the coordinates after x and m, the padded pixels' t."""
         shape, grid, L = self.base.shape, self.base.grid, len(self.base.masks)
         dist = np.zeros(grid.n, dtype=np.int64)
         for i, m, size in zip(np.indices(grid.dims).reshape(grid.ndim, -1), shape.dims, grid.dims):
             dist = np.maximum(dist, np.where(i < m, 0, np.minimum(i - m + 1, size - i)))
-        order = np.argsort(dist, kind="stable")
-        obj, padded = order[: self.n], order[self.n :]
-        tail = np.concatenate([(obj[:, None] + grid.n * np.arange(1, L)).ravel(),
-                               (padded[:, None] + grid.n * np.arange(L)).ravel()])
-        return grid, _freeze(obj), _freeze(tail[: self.ntilde - self.n])
+        padded = np.argsort(dist, kind="stable")[self.n :]  # the first n are the object
+        tail = (padded[:, None] + grid.n * np.arange(L)).ravel()
+        block = (slice(None), *(slice(0, m) for m in shape.dims))
+        return grid, block, _freeze(tail[: max(self.ntilde - L * self.n, 0)])
 
     @cached_property
-    def householder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, w, kappa): the (L, n) mask values and the reflectors I - kappa w w^H,
-        w_j = v_j + mu_1(j) e_1 and kappa_j = 2 / ||w_j||^2, that map v_j to
-        -mu_1(j) e_1; rows 2..L of the reflector applied to h give Q_j^H h."""
-        mu = np.stack([m.values for m in self.base.masks])
+    def householder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, w, kappa, conj(mu), conj(w)) on the (L, *dims) object block: the
+        mask values and the reflectors I - kappa w w^H, w_j = v_j + mu_1(j) e_1
+        and kappa_j = 2 / ||w_j||^2, that map v_j to -mu_1(j) e_1; rows 2..L of
+        the reflector applied to h give Q_j^H h."""
+        dims = self.base.shape.dims
+        mu = np.stack([m.values for m in self.base.masks]).reshape(-1, *dims)
         w = mu / np.sqrt(len(mu))
         w[0] += mu[0]
-        return _freeze(mu), _freeze(w), _freeze(2.0 / np.sum(np.abs(w) ** 2, axis=0))
+        kappa = 2.0 / np.sum(np.abs(w) ** 2, axis=0)
+        return tuple(_freeze(a) for a in (mu, w, kappa, np.conj(mu), np.conj(w)))
 
 
 def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
@@ -300,35 +313,85 @@ def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
             )
 
 
-def extended_astar(ext: ExtendedOp, x) -> np.ndarray:
-    """A~* x = A* x[:n] + A_perp* x[n:], length N."""
+def _pattern_sum(t: np.ndarray) -> np.ndarray:
+    """np.sum(t, axis=0) over the short pattern axis, added in the same order,
+    without a reduction's set-up cost."""
+    total = t[0]
+    for row in t[1:]:
+        total = total + row
+    return total
+
+
+def extended_astar(ext: ExtendedOp, x, after=None, out=None) -> np.ndarray:
+    """A~* x = A* x[:n] + A_perp* x[n:], length N, from one stacked transform call.
+
+    The image stack is built in the result's buffer and transformed in
+    place; the scaling by op.c runs in the transform's after hook.
+    after(rows), when given, then runs on those rows of the (L, grid.n)
+    pattern view of the result, on the pool for large grids (see grids).
+    The result is written into out when given, a length-N complex128
+    buffer, and returned."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (ext.ntilde,):
         raise ValueError(f"extended_astar: expected length {ext.ntilde}, got shape {x.shape}")
-    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
-    images = np.zeros((len(mu), grid.n), dtype=np.complex128)
-    images.ravel()[tail] = np.sqrt(len(mu)) * x[ext.n :]
-    # sqrt(L) h = sqrt(L) Q m + mu x on the object pixels; the x block is then
-    # op.c * F(mu x), the exact arithmetic of apply_astar.
-    m = images[:, obj]
-    images[:, obj] = m - (kappa * np.sum(np.conj(w) * m, axis=0)) * w + mu * x[: ext.n]
-    out = dft_plain(images, grid)
-    out *= ext.base.c
-    out.resize(ext.N)
+    (grid, block, tail), (mu, w, kappa, _, w_conj) = ext.layout, ext.householder
+    L, n = len(mu), ext.n
+    if out is None:
+        out = np.empty(ext.N, dtype=np.complex128)
+    images = out.reshape(L, grid.n)
+    scaled = sqrt(L) * x[n:]
+    # sqrt(L) h = sqrt(L) Q m + mu x on the object pixels, from m in rows 2..L
+    # (pixel-major in x, zero past ntilde); the x block is then op.c * F(mu x),
+    # the exact arithmetic of apply_astar.
+    k = n * (L - 1)
+    if scaled.size < k:
+        scaled = np.concatenate([scaled, np.zeros(k - scaled.size, dtype=np.complex128)])
+    m = np.zeros(mu.shape, dtype=np.complex128)
+    m.reshape(L, n)[1:] = scaled[:k].reshape(n, L - 1).T
+    images.fill(0.0)
+    np.add(m - (kappa * _pattern_sum(w_conj * m)) * w, mu * x[:n].reshape(mu.shape[1:]),
+           out=images.reshape(L, *grid.dims)[block])
+    out[tail] = scaled[k:]
+
+    def scale(rows):
+        images[rows] *= ext.base.c
+        if after is not None:
+            after(rows)
+
+    dft_plain(images, grid, after=scale, out=images)
     return out
 
 
-def extended_a(ext: ExtendedOp, y) -> np.ndarray:
-    """A~ y = [A y ; A_perp y], length ntilde."""
+def extended_a(ext: ExtendedOp, y, before=None) -> np.ndarray:
+    """A~ y = [A y ; A_perp y], length ntilde, from one stacked transform call.
+
+    before(rows), when given, first fills those rows of the (L, grid.n)
+    pattern view of y, which must then be a complex128 buffer, on the pool
+    for large grids (see grids); the transform then writes the pattern
+    images over y, which is the caller's scratch.  Without before, y is only
+    read.  The sums over patterns on the object block run on the caller."""
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
-    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
-    images = idft_plain(y.reshape(len(mu), grid.n), grid)
-    h = images[:, obj]
-    head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
-    images[:, obj] = h - (kappa * np.sum(np.conj(w) * h, axis=0)) * w
-    return np.concatenate([head, images.ravel()[tail] / np.sqrt(grid.n)])
+    (grid, block, tail), (mu, w, kappa, mu_conj, w_conj) = ext.layout, ext.householder
+    L, n = len(mu), ext.n
+    rows = y.reshape(L, grid.n)
+    images = idft_plain(rows, grid, before=before, out=rows if before is not None else None)
+    h = images.reshape(L, *grid.dims)[block]
+    z = np.empty(ext.ntilde, dtype=np.complex128)
+    np.multiply(ext.base.c, _pattern_sum(mu_conj * h), out=z[:n].reshape(mu.shape[1:]))
+    # Then Q^H h pixel-major and the padded pixels' t, all over sqrt(grid.n).
+    rest, k = z[n:], n * (L - 1)
+    if rest.size and L > 1:
+        short = rest.size < k  # ntilde cuts the m block short
+        mixed = np.empty(k, dtype=np.complex128) if short else rest[:k]
+        np.subtract(h[1:], (kappa * _pattern_sum(w_conj * h)) * w[1:],
+                    out=mixed.reshape(*mu.shape[1:], L - 1).transpose(-1, *range(mu.ndim - 1)))
+        if short:
+            rest[:] = mixed[: rest.size]
+    np.take(images, tail, out=rest[k:])
+    rest /= sqrt(grid.n)
+    return z
 
 
 @dataclass(frozen=True)
@@ -346,6 +409,8 @@ def synthesize_data(op: PropagationOp, x0, nsr: float = 0.0, noise_seed: int = 0
     For nsr > 0 a seeded Gaussian vector eps (numpy default generator,
     standard_normal(N)) is rescaled so that ||eps|| / ||A* x0|| equals nsr
     exactly, added to the magnitudes, and negatives are clamped to zero.
+    Both norms are summed without BLAS (grids._norm), so the noise does not
+    depend on the BLAS thread count.
     """
     if nsr < 0:
         raise ValueError("nsr must be >= 0")
@@ -353,6 +418,6 @@ def synthesize_data(op: PropagationOp, x0, nsr: float = 0.0, noise_seed: int = 0
     if nsr > 0:
         rng = np.random.default_rng(noise_seed)
         eps = rng.standard_normal(op.N)
-        eps *= nsr * np.linalg.norm(b) / np.linalg.norm(eps)
+        eps *= nsr * _norm(b) / _norm(eps)
         b = np.maximum(b + eps, 0.0)
     return MeasuredData(b=_freeze(b), nsr=float(nsr), noise_seed=int(noise_seed))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import prod
 
 import numpy as np
@@ -42,6 +42,13 @@ PARALLEL_MIN_POINTS = 2**13
 _pool = None  # the concurrent.futures.ThreadPoolExecutor, once started
 _pool_ways = 0  # threads a stack is split over; 0 until first use
 _pool_lock = threading.Lock()
+# Non-empty in a forked child, whose copy of the pool has no threads.  The
+# fork hook appends to this list instead of calling a function of this
+# module, so it holds none of the module's globals: a copy of the module
+# dropped from sys.modules is collected, and its pool's threads end.
+_forked: list = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=partial(_forked.append, True))
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,10 @@ def _worker_pool():
     """The shared transform pool, started on first use, and the number of
     threads (workers plus caller) a stack is split over.  With one usable
     CPU there is no pool and stacks run on the calling thread."""
-    global _pool, _pool_ways
+    global _pool, _pool_ways, _pool_lock
+    if _forked:  # the parent's pool threads (and lock holders) are not here
+        _forked.clear()
+        _pool, _pool_ways, _pool_lock = None, 0, threading.Lock()
     with _pool_lock:
         if not _pool_ways:
             if hasattr(os, "sched_getaffinity"):
@@ -98,16 +108,6 @@ def _worker_pool():
 
                 _pool = ThreadPoolExecutor(_pool_ways - 1, thread_name_prefix="phasedr-fft")
         return _pool, _pool_ways
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist there."""
-    global _pool, _pool_ways, _pool_lock
-    _pool, _pool_ways, _pool_lock = None, 0, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _run_tasks(tasks) -> None:
@@ -147,7 +147,9 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
     after(rows) runs once those rows of the result are written (see the
     module docstring); rows is a slice of the stack's rows.  The result is
     written into out when given, a C-contiguous buffer of the result's
-    shape, and returned.
+    shape, and returned.  out may be v itself (the plain transforms), as
+    numpy.fft, like every numpy ufunc, reads an input that overlaps its
+    output as if it did not.
     """
     dims, d = shape.dims, shape.ndim
     src_dims = image if inverse else dims
@@ -306,9 +308,13 @@ def phase_factor(y) -> np.ndarray:
 
 
 def _phase(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """phase_factor of the complex128 array y, written into out and returned.
+    """phase_factor of the complex128 array y, written into out and returned;
+    out may be y itself.
 
     Calls only numpy, so transform hooks may run it on the pool."""
-    out.fill(1.0)
     mag = np.abs(y)
-    return np.divide(y, mag, out=out, where=mag > 0)
+    live = mag > 0
+    np.divide(y, mag, out=out, where=live)
+    if not live.all():
+        np.copyto(out, 1.0, where=np.logical_not(live, out=live))
+    return out

@@ -23,7 +23,11 @@ A joins them.  The solver carries the object estimate A y along with the
 iterate, since AA* = I gives A y+ from quantities the step has already
 computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
 patterns, one forward and one inverse per pattern on the padded grid.
-The solver's norms, its near start and its phase alignment sum without
+Its magnitude projection is per pattern, so it runs in A~'s before hook,
+in place in the A~* buffer; the extension's mixing of the patterns on the
+object block runs on the caller, on views of that block (see forward).
+Both steps write the next iterate into the buffer of the iterate before
+last.  The solver's norms, its near start and its phase alignment sum without
 BLAS (grids._norm), so its iterates and diagnostics do not depend on the
 BLAS thread count.
 """
@@ -43,7 +47,7 @@ from .forward import (
     extended_a,
     extended_astar,
 )
-from .grids import _dot, _floats, _norm, _phase, embed, phase_factor
+from .grids import _dot, _floats, _norm, _phase, embed
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -155,14 +159,38 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     return y_next, x + 0.5 * (estimate - z)
 
 
-def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR) -> np.ndarray:
-    """One object-domain DR update on the padded iterate x in C^ntilde."""
+def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None) -> np.ndarray:
+    """One object-domain DR update x + [2z - x]_X - z on the padded iterate
+    x in C^ntilde, with z = A~(b . phase(A~* x)).  Costs one A~* / A~ pair.
+
+    The magnitude projection b . phase(.) is per pattern, so it runs in
+    A~'s before hook, in place in the A~* buffer, next to each pattern's
+    transform (see grids).  x+ is written into out when given, a
+    length-ntilde complex128 buffer that does not overlap x.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise FloatingPointError("odr_step: non-finite iterate")
-    w = np.asarray(b) * phase_factor(extended_astar(ext, x))
-    z = extended_a(ext, w)
-    return x + project_object_set(2.0 * z - x, ext.n, sector) - z
+    shape = (len(ext.base.masks), ext.base.grid.n)
+    y = extended_astar(ext, x)
+    ys, bs = y.reshape(shape), np.asarray(b).reshape(shape)
+
+    def project(rows):
+        yr = ys[rows]
+        _phase(yr, yr)
+        np.multiply(bs[rows], yr, out=yr)
+
+    z = extended_a(ext, y, before=project)
+    n = ext.n
+    r = np.empty_like(x) if out is None else out
+    # r holds [2z - x]_X, then x+.
+    r[n:] = 0.0
+    np.multiply(2.0, z[:n], out=r[:n])
+    np.subtract(r[:n], x[:n], out=r[:n])
+    if sector.active:
+        r[:n] = sector_project(r[:n], sector)
+    np.add(x, r, out=r)
+    return np.subtract(r, z, out=r)
 
 
 def align_phase(x, x0) -> tuple[complex, float]:
@@ -318,8 +346,8 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     k = 1
     step_res = float("nan")
     finite = np.all(np.isfinite(iterate))
-    # FDR writes each step into the buffer of the iterate before last, so a
-    # step allocates no N-length buffer that outlives it (glibc would
+    # Each step is written into the buffer of the iterate before last, so a
+    # step allocates no iterate-length buffer that outlives it (glibc would
     # otherwise trim its heap and fault the pages back in every step).
     spare = None
 
@@ -347,14 +375,14 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         if ext is None:
             nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u, out=spare)
         else:
-            nxt = odr_step(iterate, ext, b, cfg.sector)
+            nxt = odr_step(iterate, ext, b, cfg.sector, out=spare)
         change = _norm(nxt - iterate)
         # nxt is finite when its change from the finite iterate is; only an
         # overflowing change needs the full check.
         finite = np.isfinite(change) or np.all(np.isfinite(nxt))
         denom = _norm(iterate)
         step_res = float(change / denom) if denom > 0 else float("inf")
-        iterate, spare = nxt, (iterate if ext is None else None)
+        iterate, spare = nxt, iterate
         k += 1
 
     return RecoveryResult(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from phasedr.grids import GridShape, dft_oversampled, dft_plain, idft_oversampled, idft_plain
-from phasedr.solvers import NO_SECTOR, sector_project
+from phasedr.solvers import NO_SECTOR, project_object_set, sector_project
 
 
 def naive_dft_matrix(shape: GridShape, oversampled: bool) -> np.ndarray:
@@ -158,9 +158,32 @@ def per_pattern_a(op, y) -> np.ndarray:
     return op.c * out
 
 
+def _flat_layout(ext):
+    """(grid, obj, tail): the flat positions of the object pixels on the image
+    grid, and of coordinates n.. in the (L, grid.n) image stack, rebuilt from
+    ExtendedOp's definition as index arrays, for the gather/scatter oracles."""
+    op = ext.base
+    L, grid = len(op.masks), op.grid
+    dist = np.zeros(grid.n, dtype=np.int64)
+    for i, m, size in zip(np.indices(grid.dims).reshape(grid.ndim, -1), op.shape.dims, grid.dims):
+        dist = np.maximum(dist, np.where(i < m, 0, np.minimum(i - m + 1, size - i)))
+    order = np.argsort(dist, kind="stable")
+    obj, padded = order[: op.n], order[op.n :]
+    tail = np.concatenate([(obj[:, None] + grid.n * np.arange(1, L)).ravel(),
+                           (padded[:, None] + grid.n * np.arange(L)).ravel()])
+    return grid, obj, tail[: ext.ntilde - op.n]
+
+
+def _flat_householder(ext):
+    """(mu, w, kappa) of the extension as (L, n) and (n,) arrays."""
+    mu, w, kappa = ext.householder[:3]
+    return mu.reshape(len(mu), -1), w.reshape(len(w), -1), kappa.ravel()
+
+
 def per_pattern_extended_astar(ext, x) -> np.ndarray:
-    """A~* x with one flat plain DFT per pattern image."""
-    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
+    """A~* x with one flat plain DFT per pattern image, the image stack built
+    by gathers and scatters on index arrays."""
+    (grid, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
     images = np.zeros((len(mu), grid.n), dtype=np.complex128)
     images.ravel()[tail] = np.sqrt(len(mu)) * x[ext.n :]
     m = images[:, obj]
@@ -171,10 +194,18 @@ def per_pattern_extended_astar(ext, x) -> np.ndarray:
 
 
 def per_pattern_extended_a(ext, y) -> np.ndarray:
-    """A~ y with one flat inverse plain DFT per pattern block."""
-    (grid, obj, tail), (mu, w, kappa) = ext.layout, ext.householder
+    """A~ y with one flat inverse plain DFT per pattern block, read out by
+    gathers on index arrays."""
+    (grid, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
     images = np.stack([idft_plain(block, grid) for block in y.reshape(len(mu), grid.n)])
     h = images[:, obj]
     head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
     images[:, obj] = h - (kappa * np.sum(np.conj(w) * h, axis=0)) * w
     return np.concatenate([head, images.ravel()[tail] / np.sqrt(grid.n)])
+
+
+def per_pattern_odr_step(x, ext, b, sector=NO_SECTOR) -> np.ndarray:
+    """One ODR update x + [2z - x]_X - z, z = A~(b . phase(A~* x)), through the
+    per-pattern extended operators, with temporaries for every term."""
+    z = per_pattern_extended_a(ext, proj_p2(per_pattern_extended_astar(ext, x), b))
+    return x + project_object_set(2.0 * z - x, ext.n, sector) - z

@@ -1,6 +1,10 @@
 """Tests for masks, propagation operators, extensions and data synthesis."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,11 +294,42 @@ def test_synthesize_noise_scaling_exact():
     b0 = np.abs(apply_astar(op, x0))
     data = synthesize_data(op, x0, nsr=0.1, noise_seed=77)
     # regenerate the documented noise draw and verify the exact NSR scaling
+    # (both norms summed without BLAS, as synthesize_data sums them)
     eps = np.random.default_rng(77).standard_normal(op.N)
-    eps *= 0.1 * np.linalg.norm(b0) / np.linalg.norm(eps)
+    eps *= 0.1 * grids._norm(b0) / grids._norm(eps)
     assert abs(np.linalg.norm(eps) / np.linalg.norm(b0) - 0.1) < 1e-12
     assert np.array_equal(data.b, np.maximum(b0 + eps, 0.0))
     assert np.all(data.b >= 0)
+
+
+# Noisy data on a 128x128 one-and-half operator (N = 130050), whose norms
+# are long enough for OpenBLAS to split them over threads; prints a digest
+# of b's bytes.
+_NOISE_PROBE = """
+import hashlib
+import numpy as np
+from phasedr.forward import make_operator, synthesize_data
+from phasedr.grids import GridShape
+op = make_operator("one-and-half", GridShape((128, 128)), seed=3)
+rng = np.random.default_rng(5)
+x0 = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+b = synthesize_data(op, x0, nsr=0.1, noise_seed=7).b
+print(b.size, hashlib.sha256(b.tobytes()).hexdigest())
+"""
+
+
+def test_noise_does_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _NOISE_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0].split()[0] == "130050"
+    assert outputs[0] == outputs[1]
 
 
 def test_synthesize_determinism():
@@ -345,3 +380,38 @@ def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, thread
     assert np.array_equal(_bits(extended_astar(ext, xt)),
                           _bits(per_pattern_extended_astar(ext, xt)))
     assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_extended_a(ext, y)))
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+def test_extended_operator_hooks_and_buffers(threaded, monkeypatch):
+    # A~*'s after hook sees each pattern row once, already scaled, in the
+    # caller's out buffer; A~ reads the rows its before hook fills.
+    if threaded:
+        monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+    op = _op(VARIANT_TWO_MASK, GridShape((4, 4)), seed=6)
+    ext = extend_op(op, 4 * op.n)
+    rng = np.random.default_rng(33)
+    x = random_complex(rng, ext.ntilde)
+    y = random_complex(rng, op.N)
+    buf = np.full(op.N, np.nan, dtype=complex)
+    rows = buf.reshape(len(op.masks), -1)
+    seen = {}
+
+    def after(sl):
+        for i in range(len(op.masks))[sl]:
+            assert i not in seen
+            seen[i] = rows[i].copy()
+
+    assert extended_astar(ext, x, after=after, out=buf) is buf
+    want = per_pattern_extended_astar(ext, x)
+    assert np.array_equal(_bits(buf), _bits(want))
+    assert np.array_equal(_bits(np.concatenate([seen[i] for i in range(len(seen))])), _bits(want))
+
+    scratch = np.empty(op.N, dtype=complex)
+    ys = y.reshape(len(op.masks), -1)
+
+    def before(sl):
+        scratch.reshape(len(op.masks), -1)[sl] = ys[sl]
+
+    assert np.array_equal(_bits(extended_a(ext, scratch, before=before)),
+                          _bits(per_pattern_extended_a(ext, y)))

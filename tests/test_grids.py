@@ -312,3 +312,41 @@ def test_forked_child_runs_its_own_pool():
     run = subprocess.run([sys.executable, "-c", _FORK_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+# Re-imports phasedr four times, runs a pooled stack each time, collects the
+# dropped copies and prints the live thread count after each round.
+_REIMPORT_PROBE = """
+import gc, importlib, sys, threading, time
+import numpy as np
+counts = []
+for _ in range(4):
+    for key in [k for k in sys.modules if k == "phasedr" or k.startswith("phasedr.")]:
+        del sys.modules[key]
+    grids = importlib.import_module("phasedr.grids")
+    grids.PARALLEL_MIN_POINTS = 1
+    s = grids.GridShape((3, 4))
+    grids.dft_oversampled(np.ones((2, s.n), dtype=complex), s)
+    del grids, s
+    gc.collect()
+    # a dropped pool's worker ends once it wakes to find its pool gone
+    deadline = time.monotonic() + 10
+    while (sum(t.name.startswith("phasedr-fft") for t in threading.enumerate()) > 1
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    counts.append(threading.active_count())
+print(counts)
+"""
+
+
+def test_reimport_does_not_leak_pool_threads():
+    # The fork hook must not keep a dropped copy of grids, and so its pool
+    # and the pool's threads, alive.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _REIMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=180)
+    assert run.returncode == 0, run.stderr
+    counts = eval(run.stdout)
+    assert len(counts) == 4 and len(set(counts)) == 1, counts

@@ -38,6 +38,7 @@ from oracles import (
     dense_extended_astar,
     per_pattern_a,
     per_pattern_astar,
+    per_pattern_odr_step,
     proj_p1,
     proj_p2,
     random_complex,
@@ -247,6 +248,32 @@ class TestFdrStepBits:
                 fdr_step(z, op, b)
             assert np.array_equal(_bits(fdr_step(y, op, b)),
                                   _bits(_oracle_fdr_step(y, op, b, NO_SECTOR, 0.0)[0]))
+
+
+class TestOdrStepBits:
+    # The step addresses the object block through views, projects the
+    # magnitudes in A~'s before hook (per pattern on the pool, or once over
+    # all patterns) and writes into out; all give the per-pattern oracle's bits.
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.25, 0.5)], ids=["free", "sector"])
+    @pytest.mark.parametrize("variant", ["one-mask", "one-and-half", "two-mask", "multi"])
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4)], ids=str)
+    def test_matches_per_pattern_oracle(self, dims, variant, sector, threaded, monkeypatch):
+        if threaded:
+            monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+        op, _, b = _instance(variant, dims=dims, mask_seed=8, x_seed=4)
+        n, N, L = op.n, op.N, len(op.masks)
+        rng = np.random.default_rng(19)
+        paddings = sorted({min(max(t, n), N) for t in (n, n + 7, L * n - 1, L * n, 4 * n, N - 1)})
+        for ntilde in paddings:
+            ext = extend_op(op, ntilde)
+            x = random_complex(rng, ntilde)
+            x[::5] = 0.0
+            want = per_pattern_odr_step(x, ext, b, sector)
+            assert np.array_equal(_bits(odr_step(x, ext, b, sector)), _bits(want)), ntilde
+            buf = np.full(ntilde, np.nan, dtype=complex)
+            assert odr_step(x, ext, b, sector, out=buf) is buf
+            assert np.array_equal(_bits(buf), _bits(want)), ntilde
 
 
 class TestOdrStep:
@@ -463,6 +490,20 @@ def test_pattern_parallel_solve_matches_serial_bitwise(monkeypatch):
     op, x0, b = _instance("one-and-half", dims=(64, 64), mask_seed=2, x_seed=6)
     assert op.grid.n >= grids.PARALLEL_MIN_POINTS
     cfg = SolverConfig(max_iters=30, tol=1e-300, init=InitSpec(kind="near", seed=3, delta=1e-2))
+    pooled = run_solver(cfg, op, b, x0)
+    monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", op.grid.n + 1)
+    serial = run_solver(cfg, op, b, x0)
+    assert pooled.iterations == serial.iterations == 30
+    assert pooled.x_hat.tobytes() == serial.x_hat.tobytes()
+    assert repr(pooled.history) == repr(serial.history)
+
+
+def test_odr_pattern_parallel_solve_matches_serial_bitwise(monkeypatch):
+    # ODR at 64x64 pads on a 127x127 grid, which reaches the pool unpatched.
+    op, x0, b = _instance("one-and-half", dims=(64, 64), mask_seed=2, x_seed=6)
+    assert op.grid.n >= grids.PARALLEL_MIN_POINTS
+    cfg = SolverConfig(algorithm="odr", max_iters=30, tol=1e-300,
+                       init=InitSpec(kind="near", seed=3, delta=1e-2))
     pooled = run_solver(cfg, op, b, x0)
     monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", op.grid.n + 1)
     serial = run_solver(cfg, op, b, x0)
