@@ -242,11 +242,9 @@ class ExtendedOp:
     The object pixels are the leading (L, *dims) block of the (L, *grid)
     image stack, in raster order, so the operators address x and m through
     slice views of it (the m block laid in as a reshape/transpose); only the
-    padded pixels keep an index array.  extended_astar and extended_a take
-    the transform hooks and buffers of apply_astar and apply_a: A~* builds
-    its image stack in its result buffer and transforms it in place, and a
-    caller's before hook to A~ fills its input, which A~ then overwrites
-    with the pattern images.
+    padded pixels keep an index array.  A~* transforms its image stack in
+    place.  extended_a takes apply_a's before hook: the hook fills A~'s
+    input, which A~ then overwrites with the pattern images.
     """
 
     base: PropagationOp
@@ -275,17 +273,15 @@ class ExtendedOp:
         return grid, block, _freeze(tail[: max(self.ntilde - L * self.n, 0)])
 
     @cached_property
-    def householder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, w, kappa, conj(mu), conj(w)) on the (L, *dims) object block: the
-        mask values and the reflectors I - kappa w w^H, w_j = v_j + mu_1(j) e_1
-        and kappa_j = 2 / ||w_j||^2, that map v_j to -mu_1(j) e_1; rows 2..L of
+    def householder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, w, kappa) on the (L, *dims) object block: the mask values and
+        the reflectors I - kappa w w^H, w_j = v_j + mu_1(j) e_1 and
+        kappa_j = 2 / ||w_j||^2, that map v_j to -mu_1(j) e_1; rows 2..L of
         the reflector applied to h give Q_j^H h."""
-        dims = self.base.shape.dims
-        mu = np.stack([m.values for m in self.base.masks]).reshape(-1, *dims)
+        mu = np.stack([m.values for m in self.base.masks]).reshape(-1, *self.base.shape.dims)
         w = mu / np.sqrt(len(mu))
         w[0] += mu[0]
-        kappa = 2.0 / np.sum(np.abs(w) ** 2, axis=0)
-        return tuple(_freeze(a) for a in (mu, w, kappa, np.conj(mu), np.conj(w)))
+        return _freeze(mu), _freeze(w), _freeze(2.0 / np.sum(np.abs(w) ** 2, axis=0))
 
 
 def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
@@ -313,53 +309,32 @@ def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
             )
 
 
-def _pattern_sum(t: np.ndarray) -> np.ndarray:
-    """np.sum(t, axis=0) over the short pattern axis, added in the same order,
-    without a reduction's set-up cost."""
-    total = t[0]
-    for row in t[1:]:
-        total = total + row
-    return total
-
-
-def extended_astar(ext: ExtendedOp, x, after=None, out=None) -> np.ndarray:
+def extended_astar(ext: ExtendedOp, x) -> np.ndarray:
     """A~* x = A* x[:n] + A_perp* x[n:], length N, from one stacked transform call.
 
-    The image stack is built in the result's buffer and transformed in
-    place; the scaling by op.c runs in the transform's after hook.
-    after(rows), when given, then runs on those rows of the (L, grid.n)
-    pattern view of the result, on the pool for large grids (see grids).
-    The result is written into out when given, a length-N complex128
-    buffer, and returned."""
+    The image stack is transformed in place, and scaled by op.c in the
+    transform's after hook."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (ext.ntilde,):
         raise ValueError(f"extended_astar: expected length {ext.ntilde}, got shape {x.shape}")
-    (grid, block, tail), (mu, w, kappa, _, w_conj) = ext.layout, ext.householder
+    (grid, block, tail), (mu, w, kappa) = ext.layout, ext.householder
     L, n = len(mu), ext.n
-    if out is None:
-        out = np.empty(ext.N, dtype=np.complex128)
-    images = out.reshape(L, grid.n)
-    scaled = sqrt(L) * x[n:]
-    # sqrt(L) h = sqrt(L) Q m + mu x on the object pixels, from m in rows 2..L
-    # (pixel-major in x, zero past ntilde); the x block is then op.c * F(mu x),
-    # the exact arithmetic of apply_astar.
-    k = n * (L - 1)
-    if scaled.size < k:
-        scaled = np.concatenate([scaled, np.zeros(k - scaled.size, dtype=np.complex128)])
+    # sqrt(L) (m, t): the m_j pixel-major, then the padded pixels' t, zero past ntilde.
+    mt = np.zeros(max(ext.ntilde, L * n) - n, dtype=np.complex128)
+    np.multiply(sqrt(L), x[n:], out=mt[: ext.ntilde - n])
     m = np.zeros(mu.shape, dtype=np.complex128)
-    m.reshape(L, n)[1:] = scaled[:k].reshape(n, L - 1).T
-    images.fill(0.0)
-    np.add(m - (kappa * _pattern_sum(w_conj * m)) * w, mu * x[:n].reshape(mu.shape[1:]),
-           out=images.reshape(L, *grid.dims)[block])
-    out[tail] = scaled[k:]
+    m.reshape(L, n)[1:] = mt[: n * (L - 1)].reshape(n, L - 1).T
+    images = np.zeros((L, grid.n), dtype=np.complex128)
+    # sqrt(L) h = sqrt(L) Q m + mu x on the object pixels; the x block is then
+    # op.c * F(mu x), the exact arithmetic of apply_astar.
+    images.reshape(L, *grid.dims)[block] = (m - (kappa * (np.conj(w) * m).sum(axis=0)) * w
+                                            + mu * x[:n].reshape(mu.shape[1:]))
+    images.ravel()[tail] = mt[n * (L - 1) :]
 
     def scale(rows):
         images[rows] *= ext.base.c
-        if after is not None:
-            after(rows)
 
-    dft_plain(images, grid, after=scale, out=images)
-    return out
+    return dft_plain(images, grid, after=scale, out=images).reshape(ext.N)
 
 
 def extended_a(ext: ExtendedOp, y, before=None) -> np.ndarray:
@@ -373,25 +348,20 @@ def extended_a(ext: ExtendedOp, y, before=None) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
-    (grid, block, tail), (mu, w, kappa, mu_conj, w_conj) = ext.layout, ext.householder
+    (grid, block, tail), (mu, w, kappa) = ext.layout, ext.householder
     L, n = len(mu), ext.n
     rows = y.reshape(L, grid.n)
     images = idft_plain(rows, grid, before=before, out=rows if before is not None else None)
     h = images.reshape(L, *grid.dims)[block]
-    z = np.empty(ext.ntilde, dtype=np.complex128)
-    np.multiply(ext.base.c, _pattern_sum(mu_conj * h), out=z[:n].reshape(mu.shape[1:]))
-    # Then Q^H h pixel-major and the padded pixels' t, all over sqrt(grid.n).
-    rest, k = z[n:], n * (L - 1)
-    if rest.size and L > 1:
-        short = rest.size < k  # ntilde cuts the m block short
-        mixed = np.empty(k, dtype=np.complex128) if short else rest[:k]
-        np.subtract(h[1:], (kappa * _pattern_sum(w_conj * h)) * w[1:],
-                    out=mixed.reshape(*mu.shape[1:], L - 1).transpose(-1, *range(mu.ndim - 1)))
-        if short:
-            rest[:] = mixed[: rest.size]
-    np.take(images, tail, out=rest[k:])
-    rest /= sqrt(grid.n)
-    return z
+    # [c mu^H h ; Q^H h pixel-major ; the padded pixels' t], the last two over
+    # sqrt(grid.n), cut to ntilde.
+    z = np.empty(max(ext.ntilde, L * n), dtype=np.complex128)
+    np.multiply(ext.base.c, (np.conj(mu) * h).sum(axis=0), out=z[:n].reshape(mu.shape[1:]))
+    np.subtract(h[1:], (kappa * (np.conj(w) * h).sum(axis=0)) * w[1:],
+                out=z[n : L * n].reshape(*mu.shape[1:], L - 1).transpose(-1, *range(mu.ndim - 1)))
+    np.take(images, tail, out=z[L * n :])
+    z[n:] /= sqrt(grid.n)
+    return z[: ext.ntilde]
 
 
 @dataclass(frozen=True)

@@ -106,14 +106,6 @@ def sector_project(x, sector: SectorSpec) -> np.ndarray:
     return out
 
 
-def project_object_set(x, n: int, sector: SectorSpec) -> np.ndarray:
-    """[x]_X for a padded vector: sector (or identity) on the first n coords, 0 beyond."""
-    x = np.asarray(x, dtype=np.complex128)
-    out = np.zeros_like(x)
-    out[:n] = sector_project(x[:n], sector)
-    return out
-
-
 def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None, out=None):
     """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y.
 

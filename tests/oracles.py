@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from phasedr.grids import GridShape, dft_oversampled, dft_plain, idft_oversampled, idft_plain
-from phasedr.solvers import NO_SECTOR, project_object_set, sector_project
+from phasedr.solvers import NO_SECTOR, SectorSpec, sector_project
 
 
 def naive_dft_matrix(shape: GridShape, oversampled: bool) -> np.ndarray:
@@ -176,7 +176,7 @@ def _flat_layout(ext):
 
 def _flat_householder(ext):
     """(mu, w, kappa) of the extension as (L, n) and (n,) arrays."""
-    mu, w, kappa = ext.householder[:3]
+    mu, w, kappa = ext.householder
     return mu.reshape(len(mu), -1), w.reshape(len(w), -1), kappa.ravel()
 
 
@@ -202,6 +202,14 @@ def per_pattern_extended_a(ext, y) -> np.ndarray:
     head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
     images[:, obj] = h - (kappa * np.sum(np.conj(w) * h, axis=0)) * w
     return np.concatenate([head, images.ravel()[tail] / np.sqrt(grid.n)])
+
+
+def project_object_set(x, n: int, sector: SectorSpec) -> np.ndarray:
+    """[x]_X for a padded vector: sector (or identity) on the first n coords, 0 beyond."""
+    x = np.asarray(x, dtype=np.complex128)
+    out = np.zeros_like(x)
+    out[:n] = sector_project(x[:n], sector)
+    return out
 
 
 def per_pattern_odr_step(x, ext, b, sector=NO_SECTOR) -> np.ndarray:

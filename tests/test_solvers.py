@@ -28,7 +28,6 @@ from phasedr.solvers import (
     align_phase,
     fdr_step,
     odr_step,
-    project_object_set,
     run_solver,
     sector_project,
 )
@@ -41,6 +40,7 @@ from oracles import (
     per_pattern_odr_step,
     proj_p1,
     proj_p2,
+    project_object_set,
     random_complex,
 )
 
