@@ -11,6 +11,15 @@ isometry, A A* = I.  Data are the magnitudes b = |A* x0|.
 Each application of A*, A, A~* or A~ hands all its patterns to grids in one
 stacked transform call, which may run them on separate cores; the results
 are bit for bit those of transforming one pattern at a time.
+
+What an application sets up on its operator is a plan: an OperatorPlan
+(the mask phasors and their conjugates, the (L, n) pattern stack and a
+grids.TransformPlan each way) or an ExtendedPlan (the conjugated mask
+phasors and reflectors, the object-block scratch, the image stacks and the
+result of A~).  A solver makes one per solve and hands it to every call;
+a one-shot call makes a throwaway plan.  A plan holds arrays and shapes
+only, no function, so a wrapper installed on a module function (perfbench's
+tracer) still sees every call.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ import numpy as np
 
 from .grids import (
     GridShape,
+    TransformPlan,
+    _buffer,
     _norm,
     dft_oversampled,
     dft_plain,
@@ -158,66 +169,117 @@ def make_operator(
 
 def _verify_isometry(op: PropagationOp, tol: float = 1e-10) -> None:
     rng = np.random.default_rng(12345)
+    plan = OperatorPlan(op)  # one throwaway plan for the whole check
     for _ in range(3):
         x = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-        err = _norm(apply_a(op, apply_astar(op, x)) - x) / _norm(x)
+        err = _norm(apply_a(op, apply_astar(op, x, plan=plan), plan=plan) - x) / _norm(x)
         if not err < tol:
             raise RuntimeError(f"operator normalization failed: |AA*x - x|/|x| = {err:.3e}")
 
 
-def apply_astar(op: PropagationOp, x, after=None, out=None) -> np.ndarray:
+class OperatorPlan:
+    """What A* and A set up on one operator, made once and reused by every
+    call given it: the mask phasors and their conjugates (the identity
+    mask's stay broadcasts), paired with the rows of the (L, n) stack that
+    holds A*'s masked input and A's unmasked images, and one transform plan
+    each way.  The parts one direction needs are made on its first call;
+    the forward passes share the inverse's N-length work stack when A runs
+    first, as in a solve."""
+
+    def __init__(self, op: PropagationOp) -> None:
+        self.op, self.c, self.oversampled = op, op.c, op.oversampled
+        self.x_shape, self.y_shape = (op.n,), (op.N,)
+        self.patterns = (len(op.masks), op.grid.n)  # the pattern view of a length-N vector
+        self.stack = np.empty((len(op.masks), op.n), dtype=np.complex128)
+        self.masking = [(row, m.values) for row, m in zip(self.stack, op.masks)]
+        self.work = None  # the inverse's N-length work stack, once made
+
+    @cached_property
+    def forward(self) -> TransformPlan:
+        # A one-shot A* allocates only what its passes need.
+        op = self.op
+        return TransformPlan(op.shape, op.grid.dims, False, len(op.masks), self.work)
+
+    @cached_property
+    def unmasking(self) -> list:
+        # The identity mask's conjugate is the scalar 1 - 0j, which a
+        # multiply broadcasts as it would n copies of it.
+        return [(row, np.conj(mu[0]) if m.kind == MASK_IDENTITY else np.conj(mu))
+                for (row, mu), m in zip(self.masking, self.op.masks)]
+
+    @cached_property
+    def inverse(self) -> TransformPlan:
+        op = self.op
+        self.work = np.empty(op.N, dtype=np.complex128)
+        return TransformPlan(op.shape, op.grid.dims, True, len(op.masks), self.work)
+
+
+def _plan(plan, cls, target):
+    """plan when it was made for target; a throwaway cls(target) when None."""
+    if plan is None:
+        return cls(target)
+    if plan.op is not target:
+        raise ValueError(f"plan: an {cls.__name__} made for another operator")
+    return plan
+
+
+def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.ndarray:
     """A* x: stacked masked DFTs, length N, from one stacked transform call.
 
     The masking and the scaling by op.c run in the transform's hooks.
     after(rows), when given, then runs on those rows of the (L, grid.n)
     pattern view of the result, on the pool for large grids (see grids).
-    The result is written into out when given, a length-N complex128
-    buffer, and returned."""
+    The result is written into out when given, a C-contiguous length-N
+    complex128 buffer apart from x, and returned.  plan is an OperatorPlan
+    of op; without one the call makes its own."""
+    plan = _plan(plan, OperatorPlan, op)
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (op.n,):
+    if x.shape != plan.x_shape:
         raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
-    if out is None:
-        out = np.empty(op.N, dtype=np.complex128)
-    transform = dft_oversampled if op.oversampled else dft_plain
-    masked = np.empty((len(op.masks), op.n), dtype=np.complex128)
-    images = out.reshape(len(op.masks), op.grid.n)
-    mus = [m.values for m in op.masks]  # cached here, not in a hook
+    out = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
+        out, plan.y_shape, "apply_astar: out", x)
+    images, masking, c = out.reshape(plan.patterns), plan.masking, plan.c
 
     def mask(rows):
-        for row, mu in zip(masked[rows], mus[rows]):
+        for row, mu in masking[rows]:
             np.multiply(mu, x, out=row)
 
     def scale(rows):
-        images[rows] *= op.c
+        images[rows] *= c
         if after is not None:
             after(rows)
 
-    transform(masked, op.shape, before=mask, after=scale, out=images)
+    transform = dft_oversampled if plan.oversampled else dft_plain
+    transform(plan.stack, op.shape, before=mask, after=scale, out=images, plan=plan.forward)
     return out
 
 
-def apply_a(op: PropagationOp, y, before=None) -> np.ndarray:
+def apply_a(op: PropagationOp, y, before=None, plan=None) -> np.ndarray:
     """A y: adjoint of apply_astar, length n, from one stacked transform call.
 
     before(rows), when given, first fills those rows of the (L, grid.n)
-    pattern view of y, which must then be a complex128 buffer, on the pool
-    for large grids (see grids).  The conjugate-mask multiply runs in the
-    transform's after hook; the masked pattern images are then summed in
-    pattern order onto zeros."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (op.N,):
-        raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
-    inverse = idft_oversampled if op.oversampled else idft_plain
-    images = np.empty((len(op.masks), op.n), dtype=np.complex128)
-    conjs = [np.conj(m.values) for m in op.masks]  # here, not in a hook
+    pattern view of y, which must then be a C-contiguous complex128 buffer,
+    on the pool for large grids (see grids).  The conjugate-mask multiply
+    runs in the transform's after hook; the masked pattern images are then
+    summed in pattern order onto zeros.  plan is an OperatorPlan of op;
+    without one the call makes its own."""
+    plan = _plan(plan, OperatorPlan, op)
+    if before is not None:
+        _buffer(y, plan.y_shape, "apply_a: the buffer its before hook fills")
+    else:
+        y = np.asarray(y, dtype=np.complex128)
+        if y.shape != plan.y_shape:
+            raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
+    unmasking = plan.unmasking
 
     def unmask(rows):
-        for image, conj in zip(images[rows], conjs[rows]):
+        for image, conj in unmasking[rows]:
             np.multiply(conj, image, out=image)
 
-    inverse(y.reshape(len(op.masks), op.grid.n), op.shape, before=before, after=unmask,
-            out=images)
-    return op.c * np.add.reduce(images, axis=0, initial=0)
+    inverse = idft_oversampled if plan.oversampled else idft_plain
+    inverse(y.reshape(plan.patterns), op.shape, before=before, after=unmask, out=plan.stack,
+            plan=plan.inverse)
+    return plan.c * np.add.reduce(plan.stack, axis=0, initial=0)
 
 
 @dataclass(frozen=True)
@@ -242,9 +304,10 @@ class ExtendedOp:
     The object pixels are the leading (L, *dims) block of the (L, *grid)
     image stack, in raster order, so the operators address x and m through
     slice views of it (the m block laid in as a reshape/transpose); only the
-    padded pixels keep an index array.  A~* transforms its image stack in
-    place.  extended_a takes apply_a's before hook: the hook fills A~'s
-    input, which A~ then overwrites with the pattern images.
+    padded pixels keep an index array.  A~* transforms its image stack,
+    zero off those pixels, into a separate result stack.  extended_a takes
+    apply_a's before hook: the hook fills A~'s input, which A~ then
+    overwrites with the pattern images.
     """
 
     base: PropagationOp
@@ -297,67 +360,126 @@ def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
 def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
     """Check A~ A~* x = x and A A~*[0; t] = 0 on random vectors."""
     rng = np.random.default_rng(707)
+    plan, base = ExtendedPlan(ext), OperatorPlan(ext.base)  # throwaway plans for the check
     for _ in range(3):
         x = rng.standard_normal(ext.ntilde) + 1j * rng.standard_normal(ext.ntilde)
         scale = _norm(x)
-        iso = _norm(extended_a(ext, extended_astar(ext, x)) - x) / scale
+        iso = _norm(extended_a(ext, extended_astar(ext, x, plan=plan), plan=plan) - x) / scale
         x[: ext.n] = 0.0  # [0; t]
-        cross = _norm(apply_a(ext.base, extended_astar(ext, x))) / scale
+        cross = _norm(apply_a(ext.base, extended_astar(ext, x, plan=plan), plan=base)) / scale
         if not (iso < tol and cross < tol):
             raise RuntimeError(
                 f"extension verification failed (isometry {iso:.3e}, cross {cross:.3e})"
             )
 
 
-def extended_astar(ext: ExtendedOp, x) -> np.ndarray:
+class ExtendedPlan:
+    """What A~* and A~ set up on one extension, made once and reused by
+    every call given it: the conjugated reflectors, an (L, *dims) product
+    and a dims sum scratch, and the N-length work stack that both transform
+    plans carve their pass buffers from.  The parts one direction needs are
+    made on its first call: `forward` for A~*, `inverse` for A~."""
+
+    def __init__(self, ext: ExtendedOp) -> None:
+        mu, w, _ = ext.householder
+        self.op, self.conj_w = ext, np.conj(w)
+        self.prods = np.empty(mu.shape, dtype=np.complex128)
+        self.sums = np.empty(mu.shape[1:], dtype=np.complex128)
+        self.work = np.empty(ext.N, dtype=np.complex128)
+
+    @cached_property
+    def forward(self) -> tuple:
+        """A~*'s (mt, m, stack, block, y, transform plan): the sqrt(L) (m, t)
+        and m scratch, the input image stack with its object block view, the
+        result y.  The scratch and the stack are zeroed once: a call writes
+        only the leading ntilde - n entries of mt, the rows 2..L of m, and
+        the stack's object block and padded pixels' t."""
+        ext = self.op
+        (grid, block, _), mu = ext.layout, ext.householder[0]
+        L, n = len(mu), ext.n
+        stack = np.zeros((L, grid.n), dtype=np.complex128)
+        return (np.zeros(max(ext.ntilde, L * n) - n, dtype=np.complex128),
+                np.zeros(mu.shape, dtype=np.complex128), stack,
+                stack.reshape(L, *grid.dims)[block], np.empty((L, grid.n), dtype=np.complex128),
+                TransformPlan(grid, grid.dims, False, L, self.work))
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """A~'s (conj_mu, z, transform plan): the conjugated mask phasors on
+        the object block and the result z, of length max(ntilde, L n)."""
+        ext = self.op
+        grid, mu = ext.layout[0], ext.householder[0]
+        return (np.conj(mu), np.empty(max(ext.ntilde, mu.size), dtype=np.complex128),
+                TransformPlan(grid, grid.dims, True, len(mu), self.work))
+
+    def correction(self, h: np.ndarray) -> np.ndarray:
+        """prods = (kappa * (conj(w) * h).sum(axis=0)) * w on the (L, *dims)
+        block h: what the reflectors I - kappa w w^H subtract from h."""
+        _, w, kappa = self.op.householder
+        np.multiply(self.conj_w, h, out=self.prods)
+        self.prods.sum(axis=0, out=self.sums)
+        np.multiply(kappa, self.sums, out=self.sums)
+        return np.multiply(self.sums, w, out=self.prods)
+
+
+def extended_astar(ext: ExtendedOp, x, plan=None) -> np.ndarray:
     """A~* x = A* x[:n] + A_perp* x[n:], length N, from one stacked transform call.
 
-    The image stack is transformed in place, and scaled by op.c in the
-    transform's after hook."""
+    The input image stack is transformed into y, scaled by op.c in the
+    transform's after hook.  plan is an ExtendedPlan of ext, whose y the
+    result is; without one the call makes its own."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (ext.ntilde,):
         raise ValueError(f"extended_astar: expected length {ext.ntilde}, got shape {x.shape}")
-    (grid, block, tail), (mu, w, kappa) = ext.layout, ext.householder
+    plan = _plan(plan, ExtendedPlan, ext)
+    (grid, _, tail), mu = ext.layout, ext.householder[0]
     L, n = len(mu), ext.n
+    mt, m, stack, block, y, transform = plan.forward
     # sqrt(L) (m, t): the m_j pixel-major, then the padded pixels' t, zero past ntilde.
-    mt = np.zeros(max(ext.ntilde, L * n) - n, dtype=np.complex128)
     np.multiply(sqrt(L), x[n:], out=mt[: ext.ntilde - n])
-    m = np.zeros(mu.shape, dtype=np.complex128)
     m.reshape(L, n)[1:] = mt[: n * (L - 1)].reshape(n, L - 1).T
-    images = np.zeros((L, grid.n), dtype=np.complex128)
     # sqrt(L) h = sqrt(L) Q m + mu x on the object pixels; the x block is then
     # op.c * F(mu x), the exact arithmetic of apply_astar.
-    images.reshape(L, *grid.dims)[block] = (m - (kappa * (np.conj(w) * m).sum(axis=0)) * w
-                                            + mu * x[:n].reshape(mu.shape[1:]))
-    images.ravel()[tail] = mt[n * (L - 1) :]
+    np.subtract(m, plan.correction(m), out=plan.prods)
+    np.multiply(mu, x[:n].reshape(mu.shape[1:]), out=block)
+    np.add(plan.prods, block, out=block)
+    stack.ravel()[tail] = mt[n * (L - 1) :]
 
     def scale(rows):
-        images[rows] *= ext.base.c
+        y[rows] *= ext.base.c
 
-    return dft_plain(images, grid, after=scale, out=images).reshape(ext.N)
+    return dft_plain(stack, grid, after=scale, out=y, plan=transform).reshape(ext.N)
 
 
-def extended_a(ext: ExtendedOp, y, before=None) -> np.ndarray:
+def extended_a(ext: ExtendedOp, y, before=None, plan=None) -> np.ndarray:
     """A~ y = [A y ; A_perp y], length ntilde, from one stacked transform call.
 
     before(rows), when given, first fills those rows of the (L, grid.n)
-    pattern view of y, which must then be a complex128 buffer, on the pool
-    for large grids (see grids); the transform then writes the pattern
-    images over y, which is the caller's scratch.  Without before, y is only
-    read.  The sums over patterns on the object block run on the caller."""
-    y = np.asarray(y, dtype=np.complex128)
+    pattern view of y, which must then be a C-contiguous complex128 buffer,
+    on the pool for large grids (see grids); the transform then writes the
+    pattern images over y, which is the caller's scratch.  Without before,
+    y is only read.  The sums over patterns on the object block run on the
+    caller.  plan is an ExtendedPlan of ext, whose z the result is a view
+    of; without one the call makes its own."""
+    if before is None:
+        y = np.asarray(y, dtype=np.complex128)
+    else:
+        y = _buffer(y, (ext.N,), "extended_a: the buffer its before hook fills")
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
-    (grid, block, tail), (mu, w, kappa) = ext.layout, ext.householder
-    L, n = len(mu), ext.n
+    plan = _plan(plan, ExtendedPlan, ext)
+    (grid, block, tail), mu = ext.layout, ext.householder[0]
+    L, n, prods = len(mu), ext.n, plan.prods
+    conj_mu, z, transform = plan.inverse
     rows = y.reshape(L, grid.n)
-    images = idft_plain(rows, grid, before=before, out=rows if before is not None else None)
+    images = idft_plain(rows, grid, before=before, out=rows if before is not None else None,
+                        plan=transform)
     h = images.reshape(L, *grid.dims)[block]
     # [c mu^H h ; Q^H h pixel-major ; the padded pixels' t], the last two over
     # sqrt(grid.n), cut to ntilde.
-    z = np.empty(max(ext.ntilde, L * n), dtype=np.complex128)
-    np.multiply(ext.base.c, (np.conj(mu) * h).sum(axis=0), out=z[:n].reshape(mu.shape[1:]))
-    np.subtract(h[1:], (kappa * (np.conj(w) * h).sum(axis=0)) * w[1:],
+    np.multiply(conj_mu, h, out=prods)
+    np.multiply(ext.base.c, prods.sum(axis=0, out=plan.sums), out=z[:n].reshape(mu.shape[1:]))
+    np.subtract(h[1:], plan.correction(h)[1:],
                 out=z[n : L * n].reshape(*mu.shape[1:], L - 1).transpose(-1, *range(mu.ndim - 1)))
     np.take(images, tail, out=z[L * n :])
     z[n:] /= sqrt(grid.n)

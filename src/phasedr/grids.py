@@ -22,6 +22,12 @@ those rows of the output.  On the pool they run inside each row's task,
 next to its transform; below PARALLEL_MIN_POINTS they run once, over all
 rows, around the stacked call.  A call writes its result into a caller's
 out buffer when given one.
+
+What a call sets up before its FFTs (the geometry, the pass buffers and
+the cut views the passes write, the split of the rows into tasks) is a
+TransformPlan.  A caller that transforms stacks of one shape many times,
+as a solve does, makes the plan once and hands it to every call; a call
+without one makes a throwaway plan, so both run one code path.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
@@ -38,6 +44,7 @@ import numpy as np
 # as separate tasks across the CPUs.  Below it, one stacked numpy call per
 # axis is faster than handing rows to threads.
 PARALLEL_MIN_POINTS = 2**13
+_COMPLEX = np.dtype(np.complex128)
 
 _pool = None  # the concurrent.futures.ThreadPoolExecutor, once started
 _pool_ways = 0  # threads a stack is split over; 0 until first use
@@ -134,8 +141,109 @@ def _run_tasks(tasks) -> None:
         f.result()
 
 
+class TransformPlan:
+    """The set-up of one DFT between an object grid and an image grid, made
+    once for a (k, n) stack and reused by every call given it.
+
+    It holds the geometry, the pass buffers with the cut views each pass
+    writes, and the split of the rows into tasks, decided by
+    PARALLEL_MIN_POINTS when the plan is made.  The pass buffers are carved
+    from `work`, a flat complex128 buffer, when it is long enough: the
+    inverse takes one (k, *image) stack, the forward its d - 1 intermediate
+    passes.  A forward and an inverse plan may share one work buffer, since
+    a call's passes end before it returns; a plan serves one call at a
+    time.  A plan holds no input or output.
+    """
+
+    def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, k: int,
+                 work=None) -> None:
+        dims, d = shape.dims, shape.ndim
+        self.key, self.k = (dims, image, inverse), k
+        self.scale = prod(image)
+        self.fft = np.fft.ifft if inverse else np.fft.fft
+        src_dims, dest_dims = (image, dims) if inverse else (dims, image)
+        self.src_len, dest_len = prod(src_dims), prod(dest_dims)
+        self.src_rows, self.dest_rows = (k, *src_dims), (k, *dest_dims)
+        # input shape -> output shape: a (k, n) stack, or one flat vector
+        self.out_shapes = {(k, self.src_len): (k, dest_len)}
+        if k == 1:
+            self.out_shapes[(self.src_len,)] = (dest_len,)
+        # Each pass is (axis, n, input, output), last axis first; None stands
+        # for the call's input rows or output rows.
+        passes, inp, at = [], None, 0
+        if inverse:
+            # After the first pass each pass runs in place on the cut view
+            # the previous one left.
+            if work is None or work.size < k * self.scale:
+                work = np.empty(k * self.scale, dtype=np.complex128)
+            out = work[: k * self.scale].reshape(k, *image)
+            for axis in range(d - 1, -1, -1):
+                passes.append((axis + 1, image[axis], inp, out))
+                inp = out = out[(slice(None),) * (axis + 1) + (slice(0, dims[axis]),)]
+            cut = out
+        else:
+            # Pass j pads axis j into its own buffer; the last pass writes
+            # the caller's output.
+            for axis in range(d - 1, -1, -1):
+                out = None
+                if axis:
+                    shape_j = (k, *dims[:axis], *image[axis:])
+                    size = prod(shape_j)
+                    if work is not None and at + size <= work.size:
+                        out = work[at : at + size].reshape(shape_j)
+                        at += size
+                    else:
+                        out = np.empty(shape_j, dtype=np.complex128)
+                passes.append((axis + 1, image[axis], inp, out))
+                inp = out
+            cut = None
+        if k > 1 and self.scale >= PARALLEL_MIN_POINTS:
+            def part(a, i):
+                return None if a is None else a[i : i + 1]
+
+            self.groups = [(slice(i, i + 1),
+                            [(ax, n, part(a, i), part(o, i)) for ax, n, a, o in passes],
+                            part(cut, i)) for i in range(k)]
+        else:
+            self.groups = [(slice(None), passes, cut)]
+
+    def run(self, src: np.ndarray, dest: np.ndarray, before=None, after=None,
+            group=None) -> None:
+        """Transform the (k, *src_dims) stack src into the (k, *dest_dims)
+        stack dest, with the row hooks before and after (see _transform):
+        all groups of rows, or only `group`, a task of the pool."""
+        if group is None:
+            if len(self.groups) > 1:
+                _run_tasks([partial(self.run, src, dest, before, after, g) for g in self.groups])
+                return
+            group = self.groups[0]
+        rows, passes, cut = group
+        if before is not None:
+            before(rows)
+        for axis, n, a, o in passes:  # numpy.fft's out=, hence NumPy >= 2.0
+            self.fft(src[rows] if a is None else a, n, axis, None, dest[rows] if o is None else o)
+        if cut is not None:
+            np.multiply(cut, self.scale, dest[rows])
+        if after is not None:
+            after(rows)
+
+
+def _buffer(buf, shape: tuple[int, ...], what: str, *inputs) -> np.ndarray:
+    """buf, once checked to be a C-contiguous complex128 array of this shape
+    that shares no memory with any of inputs; raises ValueError otherwise.
+    A call that writes into buf, or fills it in a hook, reads it through no
+    copy and reads no input that it overwrites."""
+    if (type(buf) is not np.ndarray or buf.dtype != _COMPLEX or buf.shape != shape
+            or not buf.flags.c_contiguous):
+        raise ValueError(f"{what} must be a C-contiguous complex128 array of shape {shape}")
+    for v in inputs:
+        if v is not None and np.may_share_memory(buf, v):
+            raise ValueError(f"{what} must not overlap the call's inputs")
+    return buf
+
+
 def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what: str,
-               before=None, after=None, out=None) -> np.ndarray:
+               before=None, after=None, out=None, plan=None) -> np.ndarray:
     """The d-axis DFT between the object grid and the image grid, flat or stacked.
 
     Forward: each axis, last first, is transformed at its image extent, the
@@ -146,73 +254,31 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
     before(rows) fills those rows of v before they are transformed, and
     after(rows) runs once those rows of the result are written (see the
     module docstring); rows is a slice of the stack's rows.  The result is
-    written into out when given, a C-contiguous buffer of the result's
-    shape, and returned.  out may be v itself (the plain transforms), as
-    numpy.fft, like every numpy ufunc, reads an input that overlaps its
-    output as if it did not.
+    written into out when given, a C-contiguous complex128 buffer of the
+    result's shape, and returned.  out may be v itself (the plain
+    transforms), as numpy.fft, like every numpy ufunc, reads an input that
+    overlaps its output as if it did not.  plan, a TransformPlan of this
+    transform and stack, replaces the set-up a call otherwise makes.
     """
-    dims, d = shape.dims, shape.ndim
-    src_dims = image if inverse else dims
-    src_len, out_len = prod(src_dims), prod(dims if inverse else image)
     v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (src_len,) and not (v.ndim == 2 and v.shape[1] == src_len):
-        raise ValueError(f"{what}: expected flat length {src_len} or a (k, {src_len}) "
-                         f"stack, got shape {v.shape}")
-    src = v.reshape(-1, *src_dims)
-    k = src.shape[0]
-    out_shape = v.shape[:-1] + (out_len,)
+    if plan is None:
+        plan = TransformPlan(shape, image, inverse, v.shape[0] if v.ndim == 2 else 1)
+    elif plan.key != (shape.dims, image, inverse):
+        raise ValueError(f"{what}: the plan is for another transform")
+    out_shape = plan.out_shapes.get(v.shape)
+    if out_shape is None:
+        raise ValueError(f"{what}: expected flat length {plan.src_len} or a "
+                         f"({plan.k}, {plan.src_len}) stack, got shape {v.shape}")
     if out is None:
         out = np.empty(out_shape, dtype=np.complex128)
-    elif out.shape != out_shape or not out.flags.c_contiguous:
-        raise ValueError(f"{what}: out must be a C-contiguous {out_shape} array")
-    dest_rows = out.reshape(k, out_len)
-
-    def task(rows: slice):
-        """Allocate the buffers of these rows here, on the calling thread, and
-        return the call that fills, transforms and hands on these rows
-        (numpy.fft's out=, hence NumPy >= 2.0)."""
-        m = src[rows].shape[0]
-        if inverse:
-            # One buffer: after the first pass each pass runs in place on the
-            # cut view the previous one left.
-            work = np.empty((m, *image), dtype=np.complex128)
-            dest = dest_rows[rows].reshape(m, *dims)
-
-            def fft():
-                a, view = src[rows], work
-                for axis in reversed(range(d)):
-                    np.fft.ifft(a, n=image[axis], axis=axis + 1, out=view)
-                    a = view = view[(slice(None),) * (axis + 1) + (slice(0, dims[axis]),)]
-                np.multiply(a, prod(image), out=dest)
-        else:
-            # bufs[j] takes the pass over axis j, which pads it; the last
-            # pass writes into out.
-            bufs = [dest_rows[rows].reshape(m, *image)] + [
-                np.empty((m, *dims[:j], *image[j:]), dtype=np.complex128) for j in range(1, d)]
-
-            def fft():
-                a = src[rows]
-                for axis in reversed(range(d)):
-                    np.fft.fft(a, n=image[axis], axis=axis + 1, out=bufs[axis])
-                    a = bufs[axis]
-
-        def run():
-            if before is not None:
-                before(rows)
-            fft()
-            if after is not None:
-                after(rows)
-
-        return run
-
-    if k > 1 and prod(image) >= PARALLEL_MIN_POINTS:
-        _run_tasks([task(slice(i, i + 1)) for i in range(k)])
-    else:
-        task(slice(None))()
+    elif out.shape != out_shape or out.dtype != _COMPLEX or not out.flags.c_contiguous:
+        raise ValueError(f"{what}: out must be a C-contiguous complex128 {out_shape} array")
+    plan.run(v.reshape(plan.src_rows), out.reshape(plan.dest_rows), before, after)
     return out
 
 
-def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
+def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None,
+                    plan=None) -> np.ndarray:
     """Oversampled DFT: zero-pad to the (2M_j+1) grid per axis, then FFT.
 
     Returns the unnormalized transform of length shape.n_oversampled, or a
@@ -228,10 +294,11 @@ def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None) -> n
     bit-identical to it.
     """
     return _transform(x, shape, shape.oversampled_dims, False, "dft_oversampled",
-                      before, after, out)
+                      before, after, out, plan)
 
 
-def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
+def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None,
+                     plan=None) -> np.ndarray:
     """Adjoint of :func:`dft_oversampled`, restricted to the object grid.
 
     Takes a flat vector or a (k, n_oversampled) stack.  The inverse is
@@ -241,17 +308,19 @@ def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None) -> 
     full inverse FFT followed by the cut.
     """
     return _transform(y, shape, shape.oversampled_dims, True, "idft_oversampled",
-                      before, after, out)
+                      before, after, out, plan)
 
 
-def dft_plain(x, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
+def dft_plain(x, shape: GridShape, before=None, after=None, out=None,
+              plan=None) -> np.ndarray:
     """Unoversampled (standard) DFT on the object grid itself, flat or stacked."""
-    return _transform(x, shape, shape.dims, False, "dft_plain", before, after, out)
+    return _transform(x, shape, shape.dims, False, "dft_plain", before, after, out, plan)
 
 
-def idft_plain(y, shape: GridShape, before=None, after=None, out=None) -> np.ndarray:
+def idft_plain(y, shape: GridShape, before=None, after=None, out=None,
+               plan=None) -> np.ndarray:
     """Adjoint of :func:`dft_plain` (Gram matrix is n * I), flat or stacked."""
-    return _transform(y, shape, shape.dims, True, "idft_plain", before, after, out)
+    return _transform(y, shape, shape.dims, True, "idft_plain", before, after, out, plan)
 
 
 def realify(v) -> np.ndarray:
@@ -286,7 +355,7 @@ def _floats(v) -> np.ndarray:
 def _norm(v) -> float:
     """||v|| of a real or complex vector, summed over its float view by :func:`_dot`."""
     f = _floats(v)
-    return float(np.sqrt(_dot(f, f)))
+    return sqrt(_dot(f, f))  # the correctly rounded square root, as np.sqrt's
 
 
 def embed(x, target: int) -> np.ndarray:
@@ -307,14 +376,16 @@ def phase_factor(y) -> np.ndarray:
     return _phase(y, np.empty_like(y))
 
 
-def _phase(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _phase(y: np.ndarray, out: np.ndarray, mag=None) -> np.ndarray:
     """phase_factor of the complex128 array y, written into out and returned;
-    out may be y itself.
+    out may be y itself.  |y| is formed in mag when given, a float64 buffer
+    of y's shape.
 
     Calls only numpy, so transform hooks may run it on the pool."""
-    mag = np.abs(y)
+    mag = np.abs(y, out=mag)
+    if mag.min(initial=np.inf) > 0:  # all positive: a plain divide, the masked one's bits
+        return np.divide(y, mag, out=out)
     live = mag > 0
     np.divide(y, mag, out=out, where=live)
-    if not live.all():
-        np.copyto(out, 1.0, where=np.logical_not(live, out=live))
+    np.copyto(out, 1.0, where=np.logical_not(live, out=live))
     return out

@@ -30,16 +30,25 @@ Both steps write the next iterate into the buffer of the iterate before
 last.  The solver's norms, its near start and its phase alignment sum without
 BLAS (grids._norm), so its iterates and diagnostics do not depend on the
 BLAS thread count.
+
+run_solver prepares the step once per solve as a StepPlan: the operator
+plan of forward, the pattern view of b, the magnitude and P2 y buffers,
+and a scratch buffer for the step change.  Each step then works in those
+buffers and the buffer of the iterate before last.  A step called without
+a plan, as in fdr_step(y, op, b), makes a throwaway one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
 from .forward import (
     ExtendedOp,
+    ExtendedPlan,
+    OperatorPlan,
     PropagationOp,
     apply_a,
     apply_astar,
@@ -47,7 +56,7 @@ from .forward import (
     extended_a,
     extended_astar,
 )
-from .grids import _dot, _floats, _norm, _phase, embed
+from .grids import _buffer, _dot, _floats, _norm, _phase, embed
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -106,7 +115,42 @@ def sector_project(x, sector: SectorSpec) -> np.ndarray:
     return out
 
 
-def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None, out=None):
+class StepPlan:
+    """What a DR step on one operator (FDR) or extension (ODR) and one data
+    vector b sets up, made once per solve and reused by every step given it:
+    the operator plan (see forward), the (L, grid.n) pattern view of b, a
+    float buffer of that shape for the magnitudes |y| and, for FDR, the
+    buffers w = P2 y and the finiteness test of y.  Between steps
+    `scratch`, an iterate-length view of a buffer the step is done with (w,
+    or A~'s result), is free for the caller.  A step without a plan makes
+    its own."""
+
+    def __init__(self, op, b) -> None:
+        self.op, self.b = op, b
+        base = op.base if isinstance(op, ExtendedOp) else op
+        shape = (len(base.masks), base.grid.n)
+        self.bs = np.asarray(b).reshape(shape)
+        self.mag = np.empty(shape)
+        if isinstance(op, ExtendedOp):
+            self.ops = ExtendedPlan(op)
+            self.scratch = self.ops.inverse[1][: op.ntilde]  # A~'s result z
+        else:
+            self.ops = OperatorPlan(op)
+            self.w = np.empty(shape, dtype=np.complex128)
+            self.finite = np.empty(shape, dtype=bool)
+            self.scratch = self.w.reshape(-1)
+
+
+def _step_plan(plan, op, b) -> StepPlan:
+    if plan is None:
+        return StepPlan(op, b)
+    if plan.op is not op or plan.b is not b:
+        raise ValueError("plan: a StepPlan made for another operator or data vector")
+    return plan
+
+
+def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None, out=None,
+             plan=None):
     """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y.
 
     P1 y = A*[A y]_X projects onto the diffracted-field set A* X and
@@ -114,26 +158,27 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     pair.  When `estimate` holds u = A y, the step also returns the next
     estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y), which AA* = I
     makes exact at no extra FFT; the return value is then the pair
-    (y+, A y+).  y+ is written into out when given, a length-N complex128
-    buffer that does not overlap y.
+    (y+, A y+).  y+ is written into out when given, a C-contiguous
+    length-N complex128 buffer that overlaps neither y nor the estimate.
+    plan is a StepPlan of (op, b); without one the step makes its own.
 
     Everything but the pattern sum inside A is per pattern, so it runs in
     the transforms' hooks, next to each pattern's transform: the finiteness
     check and the reflection 2 P2 y - y before A, the update after A*.
     """
     y = np.asarray(y, dtype=np.complex128)
-    shape = (len(op.masks), op.grid.n)
-    ys, bs = y.reshape(shape), np.asarray(b).reshape(shape)
-    w = np.empty(shape, dtype=np.complex128)  # P2 y
-    r = np.empty(op.N, dtype=np.complex128) if out is None else out
+    plan = _step_plan(plan, op, b)
+    r = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
+        out, plan.ops.y_shape, "fdr_step: out", y, estimate)
     # r holds 2 P2 y - y, then A* x, then y+.
-    rs = r.reshape(shape)
+    w, bs, mag, finite = plan.w, plan.bs, plan.mag, plan.finite
+    ys, rs = y.reshape(bs.shape), r.reshape(bs.shape)
 
     def reflect(rows):
         yr, wr, rr = ys[rows], w[rows], rs[rows]
-        if not np.isfinite(yr).all():
+        if not np.isfinite(yr, out=finite[rows]).all():
             raise FloatingPointError("fdr_step: non-finite iterate")
-        _phase(yr, wr)
+        _phase(yr, wr, mag[rows])
         np.multiply(bs[rows], wr, out=wr)
         np.multiply(2.0, wr, out=rr)
         np.subtract(rr, yr, out=rr)
@@ -143,38 +188,44 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
         np.add(ys[rows], rr, out=rr)
         np.subtract(rr, w[rows], out=rr)
 
-    z = apply_a(op, r, before=reflect)
+    z = apply_a(op, r, before=reflect, plan=plan.ops)
     x = sector_project(z, sector)
-    y_next = apply_astar(op, x, after=update, out=r)
+    y_next = apply_astar(op, x, after=update, out=r, plan=plan.ops)
     if estimate is None:
         return y_next
-    return y_next, x + 0.5 * (estimate - z)
+    # x + 0.5 * (estimate - z), in one buffer
+    half = np.subtract(estimate, z)
+    np.multiply(0.5, half, out=half)
+    return y_next, np.add(x, half, out=half)
 
 
-def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None) -> np.ndarray:
+def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
+             plan=None) -> np.ndarray:
     """One object-domain DR update x + [2z - x]_X - z on the padded iterate
     x in C^ntilde, with z = A~(b . phase(A~* x)).  Costs one A~* / A~ pair.
 
     The magnitude projection b . phase(.) is per pattern, so it runs in
     A~'s before hook, in place in the A~* buffer, next to each pattern's
     transform (see grids).  x+ is written into out when given, a
-    length-ntilde complex128 buffer that does not overlap x.
+    C-contiguous length-ntilde complex128 buffer that does not overlap x.
+    plan is a StepPlan of (ext, b); without one the step makes its own.
     """
     x = np.asarray(x, dtype=np.complex128)
     if not np.isfinite(x).all():
         raise FloatingPointError("odr_step: non-finite iterate")
-    shape = (len(ext.base.masks), ext.base.grid.n)
-    y = extended_astar(ext, x)
-    ys, bs = y.reshape(shape), np.asarray(b).reshape(shape)
+    plan = _step_plan(plan, ext, b)
+    r = np.empty_like(x) if out is None else _buffer(out, (ext.ntilde,), "odr_step: out", x)
+    y = extended_astar(ext, x, plan=plan.ops)
+    bs, mag = plan.bs, plan.mag
+    ys = y.reshape(bs.shape)
 
     def project(rows):
         yr = ys[rows]
-        _phase(yr, yr)
+        _phase(yr, yr, mag[rows])
         np.multiply(bs[rows], yr, out=yr)
 
-    z = extended_a(ext, y, before=project)
+    z = extended_a(ext, y, before=project, plan=plan.ops)
     n = ext.n
-    r = np.empty_like(x) if out is None else out
     # r holds [2z - x]_X, then x+.
     r[n:] = 0.0
     np.multiply(2.0, z[:n], out=r[:n])
@@ -185,12 +236,13 @@ def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None) ->
     return np.subtract(r, z, out=r)
 
 
-def align_phase(x, x0) -> tuple[complex, float]:
+def align_phase(x, x0, out=None) -> tuple[complex, float]:
     """Optimal global phase alpha (|alpha| = 1) and the error ||alpha x - x0||.
 
     The inner product's imaginary part is the difference of two real dots
     summed in the same order, so align_phase(x0, x0) gives exactly
-    alpha = 1 and error 0."""
+    alpha = 1 and error 0.  alpha x - x0 is formed in out when given, a
+    C-contiguous complex128 buffer of x's length apart from x and x0."""
     x = np.asarray(x, dtype=np.complex128)
     x0 = np.asarray(x0, dtype=np.complex128)
     if x.shape != x0.shape:
@@ -198,7 +250,9 @@ def align_phase(x, x0) -> tuple[complex, float]:
     f, f0 = _floats(x), _floats(x0)
     z = complex(_dot(f, f0), _dot(f[0::2], f0[1::2]) - _dot(f[1::2], f0[0::2]))
     alpha = z / abs(z) if z != 0 else 1.0 + 0.0j
-    return complex(alpha), _norm(alpha * x - x0)
+    diff = np.empty_like(x) if out is None else _buffer(out, x.shape, "align_phase: out", x, x0)
+    np.multiply(alpha, x, out=diff)
+    return complex(alpha), _norm(np.subtract(diff, x0, out=diff))
 
 
 @dataclass(frozen=True)
@@ -328,9 +382,11 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     ext = None if ntilde == op.N else extend_op(op, ntilde)
 
     iterate = _initial_iterate(cfg.init, op, ext, x0)
+    plan = StepPlan(op if ext is None else ext, b)
     # FDR carries u = A y along, updated by fdr_step; ODR reads its object
     # coordinates directly.
-    u = apply_a(op, iterate) if ext is None else None
+    u = apply_a(op, iterate, plan=plan.ops) if ext is None else None
+    diff = np.empty(op.n, dtype=np.complex128)  # align_phase's alpha x - x0
 
     history: list[tuple[int, float, float]] = []
     converged = False
@@ -338,9 +394,10 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     k = 1
     step_res = float("nan")
     finite = np.all(np.isfinite(iterate))
-    # Each step is written into the buffer of the iterate before last, so a
-    # step allocates no iterate-length buffer that outlives it (glibc would
-    # otherwise trim its heap and fault the pages back in every step).
+    # Each step is written into the buffer of the iterate before last, and
+    # the step change into the plan's scratch, so no iterate-length buffer
+    # is allocated per step (glibc would otherwise trim its heap and fault
+    # the pages back in every step).
     spare = None
 
     while True:
@@ -350,8 +407,8 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             aligned = float("nan")
             rel = aligned / norm_x0
             break
-        x_hat = sector_project(u if ext is None else iterate[: op.n].copy(), cfg.sector)
-        aligned = align_phase(x_hat, x0)[1] if x0 is not None else float("nan")
+        x_hat = sector_project(u if ext is None else iterate[: op.n], cfg.sector)
+        aligned = align_phase(x_hat, x0, out=diff)[1] if x0 is not None else float("nan")
         rel = aligned / norm_x0
         history.append((k, rel, step_res))
 
@@ -365,18 +422,20 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             break
 
         if ext is None:
-            nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u, out=spare)
+            nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u, out=spare, plan=plan)
         else:
-            nxt = odr_step(iterate, ext, b, cfg.sector, out=spare)
-        change = _norm(nxt - iterate)
+            nxt = odr_step(iterate, ext, b, cfg.sector, out=spare, plan=plan)
+        change = _norm(np.subtract(nxt, iterate, out=plan.scratch))
         # nxt is finite when its change from the finite iterate is; only an
         # overflowing change needs the full check.
-        finite = np.isfinite(change) or np.all(np.isfinite(nxt))
+        finite = isfinite(change) or np.all(np.isfinite(nxt))
         denom = _norm(iterate)
-        step_res = float(change / denom) if denom > 0 else float("inf")
+        step_res = change / denom if denom > 0 else float("inf")
         iterate, spare = nxt, iterate
         k += 1
 
+    if x_hat.base is not None:  # a view of ODR's iterate
+        x_hat = x_hat.copy()
     return RecoveryResult(
         x_hat=x_hat,
         aligned_error=aligned,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from phasedr.solvers import (
     InitSpec,
     SectorSpec,
     SolverConfig,
+    StepPlan,
     align_phase,
     fdr_step,
     odr_step,
@@ -274,6 +276,111 @@ class TestOdrStepBits:
             buf = np.full(ntilde, np.nan, dtype=complex)
             assert odr_step(x, ext, b, sector, out=buf) is buf
             assert np.array_equal(_bits(buf), _bits(want)), ntilde
+
+
+def _step_case(algorithm, variant="one-and-half", dims=(4, 4)):
+    """A step function, its data, its operator or extension and a first iterate."""
+    op, _, b = _instance(variant, dims=dims, mask_seed=8, x_seed=4)
+    rng = np.random.default_rng(23)
+    if algorithm == "fdr":
+        return fdr_step, op, b, random_complex(rng, op.N)
+    ext = extend_op(op, {"odr": min(4 * op.n, op.N), "odr-N-1": op.N - 1}[algorithm])
+    return odr_step, ext, b, random_complex(rng, ext.ntilde)
+
+
+class TestStepBuffers:
+    # A buffer the step cannot write through, or one that overlaps the
+    # iterate, is rejected instead of giving wrong numbers.
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    @pytest.mark.parametrize("case", ["length", "dtype", "strided", "overlap"])
+    def test_bad_out_raises(self, algorithm, case):
+        step, target, b, v = _step_case(algorithm)
+        out = {"length": lambda: np.empty(v.size + 1, dtype=complex),
+               "dtype": lambda: np.empty(v.size, dtype=np.complex64),
+               "strided": lambda: np.empty(2 * v.size, dtype=complex)[::2],
+               "overlap": lambda: v}[case]()
+        with pytest.raises(ValueError, match="out"):
+            step(v, target, b, out=out)
+
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_plan_of_another_operator_raises(self, algorithm):
+        step, target, b, v = _step_case(algorithm)
+        other = _step_case(algorithm)[1]  # equal, but made anew
+        with pytest.raises(ValueError, match="plan"):
+            step(v, target, b, plan=StepPlan(other, b))
+        with pytest.raises(ValueError, match="plan"):
+            step(v, target, b, plan=StepPlan(target, b.copy()))
+
+
+class TestPlanReuse:
+    # One plan serves every step of a solve: a chain of planned steps, each
+    # written into the buffer of the iterate before last, equals a chain of
+    # one-shot steps on fresh buffers, bit for bit.
+    STEPS = 30
+
+    def _chains(self, algorithm, variant, dims, sector):
+        step, target, b, v = _step_case(algorithm, variant, dims)
+        plan = StepPlan(target, b)
+        planned, spare, oneshot = v.copy(), None, v.copy()
+        fdr = algorithm == "fdr"
+        u = u_planned = apply_a(target, v) if fdr else None
+        for _ in range(self.STEPS):
+            if fdr:
+                nxt, u_planned = step(planned, target, b, sector, estimate=u_planned, out=spare,
+                                      plan=plan)
+                oneshot, u = step(oneshot, target, b, sector, estimate=u)
+                assert np.array_equal(_bits(u_planned), _bits(u))
+            else:
+                nxt = step(planned, target, b, sector, out=spare, plan=plan)
+                oneshot = step(oneshot, target, b, sector)
+            planned, spare = nxt, planned
+            assert np.array_equal(_bits(planned), _bits(oneshot))
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.25, 0.5)], ids=["free", "sector"])
+    @pytest.mark.parametrize("variant", ["one-mask", "one-and-half", "two-mask", "multi"])
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4)], ids=str)
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr", "odr-N-1"])
+    def test_planned_steps_equal_one_shot_steps(self, algorithm, dims, variant, sector, threaded,
+                                                monkeypatch):
+        if threaded:
+            monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+        self._chains(algorithm, variant, dims, sector)
+
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_pooled_planned_steps_equal_one_shot_steps(self, algorithm):
+        # 64x64 runs on a 127x127 grid, which reaches the pool unpatched.
+        assert (2 * 64 - 1) ** 2 >= grids.PARALLEL_MIN_POINTS
+        self._chains(algorithm, "one-and-half", (64, 64), NO_SECTOR)
+
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_steady_step_allocates_no_iterate_length_buffer(self, algorithm):
+        # After warm-up a planned step works in its plan's buffers and the
+        # buffer of the iterate before last; what it allocates on the way
+        # (numpy's casting buffers, object-length vectors) stays below one
+        # N-length complex buffer, 16 N bytes.
+        step, target, b, v = _step_case(algorithm, dims=(64, 64))
+        N = b.size
+        plan = StepPlan(target, b)
+        kwargs = {"estimate": apply_a(target, v)} if algorithm == "fdr" else {}
+        bufs = [v, np.empty_like(v)]
+
+        def one_step():
+            got = step(bufs[0], target, b, out=bufs[1], plan=plan, **kwargs)
+            if kwargs:
+                kwargs["estimate"] = got[1]
+            bufs.reverse()
+
+        for _ in range(3):
+            one_step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            one_step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * N, f"a steady {algorithm} step peaked at {peak} bytes, N = {N}"
 
 
 class TestOdrStep:
