@@ -382,7 +382,12 @@ def _phase(y: np.ndarray, out: np.ndarray, mag=None) -> np.ndarray:
     of y's shape.
 
     Calls only numpy, so transform hooks may run it on the pool."""
-    mag = np.abs(y, out=mag)
+    return _unit(y, np.abs(y, out=mag), out)
+
+
+def _unit(y: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y / mag with 1 where mag = 0, for mag = |y| already formed: the
+    divide of :func:`_phase`, into out."""
     if mag.min(initial=np.inf) > 0:  # all positive: a plain divide, the masked one's bits
         return np.divide(y, mag, out=out)
     live = mag > 0

@@ -33,15 +33,21 @@ BLAS thread count.
 
 run_solver prepares the step once per solve as a StepPlan: the operator
 plan of forward, the pattern view of b, the magnitude and P2 y buffers,
-and a scratch buffer for the step change.  Each step then works in those
-buffers and the buffer of the iterate before last.  A step called without
-a plan, as in fdr_step(y, op, b), makes a throwaway one.
+and a scratch buffer.  Each step then works in those buffers and the
+buffer of the iterate before last, and leaves its change x+ - x in the
+scratch: FDR per pattern, in its update hook; ODR at the end of its step.
+The step residual ||x+ - x|| / ||x|| takes two norms.  Where FDR's
+transforms run on the pool, which then wrote both vectors, the norms are
+two pool tasks side by side, each the one einsum the serial norm makes.
+A step called without a plan, as in fdr_step(y, op, b), makes a
+throwaway one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
+from functools import partial
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -56,7 +62,7 @@ from .forward import (
     extended_a,
     extended_astar,
 )
-from .grids import _buffer, _dot, _floats, _norm, _phase, embed
+from .grids import _buffer, _dot, _floats, _norm, _phase, _run_tasks, _unit, embed
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -120,10 +126,15 @@ class StepPlan:
     vector b sets up, made once per solve and reused by every step given it:
     the operator plan (see forward), the (L, grid.n) pattern view of b, a
     float buffer of that shape for the magnitudes |y| and, for FDR, the
-    buffers w = P2 y and the finiteness test of y.  Between steps
-    `scratch`, an iterate-length view of a buffer the step is done with (w,
-    or A~'s result), is free for the caller.  A step without a plan makes
-    its own."""
+    buffer w = P2 y.  `scratch` is an iterate-length view of a buffer the
+    step is done with (w, or A~'s result): after a step it holds the step
+    change x+ - x, which FDR writes per pattern in its update hook.
+    `pooled` says whether the step writes x+ and its change on the pool:
+    FDR does when its transforms split the patterns across it
+    (grids.PARALLEL_MIN_POINTS), and the solver then sums its two residual
+    norms there too, side by side.  ODR writes both on the calling thread,
+    whose cache then holds them, and sums them there.  A step without a
+    plan makes its own."""
 
     def __init__(self, op, b) -> None:
         self.op, self.b = op, b
@@ -134,11 +145,12 @@ class StepPlan:
         if isinstance(op, ExtendedOp):
             self.ops = ExtendedPlan(op)
             self.scratch = self.ops.inverse[1][: op.ntilde]  # A~'s result z
+            self.pooled = False
         else:
             self.ops = OperatorPlan(op)
             self.w = np.empty(shape, dtype=np.complex128)
-            self.finite = np.empty(shape, dtype=bool)
             self.scratch = self.w.reshape(-1)
+            self.pooled = len(self.ops.inverse.groups) > 1
 
 
 def _step_plan(plan, op, b) -> StepPlan:
@@ -164,29 +176,34 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
 
     Everything but the pattern sum inside A is per pattern, so it runs in
     the transforms' hooks, next to each pattern's transform: the finiteness
-    check and the reflection 2 P2 y - y before A, the update after A*.
+    check and the reflection 2 P2 y - y before A; after A*, the update and
+    the step change y+ - y, written into w, the plan's scratch.
     """
     y = np.asarray(y, dtype=np.complex128)
     plan = _step_plan(plan, op, b)
     r = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
         out, plan.ops.y_shape, "fdr_step: out", y, estimate)
     # r holds 2 P2 y - y, then A* x, then y+.
-    w, bs, mag, finite = plan.w, plan.bs, plan.mag, plan.finite
+    w, bs, mag = plan.w, plan.bs, plan.mag
     ys, rs = y.reshape(bs.shape), r.reshape(bs.shape)
 
     def reflect(rows):
         yr, wr, rr = ys[rows], w[rows], rs[rows]
-        if not np.isfinite(yr, out=finite[rows]).all():
+        mr = np.abs(yr, out=mag[rows])
+        # A non-finite entry makes |y| non-finite; only an overflowing |y|
+        # of a finite y needs the full test.  Tested before any divide.
+        if not isfinite(mr.max()) and not np.isfinite(yr).all():
             raise FloatingPointError("fdr_step: non-finite iterate")
-        _phase(yr, wr, mag[rows])
+        _unit(yr, mr, wr)
         np.multiply(bs[rows], wr, out=wr)
         np.multiply(2.0, wr, out=rr)
         np.subtract(rr, yr, out=rr)
 
     def update(rows):
-        rr = rs[rows]
-        np.add(ys[rows], rr, out=rr)
-        np.subtract(rr, w[rows], out=rr)
+        yr, rr, wr = ys[rows], rs[rows], w[rows]
+        np.add(yr, rr, out=rr)
+        np.subtract(rr, wr, out=rr)
+        np.subtract(rr, yr, out=wr)  # the step change, once w is read
 
     z = apply_a(op, r, before=reflect, plan=plan.ops)
     x = sector_project(z, sector)
@@ -209,6 +226,7 @@ def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     transform (see grids).  x+ is written into out when given, a
     C-contiguous length-ntilde complex128 buffer that does not overlap x.
     plan is a StepPlan of (ext, b); without one the step makes its own.
+    The step change x+ - x is left in z, the plan's scratch.
     """
     x = np.asarray(x, dtype=np.complex128)
     if not np.isfinite(x).all():
@@ -233,7 +251,21 @@ def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     if sector.active:
         r[:n] = sector_project(r[:n], sector)
     np.add(x, r, out=r)
-    return np.subtract(r, z, out=r)
+    np.subtract(r, z, out=r)
+    np.subtract(r, x, out=z)  # the step change, once z is read
+    return r
+
+
+def _norms(u, v, pooled: bool) -> tuple[float, float]:
+    """(_norm(u), _norm(v)), bit for bit.  When pooled, their two sums of
+    squares run side by side as pool tasks, each the one einsum over a
+    whole float view that _norm makes, so no bit depends on the thread."""
+    if not pooled:
+        return _norm(u), _norm(v)
+    sums = np.empty(2)
+    _run_tasks([partial(np.einsum, "i,i->", f, f, out=sums[i, ...])
+                for i, f in enumerate((_floats(u), _floats(v)))])
+    return sqrt(sums[0]), sqrt(sums[1])
 
 
 def align_phase(x, x0, out=None) -> tuple[complex, float]:
@@ -395,7 +427,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     step_res = float("nan")
     finite = np.all(np.isfinite(iterate))
     # Each step is written into the buffer of the iterate before last, and
-    # the step change into the plan's scratch, so no iterate-length buffer
+    # leaves its change in the plan's scratch, so no iterate-length buffer
     # is allocated per step (glibc would otherwise trim its heap and fault
     # the pages back in every step).
     spare = None
@@ -425,11 +457,10 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u, out=spare, plan=plan)
         else:
             nxt = odr_step(iterate, ext, b, cfg.sector, out=spare, plan=plan)
-        change = _norm(np.subtract(nxt, iterate, out=plan.scratch))
+        change, denom = _norms(plan.scratch, iterate, plan.pooled)  # scratch: nxt - iterate
         # nxt is finite when its change from the finite iterate is; only an
         # overflowing change needs the full check.
         finite = isfinite(change) or np.all(np.isfinite(nxt))
-        denom = _norm(iterate)
         step_res = change / denom if denom > 0 else float("inf")
         iterate, spare = nxt, iterate
         k += 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import PropagationOp, apply_a, apply_astar
+from .forward import OperatorPlan, PropagationOp, apply_a, apply_astar
 from .grids import phase_factor, realify, unrealify
 
 
@@ -102,11 +102,12 @@ DENSE_GUARD = 1_000_000
 
 def dense_B(pt: LinearizationPoint, op: PropagationOp) -> np.ndarray:
     """Materialize B = A diag(omega) as an n x N array (small problems only)."""
-    astar = np.empty((op.N, op.n), dtype=np.complex128)
+    rows = np.empty((op.n, op.N), dtype=np.complex128)  # row j is A* e_j
     eye = np.eye(op.n, dtype=np.complex128)
+    plan = OperatorPlan(op)  # one plan for all n columns
     for j in range(op.n):
-        astar[:, j] = apply_astar(op, eye[:, j])
-    return astar.conj().T * pt.omega[None, :]
+        apply_astar(op, eye[j], out=rows[j], plan=plan)
+    return np.conj(rows, out=rows) * pt.omega
 
 
 def svd_oracle(pt: LinearizationPoint, op: PropagationOp) -> SingularSystem:

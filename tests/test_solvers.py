@@ -20,13 +20,14 @@ from phasedr.forward import (
     make_operator,
     synthesize_data,
 )
-from phasedr.grids import GridShape, embed, phase_factor
+from phasedr.grids import GridShape, _norm, embed, phase_factor
 from phasedr.solvers import (
     NO_SECTOR,
     InitSpec,
     SectorSpec,
     SolverConfig,
     StepPlan,
+    _initial_iterate,
     align_phase,
     fdr_step,
     odr_step,
@@ -251,6 +252,26 @@ class TestFdrStepBits:
             assert np.array_equal(_bits(fdr_step(y, op, b)),
                                   _bits(_oracle_fdr_step(y, op, b, NO_SECTOR, 0.0)[0]))
 
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    def test_finite_iterate_with_overflowing_magnitude_does_not_raise(self, threaded,
+                                                                      monkeypatch):
+        # The finiteness test reads max |y|; an |y| that overflows while y is
+        # finite takes the full test, passes it, and the step is the oracle's.
+        # On a 3-pixel line at the plain pattern's first pixel, no later sum
+        # of the step overflows.
+        if threaded:
+            monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+        op, _, b = _instance("one-and-half", dims=(3,))
+        rng = np.random.default_rng(21)
+        y = random_complex(rng, op.N)
+        y[op.grid.n] = 1.5e308 * (1 + 1j)
+        assert np.isinf(np.abs(y[op.grid.n]))
+        u = random_complex(rng, op.n)
+        want_y, want_u = _oracle_fdr_step(y, op, b, NO_SECTOR, u)
+        got_y, got_u = fdr_step(y, op, b, estimate=u)
+        assert np.array_equal(_bits(got_y), _bits(want_y))
+        assert np.array_equal(_bits(got_u), _bits(want_u))
+
 
 class TestOdrStepBits:
     # The step addresses the object block through views, projects the
@@ -381,6 +402,36 @@ class TestPlanReuse:
         finally:
             tracemalloc.stop()
         assert peak < 16 * N, f"a steady {algorithm} step peaked at {peak} bytes, N = {N}"
+
+
+class TestStepResidual:
+    # A planned step leaves x+ - x in the plan's scratch, and run_solver's
+    # step residual is the flat sum _norm(x+ - x) / _norm(x), whether its
+    # two norms run side by side on the pool (FDR at 64x64, on a 127x127
+    # grid) or one after the other (4x4, and ODR).
+    @pytest.mark.parametrize("dims", [(4, 4), (64, 64)], ids=str)
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_history_is_the_flat_sum_of_chained_steps(self, algorithm, dims):
+        op, x0, b = _instance("one-and-half", dims=dims, mask_seed=2, x_seed=6)
+        cfg = SolverConfig(algorithm=algorithm, max_iters=12, tol=1e-300,
+                           init=InitSpec(kind="near", seed=3, delta=1e-2))
+        res = run_solver(cfg, op, b, x0)
+        assert res.iterations == 12
+        ext = extend_op(op, res.ntilde) if algorithm == "odr" else None
+        plan = StepPlan(op if ext is None else ext, b)
+        assert plan.pooled == (algorithm == "fdr" and dims == (64, 64))
+        y = _initial_iterate(cfg.init, op, ext, x0)
+        u = apply_a(op, y) if ext is None else None
+        spare = None
+        for _, _, step_res in res.history[1:]:
+            if ext is None:
+                nxt, u = fdr_step(y, op, b, estimate=u, out=spare, plan=plan)
+            else:
+                nxt = odr_step(y, ext, b, out=spare, plan=plan)
+            change = nxt - y
+            assert np.array_equal(_bits(plan.scratch), _bits(change))
+            assert step_res == _norm(change) / _norm(y)
+            y, spare = nxt, y
 
 
 class TestOdrStep:

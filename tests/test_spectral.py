@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phasedr.spectral as spectral
-from phasedr.forward import make_operator
+from phasedr.forward import apply_astar, make_operator
 from phasedr.grids import GridShape, realify, unrealify
 from phasedr.images import ImageSpec, gen_image
 from phasedr.solvers import fdr_step
@@ -60,6 +60,14 @@ class TestBOperator:
         op, _, pt = _instance()
         expected = dense_astar(op).conj().T * pt.omega[None, :]
         assert np.abs(dense_B(pt, op) - expected).max() < 1e-10
+
+    def test_dense_B_rows_are_one_shot_adjoint_columns(self):
+        # Row j of B = A diag(omega) is conj(A* e_j) . omega, bit for bit,
+        # though dense_B applies A* through one plan for all n columns.
+        op, _, pt = _instance()
+        B = dense_B(pt, op)
+        for j, e in enumerate(np.eye(op.n, dtype=complex)):
+            assert np.array_equal(B[j], np.conj(apply_astar(op, e)) * pt.omega)
 
 
 class TestRealForm:
