@@ -35,10 +35,8 @@ run_solver prepares the step once per solve as a StepPlan: the operator
 plan of forward, the pattern view of b, the magnitude and P2 y buffers,
 and a scratch buffer.  Each step then works in those buffers and the
 buffer of the iterate before last, and leaves its change x+ - x in the
-scratch: FDR per pattern, in its update hook; ODR at the end of its step.
-The step residual ||x+ - x|| / ||x|| takes two norms.  Where FDR's
-transforms run on the pool, which then wrote both vectors, the norms are
-two pool tasks side by side, each the one einsum the serial norm makes.
+scratch.  Where FDR's steps run on the pool, the two norms of the step
+residual ||x+ - x|| / ||x|| run there too, side by side (see StepPlan).
 A step called without a plan, as in fdr_step(y, op, b), makes a
 throwaway one.
 """
