@@ -4,17 +4,26 @@ Objects live on a d-dimensional support grid with per-axis extents
 (M_1+1, ..., M_d+1) and are vectorized row-major into C^n.  The matching
 oversampled frequency grid has 2*M_j+1 points per axis, the sampling at
 which a diffraction pattern determines the object's autocorrelation.
-The oversampled transforms are pruned: they skip the 1-D transforms of
-all-zero padding rows and of outputs that are cut away, and give the same
-bits as the full padded FFTs.
+
+A DFT runs one pass per axis, last axis first.  When every image extent
+is at most DENSE_MAX_EXTENT points (the 31-point axes of a 16x16 object
+and below), a pass is one product with a dense DFT matrix: the DFT of the
+object extent zero-padded to the image extent, or the unnormalized inverse
+DFT cut back to the object extent.  Otherwise a pass is a numpy FFT.
+Both kinds are pruned: they skip the all-zero padding rows and the
+outputs that are cut away.  FFT passes give the same bits as the full
+padded FFTs; dense passes agree with them to roundoff.
 
 The four DFTs take a flat vector or a (k, n) stack of k vectors, so a
-measurement operator transforms all its patterns in one call.  Every 1-D
-transform is the numpy FFT the flat call makes, in the same axis order, so
-row i of a stacked result equals the flat call on row i bit for bit.  A
-stack on a grid of fewer than PARALLEL_MIN_POINTS image points runs as one
-numpy call per axis; on larger grids each row is one task, and the tasks
-run on a shared pool of (usable CPUs - 1) threads plus the calling thread.
+measurement operator transforms all its patterns in one call.  Each pass
+is the numpy call a flat call makes, with the k rows as a batch axis: an
+FFT along one axis, or a matmul, which calls BLAS gemm once per row (on
+2-D grids at most 31 x 31 x 31 multiply-adds, below the size at which
+OpenBLAS splits a gemm over threads).  So row i of a stacked result
+equals the flat call on row i bit for bit.  A stack on a grid of fewer
+than PARALLEL_MIN_POINTS image points runs as one numpy call per axis; on
+larger grids each row is one task, and the tasks run on a shared pool of
+(usable CPUs - 1) threads plus the calling thread.
 
 A call may bring pointwise work along as two hooks, each given a slice of
 rows: before(rows) fills those rows of the input, and after(rows) consumes
@@ -23,11 +32,13 @@ next to its transform; below PARALLEL_MIN_POINTS they run once, over all
 rows, around the stacked call.  A call writes its result into a caller's
 out buffer when given one.
 
-What a call sets up before its FFTs (the geometry, the pass buffers and
-the cut views the passes write, the split of the rows into tasks) is a
-TransformPlan.  A caller that transforms stacks of one shape many times,
-as a solve does, makes the plan once and hands it to every call; a call
-without one makes a throwaway plan, so both run one code path.
+What a call sets up before its passes (the geometry, the pass buffers and
+the cut views the passes write, the dense matrices, the split of the rows
+into tasks) is a TransformPlan.  A caller that transforms stacks of one
+shape many times, as a solve does, makes the plan once and hands it to
+every call; a call without one makes a throwaway plan, so both run one
+code path.  The dense matrices are built once per shape and shared
+read-only by every plan.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import prod, sqrt
 
 import numpy as np
@@ -44,6 +55,14 @@ import numpy as np
 # as separate tasks across the CPUs.  Below it, one stacked numpy call per
 # axis is faster than handing rows to threads.
 PARALLEL_MIN_POINTS = 2**13
+# Plans whose image extents are all at most this many points run each axis
+# pass as one product with a dense DFT matrix instead of an FFT.  numpy's
+# FFT of a short axis, above all of a prime one such as the 31 frequencies
+# of a 16-pixel axis, costs more than the product: on a 2-vCPU x86 host a
+# 16x16 grid's transform pair took 0.3 of the FFT time, a plain 31x31 pair
+# 0.5.  From 32 points up the plain transforms of equal extent are as fast
+# as FFTs, and at 48 and 63 points they take twice as long.
+DENSE_MAX_EXTENT = 31
 _COMPLEX = np.dtype(np.complex128)
 
 _pool = None  # the concurrent.futures.ThreadPoolExecutor, once started
@@ -141,18 +160,33 @@ def _run_tasks(tasks) -> None:
         f.result()
 
 
+@lru_cache(maxsize=64)
+def _dft_matrix(rows: int, cols: int, inverse: bool) -> np.ndarray:
+    """The (rows, cols) matrix of one dense axis pass, shared read-only by
+    every plan: exp(-2 pi i ((j k) mod g) / g), g = rows, the DFT of cols
+    points zero-padded to g; or for the inverse exp(+2 pi i ((j k) mod g) / g),
+    g = cols, the unnormalized inverse DFT cut to its first rows outputs."""
+    g, sign = (cols, 1) if inverse else (rows, -1)
+    j, k = np.ogrid[:rows, :cols]
+    mat = np.exp(sign * 2j * np.pi * ((j * k) % g) / g)
+    mat.setflags(write=False)
+    return mat
+
+
 class TransformPlan:
     """The set-up of one DFT between an object grid and an image grid, made
     once for a (k, n) stack and reused by every call given it.
 
-    It holds the geometry, the pass buffers with the cut views each pass
-    writes, and the split of the rows into tasks, decided by
-    PARALLEL_MIN_POINTS when the plan is made.  The pass buffers are carved
-    from `work`, a flat complex128 buffer, when it is long enough: the
-    inverse takes one (k, *image) stack, the forward its d - 1 intermediate
-    passes.  A forward and an inverse plan may share one work buffer, since
-    a call's passes end before it returns; a plan serves one call at a
-    time.  A plan holds no input or output.
+    It holds the geometry, the kind of its passes (dense products when
+    `dense`, see DENSE_MAX_EXTENT) with their matrices, the pass buffers
+    with the cut views each pass writes, and the split of the rows into
+    tasks, decided by PARALLEL_MIN_POINTS when the plan is made.  The pass
+    buffers are carved from `work`, a flat complex128 buffer, while it
+    lasts: a dense plan and a forward FFT plan take the d - 1 intermediate
+    passes, an inverse FFT plan one (k, *image) stack.  A forward and an
+    inverse plan may share one work buffer, since a call's passes end
+    before it returns; a plan serves one call at a time.  A plan holds no
+    input or output.
     """
 
     def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, k: int,
@@ -168,15 +202,47 @@ class TransformPlan:
         self.out_shapes = {(k, self.src_len): (k, dest_len)}
         if k == 1:
             self.out_shapes[(self.src_len,)] = (dest_len,)
-        # Each pass is (axis, n, input, output), last axis first; None stands
-        # for the call's input rows or output rows.
-        passes, inp, at = [], None, 0
-        if inverse:
+        at = 0
+
+        def carve(shape_j):  # a pass buffer, from work while it lasts
+            nonlocal at
+            size = prod(shape_j)
+            if work is not None and at + size <= work.size:
+                at += size
+                return work[at - size : at].reshape(shape_j)
+            return np.empty(shape_j, dtype=np.complex128)
+
+        # Each pass is (axis, n, input, output) for an FFT, or (matrix, on
+        # the left, input, output) for a dense product, last axis first; None
+        # stands for the call's input rows or output rows.
+        passes, inp, cut = [], None, None
+        self.dense = max(image) <= DENSE_MAX_EXTENT
+        if self.dense:
+            # The product along the last axis is rows @ M.T over (k, P, n);
+            # along any other it is M @ rows over (k, P, n, Q), P and Q the
+            # points before and after the axis.  The first pass's input and
+            # the last pass's output are the call's rows in those shapes.
+            ext = list(src_dims)
+            for axis in range(d - 1, -1, -1):
+                n_in, n_out = ext[axis], dest_dims[axis]
+                mat = _dft_matrix(n_out, n_in, inverse)
+                before_axis, after_axis = prod(ext[:axis]), prod(ext[axis + 1 :])
+                if axis == d - 1:
+                    shapes = [(k, before_axis, n) for n in (n_in, n_out)]
+                else:
+                    shapes = [(k, before_axis, n, after_axis) for n in (n_in, n_out)]
+                if inp is None:
+                    self.src_rows = shapes[0]
+                else:
+                    inp = inp.reshape(shapes[0])
+                out = carve(shapes[1]) if axis else None
+                passes.append((mat.T, False, inp, out) if axis == d - 1 else (mat, True, inp, out))
+                ext[axis], inp = n_out, out
+            self.dest_rows = shapes[1]
+        elif inverse:
             # After the first pass each pass runs in place on the cut view
             # the previous one left.
-            if work is None or work.size < k * self.scale:
-                work = np.empty(k * self.scale, dtype=np.complex128)
-            out = work[: k * self.scale].reshape(k, *image)
+            out = carve((k, *image))
             for axis in range(d - 1, -1, -1):
                 passes.append((axis + 1, image[axis], inp, out))
                 inp = out = out[(slice(None),) * (axis + 1) + (slice(0, dims[axis]),)]
@@ -185,33 +251,25 @@ class TransformPlan:
             # Pass j pads axis j into its own buffer; the last pass writes
             # the caller's output.
             for axis in range(d - 1, -1, -1):
-                out = None
-                if axis:
-                    shape_j = (k, *dims[:axis], *image[axis:])
-                    size = prod(shape_j)
-                    if work is not None and at + size <= work.size:
-                        out = work[at : at + size].reshape(shape_j)
-                        at += size
-                    else:
-                        out = np.empty(shape_j, dtype=np.complex128)
+                out = carve((k, *dims[:axis], *image[axis:])) if axis else None
                 passes.append((axis + 1, image[axis], inp, out))
                 inp = out
-            cut = None
         if k > 1 and self.scale >= PARALLEL_MIN_POINTS:
             def part(a, i):
                 return None if a is None else a[i : i + 1]
 
             self.groups = [(slice(i, i + 1),
-                            [(ax, n, part(a, i), part(o, i)) for ax, n, a, o in passes],
+                            [(p, q, part(a, i), part(o, i)) for p, q, a, o in passes],
                             part(cut, i)) for i in range(k)]
         else:
             self.groups = [(slice(None), passes, cut)]
 
     def run(self, src: np.ndarray, dest: np.ndarray, before=None, after=None,
             group=None) -> None:
-        """Transform the (k, *src_dims) stack src into the (k, *dest_dims)
-        stack dest, with the row hooks before and after (see _transform):
-        all groups of rows, or only `group`, a task of the pool."""
+        """Transform the stack src, shaped src_rows, into the stack dest,
+        shaped dest_rows, with the row hooks before and after (see
+        _transform): all groups of rows, or only `group`, a task of the
+        pool."""
         if group is None:
             if len(self.groups) > 1:
                 _run_tasks([partial(self.run, src, dest, before, after, g) for g in self.groups])
@@ -220,8 +278,14 @@ class TransformPlan:
         rows, passes, cut = group
         if before is not None:
             before(rows)
-        for axis, n, a, o in passes:  # numpy.fft's out=, hence NumPy >= 2.0
-            self.fft(src[rows] if a is None else a, n, axis, None, dest[rows] if o is None else o)
+        if self.dense:
+            for mat, left, a, o in passes:
+                a, o = src[rows] if a is None else a, dest[rows] if o is None else o
+                np.matmul(mat, a, out=o) if left else np.matmul(a, mat, out=o)
+        else:
+            for axis, n, a, o in passes:  # numpy.fft's out=, hence NumPy >= 2.0
+                self.fft(src[rows] if a is None else a, n, axis, None,
+                         dest[rows] if o is None else o)
         if cut is not None:
             np.multiply(cut, self.scale, dest[rows])
         if after is not None:
@@ -249,7 +313,10 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
     Forward: each axis, last first, is transformed at its image extent, the
     zero padding coming from numpy's n=.  Inverse: each axis, last first, is
     inverse-transformed in place and cut to its object extent, then the
-    result is scaled by the image size, the adjoint's normalization.
+    result is scaled by the image size, the adjoint's normalization.  A
+    dense plan's matrices hold the padding, the cut and that scale (the
+    inverse matrix is the unnormalized conjugate DFT), so its passes write
+    no cut views and no scaling pass follows them.
 
     before(rows) fills those rows of v before they are transformed, and
     after(rows) runs once those rows of the result are written (see the
@@ -289,9 +356,11 @@ def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None,
     at the measurement-operator level, not here.
 
     The transform is pruned: each axis pass pads only that axis, so the
-    all-zero rows of the padded grid are never transformed.  Every computed
-    1-D transform is the one the full padded FFT computes, so the result is
-    bit-identical to it.
+    all-zero rows of the padded grid are never transformed.  Above
+    DENSE_MAX_EXTENT every computed 1-D transform is the one the full padded
+    FFT computes, so the result is bit-identical to it.  At or below it each
+    pass is a product with the (2M_j+1) x (M_j+1) DFT matrix, which agrees
+    with the padded FFT to roundoff.
     """
     return _transform(x, shape, shape.oversampled_dims, False, "dft_oversampled",
                       before, after, out, plan)
@@ -304,8 +373,10 @@ def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None,
     Takes a flat vector or a (k, n_oversampled) stack.  The inverse is
     pruned: it transforms the last axis first, as ifftn does, and cuts each
     axis to its object extent straight after transforming it, so later
-    passes skip the discarded outputs.  The result is bit-identical to the
-    full inverse FFT followed by the cut.
+    passes skip the discarded outputs.  Above DENSE_MAX_EXTENT the result is
+    bit-identical to the full inverse FFT followed by the cut and the
+    scaling; at or below it each pass is a product with the (M_j+1) x
+    (2M_j+1) unnormalized inverse DFT matrix, equal to that to roundoff.
     """
     return _transform(y, shape, shape.oversampled_dims, True, "idft_oversampled",
                       before, after, out, plan)

@@ -15,21 +15,24 @@ FDR in the coordinates x = A~ y, so run_solver runs it as FDR.  Every
 division by a magnitude uses the convention w = 1 where the magnitude
 vanishes.
 
-An FDR step, error tracking included, costs one A / A* pair: 4 FFTs for
-the two-pattern layouts, made as two stacked transform calls.  Its
-pointwise work is per pattern, so it runs in those calls' hooks, inside
-each pattern's transform task (see grids); only the sum over patterns in
-A joins them.  The solver carries the object estimate A y along with the
-iterate, since AA* = I gives A y+ from quantities the step has already
-computed.  An ODR step costs one A~ / A~* pair: 2L FFTs for L
-patterns, one forward and one inverse per pattern on the padded grid.
-Its magnitude projection is per pattern, so it runs in A~'s before hook,
-in place in the A~* buffer; the extension's mixing of the patterns on the
-object block runs on the caller, on views of that block (see forward).
+An FDR step, error tracking included, costs one A / A* pair: 4
+transforms for the two-pattern layouts, made as two stacked transform
+calls (dense DFT-matrix products on grids of up to 31 points per axis,
+FFTs above; see grids).  Its pointwise work is per pattern, so it runs in
+those calls' hooks, inside each pattern's transform task (see grids);
+only the sum over patterns in A joins them.  The solver carries the
+object estimate A y along with the iterate, since AA* = I gives A y+ from
+quantities the step has already computed.  An ODR step costs one A~ /
+A~* pair: 2L transforms for L patterns, one forward and one inverse per
+pattern on the padded grid.  Its magnitude projection is per pattern, so
+it runs in A~'s before hook, in place in the A~* buffer; the extension's
+mixing of the patterns on the object block runs on the caller, on views
+of that block (see forward).
 Both steps write the next iterate into the buffer of the iterate before
-last.  The solver's norms, its near start and its phase alignment sum without
-BLAS (grids._norm), so its iterates and diagnostics do not depend on the
-BLAS thread count.
+last.  The solver's norms, its near start and its phase alignment sum
+without BLAS (grids._norm).  The dense transform passes call BLAS gemm,
+once per pattern and too small for OpenBLAS to split over threads.  So
+iterates and diagnostics do not depend on the BLAS thread count.
 
 run_solver prepares the step once per solve as a StepPlan: the operator
 plan of forward, the pattern view of b, the magnitude and P2 y buffers,

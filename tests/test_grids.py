@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,58 @@ def test_grid_shape_extents_are_computed_once():
 
 
 DFTS = [dft_oversampled, idft_oversampled, dft_plain, idft_plain]
-STACK_SHAPES = [GridShape((5,)), GridShape((3, 4)), GridShape((2, 3, 4))]
+# (32, 3) has 32- and 63-point image axes, past DENSE_MAX_EXTENT, so its
+# transforms run FFT passes; the others run dense products.
+STACK_SHAPES = [GridShape((5,)), GridShape((3, 4)), GridShape((2, 3, 4)), GridShape((32, 3))]
+
+
+def _runs_dense(fn, shape) -> bool:
+    oversampled = fn in (dft_oversampled, idft_oversampled)
+    image = shape.oversampled_dims if oversampled else shape.dims
+    inverse = fn in (idft_oversampled, idft_plain)
+    return grids.TransformPlan(shape, image, inverse, 1).dense
+
+
+@pytest.mark.parametrize("fn", DFTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [GridShape((16, 16)), GridShape((7,)), GridShape((3, 5, 4))],
+                         ids=str)
+def test_dense_passes_match_naive_dft(fn, shape):
+    # Image extents of at most DENSE_MAX_EXTENT (31 for the 16x16 grid's
+    # oversampled axes) run as dense DFT-matrix products.
+    assert _runs_dense(fn, shape)
+    phi = naive_dft_matrix(shape, oversampled=fn in (dft_oversampled, idft_oversampled))
+    inverse = fn in (idft_oversampled, idft_plain)
+    if inverse:
+        phi = phi.conj().T
+    x = random_complex(np.random.default_rng(11), phi.shape[1])
+    want = phi @ x
+    assert np.abs(fn(x, shape) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_transforms_above_the_dense_bound_are_the_padded_fft():
+    # 33-point oversampled and 32-point plain axes keep the FFT passes,
+    # bit for bit the full padded FFT (and the full inverse FFT, cut and
+    # scaled by the image size).
+    rng = np.random.default_rng(12)
+    for shape, oversampled in ((GridShape((17, 17)), True), (GridShape((32, 32)), False)):
+        image = shape.oversampled_dims if oversampled else shape.dims
+        fwd, inv = (dft_oversampled, idft_oversampled) if oversampled else (dft_plain, idft_plain)
+        assert not (_runs_dense(fwd, shape) or _runs_dense(inv, shape))
+        x = random_complex(rng, shape.n)
+        want = np.fft.fftn(x.reshape(shape.dims), s=image, axes=(0, 1)).ravel()
+        assert np.array_equal(fwd(x, shape).view(np.float64), want.view(np.float64))
+        y = random_complex(rng, prod(image))
+        full = np.fft.ifftn(y.reshape(image))[tuple(slice(0, m) for m in shape.dims)]
+        want = (full * prod(image)).ravel()
+        assert np.array_equal(inv(y, shape).view(np.float64), want.view(np.float64))
+
+
+def test_dense_matrices_are_shared_read_only():
+    shape = GridShape((16, 16))
+    plans = [grids.TransformPlan(shape, shape.oversampled_dims, True, k) for k in (1, 2)]
+    # Each plan's second pass, along the first axis, holds the matrix itself.
+    (m1, _, _, _), (m2, _, _, _) = (plan.groups[0][1][1] for plan in plans)
+    assert m1 is m2 and not m1.flags.writeable
 
 
 def _stack_input(fn, shape, k, seed):

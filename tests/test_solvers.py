@@ -745,3 +745,47 @@ def test_diagnostics_do_not_depend_on_blas_threads():
     history, x_hat = outputs[0].splitlines()
     assert history.count("(") == 31 and len(x_hat) == 2 * 16 * 4096
     assert outputs[0] == outputs[1]
+
+
+# 16x16 FDR and ODR solves, whose transforms run as dense DFT-matrix
+# products (BLAS gemm) on 31-point axes, and an 8x8 lambda2_power; prints
+# each solve's repr(history) and x_hat bytes, then repr(lambda2).
+_GEMM_PROBE = """
+import numpy as np
+from phasedr.forward import make_operator, synthesize_data
+from phasedr.grids import GridShape
+from phasedr.solvers import InitSpec, SolverConfig, run_solver
+from phasedr.spectral import lambda2_power, linearize_at_solution
+for dims, algorithm in (((16, 16), "fdr"), ((16, 16), "odr"), ((8, 8), None)):
+    shape = GridShape(dims)
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(0.0, 1.0, shape.n) * np.exp(2j * np.pi * rng.uniform(size=shape.n))
+    op = make_operator("one-and-half", shape, seed=4)
+    if algorithm is None:
+        print(repr(lambda2_power(linearize_at_solution(op, x0), op).lambda2))
+        continue
+    res = run_solver(SolverConfig(algorithm=algorithm, max_iters=40, tol=1e-300,
+                                  init=InitSpec(kind="ri", seed=5)),
+                     op, synthesize_data(op, x0).b, x0)
+    print(repr(res.history))
+    print(res.x_hat.tobytes().hex())
+"""
+
+
+def test_dense_transforms_do_not_depend_on_blas_threads():
+    # Each dense pass is far below the size at which OpenBLAS threads a
+    # gemm, and numpy calls gemm once per row of a stack.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _GEMM_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    lines = outputs[0].splitlines()
+    assert len(lines) == 5 and all(h.count("(") == 40 for h in lines[0:4:2])
+    assert all(len(x) == 2 * 16 * 256 for x in lines[1:4:2])
+    assert 0.0 < float(lines[4]) < 1.0
+    assert outputs[0] == outputs[1]

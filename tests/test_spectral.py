@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phasedr.spectral as spectral
-from phasedr.forward import apply_astar, make_operator
+from phasedr.forward import OperatorPlan, apply_astar, make_operator
 from phasedr.grids import GridShape, realify, unrealify
 from phasedr.images import ImageSpec, gen_image
 from phasedr.solvers import fdr_step
@@ -90,6 +90,18 @@ class TestRealForm:
         r = rng.standard_normal(op.N)
         assert np.linalg.norm(apply_realB_T(pt, op, u) - realB.T @ u) < 1e-10
         assert np.linalg.norm(apply_realB(pt, op, r) - realB @ r) < 1e-10
+
+    def test_one_plan_gives_the_one_shot_bits(self):
+        # lambda2_power hands one OperatorPlan to every B and B^T it applies.
+        op, _, pt = _instance(dims=(4, 5))
+        plan = OperatorPlan(op)
+        rng = np.random.default_rng(8)
+        u, r = rng.standard_normal(2 * op.n), rng.standard_normal(op.N)
+        for _ in range(2):
+            for fn, v in ((apply_B, r + 1j * r[::-1]), (apply_Bstar, unrealify(u)),
+                          (apply_realB, r), (apply_realB_T, u)):
+                got, want = fn(pt, op, v, plan=plan), fn(pt, op, v)
+                assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_key_norm_identity(self):
         # |G(w)|^2 = |B^T G(w)|^2 + |B^T G(-iw)|^2 for every w
