@@ -10,7 +10,12 @@ of the real 2n x N form of B.  The second singular value l_2 is the local
 contraction rate of the iteration; l_2 < 1 is the spectral gap that makes
 the convergence geometric.  This module provides matrix-free applications
 of B and S_loc, a dense SVD oracle for desk-scale checks, and a deflated
-Lanczos iteration that estimates l_2 at scale.
+Lanczos iteration that estimates l_2 at scale.  That iteration applies the
+Gram map once per step and forms the top Ritz pair of its tridiagonal only
+every RITZ_EVERY steps (and at a restart or its last step); it stops only on
+an explicit residual, and its report counts every Gram matvec, those of the
+explicit checks included.  No sum whose order a threaded BLAS could change
+runs on BLAS, so its report is the same for every BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import OperatorPlan, PropagationOp, apply_a, apply_astar
-from .grids import phase_factor, realify, unrealify
+from .grids import _dot, _norm, phase_factor, realify, unrealify
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,15 @@ class SpectralReport:
     """Estimates of the extreme singular values l_1, l_2 and l_2n.
 
     `lambda2` is also the predicted local rate of the DR iterations.
-    `power_iters` counts the Gram matvecs (one `apply_realB` each) and
-    `converged` says whether the residual reached the tolerance; both keep
-    their power-iteration names because benchmark and experiment code read
-    them.  Without convergence `lambda2` is only the last Ritz estimate, and
-    `spectral-cert` exits 3.  `next_ritz` is the square root of the second Ritz value of the
-    final Lanczos basis (nan with fewer than two basis vectors).  By Cauchy
+    `power_iters` counts every Gram matvec (one `apply_realB` each): the
+    Lanczos steps and the explicit-residual checks.  `converged` says
+    whether an explicit residual ||M u - rho u|| reached the tolerance;
+    both keep their power-iteration names because benchmark and experiment
+    code read them.  Without convergence `lambda2` and `residual` are those
+    of the last Ritz pair formed, which lambda2_power forms every
+    RITZ_EVERY steps and at its last step, and `spectral-cert` exits 3.
+    `next_ritz` is the square root of the second Ritz value of the Lanczos
+    basis at the last Ritz pair (nan with fewer than two basis vectors).  By Cauchy
     interlacing it is at most l_3, so `lambda2 - next_ritz` is at least the
     gap l_2 - l_3 that the estimate had to resolve.  `restarts` counts how
     often the basis filled up and the iteration restarted from its top Ritz
@@ -158,22 +166,39 @@ class SpectralReport:
 # restarts from its top Ritz vector.  8x8 and 16x16 certificates converge
 # well inside it.
 LANCZOS_BASIS = 200
+# Lanczos steps between extractions of the top Ritz pair (an eigvalsh and two
+# solves on T, which cost more than a 16x16 Gram matvec).  A stop can come up
+# to RITZ_EVERY - 1 steps later than with an extraction at every step.
+RITZ_EVERY = 8
 
 
 def _top_eigenvector(T: np.ndarray, top: float) -> np.ndarray:
-    """Unit eigenvector of the symmetric T for its largest eigenvalue `top`.
+    """Unit eigenvector of the symmetric tridiagonal T for its largest eigenvalue `top`.
 
     Two steps of inverse iteration with a shift just above `top`, where
-    T - shift I is negative definite.  (np.linalg.eigh's divide-and-conquer
-    path runs multithreaded BLAS and can stall for tens of ms per call on a
-    busy machine; eigvalsh and solve do not.)
+    T - shift I is negative definite, so its LDL^T factorization needs no
+    pivoting.  The factorization and the solves are float loops over the
+    k rows of T: LAPACK's dense solve runs threaded BLAS from about
+    100 x 100 on, whose sums then depend on the thread count, and
+    np.linalg.eigh's divide-and-conquer path can stall for tens of ms per
+    call on a busy machine.
     """
-    shifted = T - (top + 8 * len(T) * np.finfo(float).eps) * np.eye(len(T))
-    s = np.ones(len(T))
-    for _ in range(2):
-        s = np.linalg.solve(shifted, s)
-        s /= np.linalg.norm(s)
-    return s
+    k = len(T)
+    a = (np.diagonal(T) - (top + 8 * k * np.finfo(float).eps)).tolist()
+    b = np.diagonal(T, 1).tolist()
+    d, l = a[:1], [0.0]  # T - shift I = L diag(d) L^T, L unit lower bidiagonal
+    for i in range(1, k):
+        l.append(b[i - 1] / d[i - 1])
+        d.append(a[i] - l[i] * b[i - 1])
+    x = [1.0] * k
+    for _ in range(2):  # normalized once: a solve grows x by about 1 / (8 k eps) at most
+        for i in range(1, k):
+            x[i] -= l[i] * x[i - 1]
+        x[k - 1] /= d[k - 1]
+        for i in range(k - 2, -1, -1):
+            x[i] = x[i] / d[i] - l[i + 1] * x[i + 1]
+    s = np.array(x)
+    return s / _norm(s)
 
 
 def lambda2_power(
@@ -189,38 +214,44 @@ def lambda2_power(
     the object, with unit singular value), so the Gram map M = B_r B_r^T is
     applied with xi1 projected out and its largest eigenvalue is l_2^2.
     Symmetric Lanczos with full reorthogonalization builds a Krylov basis
-    from a seeded random start.  Once Lanczos's own residual estimate
-    beta_k |s_k| of the top Ritz pair reaches `tol`, the explicit residual
-    ||M u - rho u|| of the Ritz vector u and its Rayleigh quotient rho is
-    computed with one more matvec; the iteration stops when that is at most
-    `tol`.  `max_iters` caps the Gram matvecs, the explicit-residual ones
-    included.  Without convergence the reported residual is the last
-    estimate.  The function keeps the name its callers and the benchmark use.
-    Every application of B and B^T goes through one OperatorPlan.
+    from a seeded random start.  Every step applies M once and extends the
+    tridiagonal T; the top Ritz pair of T, with Lanczos's own residual
+    estimate beta_k |s_k|, is formed only every RITZ_EVERY steps, when the
+    basis is full (a restart), when beta_k vanishes, and when the next
+    matvec would reach `max_iters`.  Once that estimate reaches `tol`, the
+    explicit residual ||M u - rho u|| of the Ritz vector u and its Rayleigh
+    quotient rho is computed with one more matvec; the iteration stops only
+    when that is at most `tol`.  `max_iters` caps the Gram matvecs, the
+    explicit-residual ones included, and `power_iters` counts them all.
+    Without convergence the reported residual is the last estimate.  The
+    function keeps the name its callers and the benchmark use.  Every
+    application of B and B^T goes through one OperatorPlan.  The inner
+    products, norms and basis projections are einsum sums (grids._dot) and
+    the tridiagonal solves are plain loops, so no digit depends on the BLAS
+    thread count.
     """
     plan = OperatorPlan(op)
     x0 = apply_a(op, pt.y, plan=plan)
-    nrm = np.linalg.norm(x0)
+    nrm = _norm(x0)
     if nrm == 0:
         raise ValueError("lambda2_power: linearization point has A y = 0")
     xi1 = realify(x0) / nrm
 
     def gram(u):
         w = apply_realB(pt, op, apply_realB_T(pt, op, u, plan), plan)
-        return w - (xi1 @ w) * xi1
+        return w - _dot(xi1, w) * xi1
 
-    lambda1 = float(np.linalg.norm(apply_realB_T(pt, op, xi1, plan)))
-    lambda2n = float(np.linalg.norm(apply_realB_T(pt, op, realify(-1j * x0) / nrm, plan)))
+    lambda1 = _norm(apply_realB_T(pt, op, xi1, plan))
+    lambda2n = _norm(apply_realB_T(pt, op, realify(-1j * x0) / nrm, plan))
 
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(2 * op.n)
-    u -= (xi1 @ u) * xi1
-    u /= np.linalg.norm(u)
+    u -= _dot(xi1, u) * xi1
+    u /= _norm(u)
 
     cap = min(LANCZOS_BASIS, 2 * op.n - 1)
     V = np.empty((cap, 2 * op.n))
-    alpha = np.empty(cap)
-    beta = np.empty(cap)
+    T = np.zeros((cap, cap))  # the current cycle's tridiagonal, filled as it grows
     V[0] = u
     k = matvecs = restarts = 0
     rho, residual, next_ritz = 0.0, np.inf, float("nan")
@@ -228,48 +259,50 @@ def lambda2_power(
     while matvecs < max_iters:
         w = gram(V[k])
         matvecs += 1
-        alpha[k] = V[k] @ w
+        T[k, k] = _dot(V[k], w)
         basis = V[: k + 1]
         for _ in range(2):
-            w -= basis.T @ (basis @ w)
-            w -= (xi1 @ w) * xi1
-        beta[k] = np.linalg.norm(w)
+            # The projections V w by einsum: a threaded BLAS gemv splits
+            # these sums over threads from about 64x64 on.
+            w -= basis.T @ np.einsum("ij,j->i", basis, w)
+            w -= _dot(xi1, w) * xi1
+        beta = _norm(w)
         k += 1
-
-        T = np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1) + np.diag(beta[: k - 1], 1)
-        theta = np.linalg.eigvalsh(T)
-        s = _top_eigenvector(T, theta[-1])
-        rho, residual = float(theta[-1]), float(beta[k - 1] * abs(s[-1]))
-        next_ritz = float(np.sqrt(max(theta[-2], 0.0))) if k > 1 else float("nan")
-        u = s @ V[:k]
-        u /= np.linalg.norm(u)
-        if residual <= tol and matvecs < max_iters:
-            mu = gram(u)
-            matvecs += 1
-            rho = float(u @ mu)
-            residual = float(np.linalg.norm(mu - rho * u))
-            if residual <= tol:
-                converged = True
-                break
-        if k == cap or beta[k - 1] <= np.finfo(float).eps:
+        restart = k == cap or beta <= np.finfo(float).eps
+        final = restart or matvecs >= max_iters - 1  # u is needed after this step
+        if final or k % RITZ_EVERY == 0:
+            theta = np.linalg.eigvalsh(T[:k, :k])
+            s = _top_eigenvector(T[:k, :k], theta[-1])
+            rho, residual = float(theta[-1]), beta * abs(float(s[-1]))
+            next_ritz = float(np.sqrt(max(theta[-2], 0.0))) if k > 1 else float("nan")
+            if residual <= tol or final:
+                u = s @ V[:k]
+                u /= _norm(u)
+            if residual <= tol and matvecs < max_iters:
+                mu = gram(u)
+                matvecs += 1
+                rho = _dot(u, mu)
+                residual = _norm(mu - rho * u)
+                if residual <= tol:
+                    converged = True
+                    break
+        if restart:
             V[0] = u
             k = 0
             restarts += 1
         else:
-            V[k] = w / beta[k - 1]
+            T[k - 1, k] = T[k, k - 1] = beta
+            V[k] = w / beta
 
     lam2 = float(np.sqrt(max(rho, 0.0)))
-    pair = abs(
-        np.linalg.norm(apply_realB_T(pt, op, u, plan)) ** 2
-        + np.linalg.norm(apply_realB_T(pt, op, realify(-1j * unrealify(u)), plan)) ** 2
-        - 1.0
-    )
+    r = apply_realB_T(pt, op, u, plan)
+    r_rot = apply_realB_T(pt, op, realify(-1j * unrealify(u)), plan)
     return SpectralReport(
         lambda1=lambda1,
         lambda2=lam2,
         lambda2n=lambda2n,
         residual=residual,
-        pairing_defect=float(pair),
+        pairing_defect=abs(_dot(r, r) + _dot(r_rot, r_rot) - 1.0),
         power_iters=matvecs,
         converged=converged,
         note="" if converged else f"Lanczos hit max_iters={max_iters}",

@@ -1,10 +1,6 @@
 """Tests for the experiment runners (small, fast desk-scale configurations)."""
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +24,8 @@ from phasedr.grids import GridShape
 from phasedr.images import ImageSpec
 from phasedr.io import read_csv
 from phasedr.solvers import InitSpec, SectorSpec, SolverConfig, run_solver
+
+from blas_probe import outputs_under_blas_threads
 
 
 def _cfg(experiment, dims=(6, 6), trials=2, **kw):
@@ -283,15 +281,7 @@ print(start.tobytes().hex())
 
 
 def test_instance_and_near_start_do_not_depend_on_blas_threads():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _SETUP_PROBE], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = outputs_under_blas_threads(_SETUP_PROBE)
     x0, start = outputs[0].splitlines()
     assert len(x0) == 2 * 16 * 128 * 128 and len(start) == 2 * 16 * 2 * 255 * 255
     assert outputs[0] == outputs[1]

@@ -1,10 +1,6 @@
 """Tests for masks, propagation operators, extensions and data synthesis."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +24,7 @@ from phasedr.forward import (
 )
 from phasedr.grids import GridShape, embed
 
+from blas_probe import outputs_under_blas_threads
 from oracles import (
     dense_astar,
     dense_extended_astar,
@@ -319,15 +316,7 @@ print(b.size, hashlib.sha256(b.tobytes()).hexdigest())
 
 
 def test_noise_does_not_depend_on_blas_threads():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _NOISE_PROBE], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = outputs_under_blas_threads(_NOISE_PROBE)
     assert outputs[0].split()[0] == "130050"
     assert outputs[0] == outputs[1]
 

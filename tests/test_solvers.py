@@ -1,11 +1,7 @@
 """Tests for projections, DR steps, phase alignment and the solver driver."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +31,7 @@ from phasedr.solvers import (
     sector_project,
 )
 
+from blas_probe import outputs_under_blas_threads
 from oracles import (
     dense_astar,
     dense_extended_astar,
@@ -733,15 +730,7 @@ print(res.x_hat.tobytes().hex())
 def test_diagnostics_do_not_depend_on_blas_threads():
     # The DR loop's norms and phase alignment avoid BLAS, whose threaded
     # reductions sum in a thread-count-dependent order.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = outputs_under_blas_threads(_BLAS_PROBE)
     history, x_hat = outputs[0].splitlines()
     assert history.count("(") == 31 and len(x_hat) == 2 * 16 * 4096
     assert outputs[0] == outputs[1]
@@ -775,15 +764,7 @@ for dims, algorithm in (((16, 16), "fdr"), ((16, 16), "odr"), ((8, 8), None)):
 def test_dense_transforms_do_not_depend_on_blas_threads():
     # Each dense pass is far below the size at which OpenBLAS threads a
     # gemm, and numpy calls gemm once per row of a stack.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _GEMM_PROBE], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = outputs_under_blas_threads(_GEMM_PROBE)
     lines = outputs[0].splitlines()
     assert len(lines) == 5 and all(h.count("(") == 40 for h in lines[0:4:2])
     assert all(len(x) == 2 * 16 * 256 for x in lines[1:4:2])

@@ -21,6 +21,7 @@ from phasedr.spectral import (
     svd_oracle,
 )
 
+from blas_probe import outputs_under_blas_threads
 from oracles import dense_astar, fd_jacobian_residual, random_complex
 
 
@@ -311,6 +312,41 @@ class TestLambda2Power:
         assert abs(report.lambda2 - system.values[1]) < 1e-6
         assert report.next_ritz <= system.values[2] + 1e-12
 
+    def test_restart_with_basis_off_the_ritz_cadence(self, monkeypatch):
+        # 13 is not a multiple of RITZ_EVERY: a full basis forms its Ritz
+        # pair off the cadence, and the restart vector is that pair's.
+        op, _, pt = _instance(dims=(6, 6))
+        monkeypatch.setattr(spectral, "LANCZOS_BASIS", 13)
+        report = lambda2_power(pt, op, tol=1e-10)
+        system = svd_oracle(pt, op)
+        assert report.converged and report.restarts > 0
+        assert abs(report.lambda2 - system.values[1]) < 1e-6
+        assert report.next_ritz <= system.values[2] + 1e-12
+
+    @pytest.mark.parametrize("dims", [(6, 6), (8, 8)], ids=["6x6", "8x8"])
+    def test_ritz_cadence_moves_only_the_stop(self, dims, monkeypatch):
+        # Forming the Ritz pair every step or every eighth changes only
+        # where the explicit check first runs: at most 7 matvecs later.
+        op, _, pt = _instance(dims=dims)
+        reports = {}
+        for every in (1, 8):
+            monkeypatch.setattr(spectral, "RITZ_EVERY", every)
+            reports[every] = lambda2_power(pt, op)
+        assert reports[1].converged and reports[8].converged
+        assert abs(reports[1].lambda2 - reports[8].lambda2) < 1e-12
+        assert abs(reports[1].power_iters - reports[8].power_iters) < 8
+        assert max(r.residual for r in reports.values()) <= 1e-9
+
+    def test_top_eigenvector_of_tridiagonal(self):
+        rng = np.random.default_rng(12)
+        for k in (1, 2, 7, 60):
+            diag, off = rng.standard_normal(k), rng.uniform(0.1, 1.0, k - 1)
+            T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            values, vectors = np.linalg.eigh(T)
+            s = spectral._top_eigenvector(T, values[-1])
+            assert abs(np.linalg.norm(s) - 1.0) < 1e-14
+            assert abs(abs(s @ vectors[:, -1]) - 1.0) < 1e-10
+
     def test_max_iters_exhausted(self):
         op, _, pt = _instance(dims=(6, 6))
         report = lambda2_power(pt, op, max_iters=5)
@@ -340,6 +376,33 @@ class TestLambda2Power:
         op, _, pt = _instance(dims=(4, 4), variant="one-mask", margin=1)
         system = svd_oracle(pt, op)
         assert system.values[1] > 1.0 - 1e-10
+
+
+# lambda2_power on three one-and-half instances of experiments.make_instance:
+# 32x32 base seed 30000, whose lambda2 read ...643 under one BLAS thread and
+# ...644 under two while the Lanczos inner products and norms ran on BLAS;
+# 16x16 base seed 0, whose tridiagonals of 104 rows and more a threaded
+# LAPACK solve factorizes; and 64x64 base seed 30000, whose projections onto
+# up to 200 basis vectors of 8192 floats a threaded gemv splits.  Prints
+# each report's repr.
+_LANCZOS_PROBE = """
+from phasedr.experiments import ExperimentConfig, make_instance
+from phasedr.grids import GridShape
+from phasedr.images import ImageSpec
+from phasedr.spectral import lambda2_power, linearize_at_solution
+for side, base_seed in ((16, 0), (32, 30000), (64, 30000)):
+    cfg = ExperimentConfig(experiment="spectral-cert", base_seed=base_seed,
+                           image=ImageSpec(kind="rpp", shape=GridShape((side, side))))
+    x0, op = make_instance(cfg, 0)
+    print(repr(lambda2_power(linearize_at_solution(op, x0), op)))
+"""
+
+
+def test_lambda2_does_not_depend_on_blas_threads():
+    outputs = outputs_under_blas_threads(_LANCZOS_PROBE)
+    reports = outputs[0].splitlines()
+    assert len(reports) == 3 and all("converged=True" in r for r in reports)
+    assert outputs[0] == outputs[1]
 
 
 class TestGapCondition:
