@@ -15,22 +15,23 @@ are bit for bit those of transforming one pattern at a time.
 What an application sets up on its operator is a plan: an OperatorPlan
 (the mask phasors and their conjugates, the (L, n) pattern stack and a
 grids.TransformPlan each way) or an ExtendedPlan (the conjugated mask
-phasors and reflectors, the object-block scratch, the image stacks and the
-result of A~).  A solver makes one per solve and hands it to every call;
-a one-shot call makes a throwaway plan.  A plan holds arrays and shapes
-only, no function, so a wrapper installed on a module function (perfbench's
-tracer) still sees every call.
+phasors and reflectors, the object-block scratch, the compact image blocks,
+A~*'s result stack and the result of A~).  A solver makes one per solve
+and hands it to every call; a one-shot call makes a throwaway plan.  A
+plan holds arrays and shapes only, no function, so a wrapper installed on
+a module function (perfbench's tracer) still sees every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
 from .grids import (
+    DENSE_MAX_EXTENT,
     GridShape,
     TransformPlan,
     _buffer,
@@ -301,13 +302,17 @@ class ExtendedOp:
     (ties in raster order), each pixel's L patterns interleaved.  With one
     pattern this is the zero padding of HIO; multi has no padded pixels.
 
-    The object pixels are the leading (L, *dims) block of the (L, *grid)
-    image stack, in raster order, so the operators address x and m through
-    slice views of it (the m block laid in as a reshape/transpose); only the
-    padded pixels keep an index array.  A~* transforms its image stack,
-    zero off those pixels, into a separate result stack.  extended_a takes
-    apply_a's before hook: the hook fills A~'s input, which A~ then
-    overwrites with the pattern images.
+    The operators work on the compact block of the (L, *grid) image stack:
+    on a dense grid (grids.DENSE_MAX_EXTENT) the rows, columns, ... that
+    hold a live pixel (an object pixel, or a padded pixel whose t lies in
+    the leading ntilde coordinates), on an FFT grid the whole stack.  The
+    stack is zero elsewhere, so A~* transforms the block alone into a
+    separate (L, grid.n) result stack, and A~ computes the block alone.  The
+    object pixels are the leading (L, *dims) block of the compact block, in
+    raster order, so the operators address x and m through slice views of
+    it (the m block laid in as a reshape/transpose); only the padded pixels
+    keep an index array.  extended_a takes apply_a's before hook: the hook
+    fills A~'s input, which A~ then reads.
     """
 
     base: PropagationOp
@@ -322,18 +327,29 @@ class ExtendedOp:
         return self.base.N
 
     @cached_property
-    def layout(self) -> tuple[GridShape, tuple[slice, ...], np.ndarray]:
-        """The image grid; the index of the (L, *dims) object block in the
-        (L, *grid.dims) image stack; and the flat positions in the (L, grid.n)
-        stack of the coordinates after x and m, the padded pixels' t."""
+    def layout(self) -> tuple[GridShape, tuple[tuple[int, ...], ...], tuple[slice, ...],
+                              np.ndarray]:
+        """The image grid; the compact block's index sets, per axis the
+        sorted grid points that hold a live pixel (all of them on an FFT
+        grid); the index of the (L, *dims) object block in the (L,
+        *len(index)) compact block; and the flat positions in the compact
+        block of the coordinates after x and m, the padded pixels' t."""
         shape, grid, L = self.base.shape, self.base.grid, len(self.base.masks)
         dist = np.zeros(grid.n, dtype=np.int64)
         for i, m, size in zip(np.indices(grid.dims).reshape(grid.ndim, -1), shape.dims, grid.dims):
             dist = np.maximum(dist, np.where(i < m, 0, np.minimum(i - m + 1, size - i)))
         padded = np.argsort(dist, kind="stable")[self.n :]  # the first n are the object
-        tail = (padded[:, None] + grid.n * np.arange(L)).ravel()
+        tail = (padded[:, None] + grid.n * np.arange(L)).ravel()[: max(self.ntilde - L * self.n, 0)]
+        points = np.unravel_index(tail % grid.n, grid.dims)
+        if max(grid.dims) <= DENSE_MAX_EXTENT:
+            index = tuple(tuple(np.union1d(np.arange(m), p).tolist())
+                          for m, p in zip(shape.dims, points))
+        else:
+            index = tuple(tuple(range(size)) for size in grid.dims)
+        live = tuple(map(len, index))
+        at = np.ravel_multi_index([np.searchsorted(ix, p) for ix, p in zip(index, points)], live)
         block = (slice(None), *(slice(0, m) for m in shape.dims))
-        return grid, block, _freeze(tail[: max(self.ntilde - L * self.n, 0)])
+        return grid, index, block, _freeze(at + prod(live) * (tail // grid.n))
 
     @cached_property
     def householder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,8 +393,10 @@ class ExtendedPlan:
     """What A~* and A~ set up on one extension, made once and reused by
     every call given it: the conjugated reflectors, an (L, *dims) product
     and a dims sum scratch, and the N-length work stack that both transform
-    plans carve their pass buffers from.  The parts one direction needs are
-    made on its first call: `forward` for A~*, `inverse` for A~."""
+    plans carve their pass buffers from.  Both transform plans take the
+    layout's index sets: A~* transforms from the compact block, A~ to it.
+    The parts one direction needs are made on its first call: `forward`
+    for A~*, `inverse` for A~."""
 
     def __init__(self, ext: ExtendedOp) -> None:
         mu, w, _ = ext.householder
@@ -387,30 +405,37 @@ class ExtendedPlan:
         self.sums = np.empty(mu.shape[1:], dtype=np.complex128)
         self.work = np.empty(ext.N, dtype=np.complex128)
 
+    def _images(self, inverse: bool) -> tuple:
+        """A zeroed compact block with its object block view, and the
+        transform plan from it (forward) or to it (inverse)."""
+        grid, index, block, _ = self.op.layout
+        live = (len(self.op.base.masks), *map(len, index))
+        images = np.zeros((live[0], prod(live[1:])), dtype=np.complex128)
+        return (images, images.reshape(live)[block],
+                TransformPlan(grid, grid.dims, inverse, live[0], self.work, index))
+
     @cached_property
     def forward(self) -> tuple:
         """A~*'s (mt, m, stack, block, y, transform plan): the sqrt(L) (m, t)
-        and m scratch, the input image stack with its object block view, the
-        result y.  The scratch and the stack are zeroed once: a call writes
-        only the leading ntilde - n entries of mt, the rows 2..L of m, and
-        the stack's object block and padded pixels' t."""
-        ext = self.op
-        (grid, block, _), mu = ext.layout, ext.householder[0]
+        and m scratch, the input compact block with its object block view,
+        the (L, grid.n) result y.  The scratch and the block are zeroed
+        once: a call writes only the leading ntilde - n entries of mt, the
+        rows 2..L of m, and the block's object pixels and padded pixels' t."""
+        ext, mu = self.op, self.op.householder[0]
         L, n = len(mu), ext.n
-        stack = np.zeros((L, grid.n), dtype=np.complex128)
+        stack, block, transform = self._images(False)
         return (np.zeros(max(ext.ntilde, L * n) - n, dtype=np.complex128),
-                np.zeros(mu.shape, dtype=np.complex128), stack,
-                stack.reshape(L, *grid.dims)[block], np.empty((L, grid.n), dtype=np.complex128),
-                TransformPlan(grid, grid.dims, False, L, self.work))
+                np.zeros(mu.shape, dtype=np.complex128), stack, block,
+                np.empty((L, ext.base.grid.n), dtype=np.complex128), transform)
 
     @cached_property
     def inverse(self) -> tuple:
-        """A~'s (conj_mu, z, transform plan): the conjugated mask phasors on
-        the object block and the result z, of length max(ntilde, L n)."""
-        ext = self.op
-        grid, mu = ext.layout[0], ext.householder[0]
+        """A~'s (conj_mu, z, images, h, transform plan): the conjugated mask
+        phasors on the object block, the result z, of length max(ntilde, L n),
+        and the compact block of pattern images with its object block view."""
+        ext, mu = self.op, self.op.householder[0]
         return (np.conj(mu), np.empty(max(ext.ntilde, mu.size), dtype=np.complex128),
-                TransformPlan(grid, grid.dims, True, len(mu), self.work))
+                *self._images(True))
 
     def correction(self, h: np.ndarray) -> np.ndarray:
         """prods = (kappa * (conj(w) * h).sum(axis=0)) * w on the (L, *dims)
@@ -425,14 +450,14 @@ class ExtendedPlan:
 def extended_astar(ext: ExtendedOp, x, plan=None) -> np.ndarray:
     """A~* x = A* x[:n] + A_perp* x[n:], length N, from one stacked transform call.
 
-    The input image stack is transformed into y, scaled by op.c in the
-    transform's after hook.  plan is an ExtendedPlan of ext, whose y the
-    result is; without one the call makes its own."""
+    The compact block of the input images is transformed into y, scaled by
+    op.c in the transform's after hook.  plan is an ExtendedPlan of ext,
+    whose y the result is; without one the call makes its own."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (ext.ntilde,):
         raise ValueError(f"extended_astar: expected length {ext.ntilde}, got shape {x.shape}")
     plan = _plan(plan, ExtendedPlan, ext)
-    (grid, _, tail), mu = ext.layout, ext.householder[0]
+    (grid, _, _, tail), mu = ext.layout, ext.householder[0]
     L, n = len(mu), ext.n
     mt, m, stack, block, y, transform = plan.forward
     # sqrt(L) (m, t): the m_j pixel-major, then the padded pixels' t, zero past ntilde.
@@ -456,11 +481,11 @@ def extended_a(ext: ExtendedOp, y, before=None, plan=None) -> np.ndarray:
 
     before(rows), when given, first fills those rows of the (L, grid.n)
     pattern view of y, which must then be a C-contiguous complex128 buffer,
-    on the pool for large grids (see grids); the transform then writes the
-    pattern images over y, which is the caller's scratch.  Without before,
-    y is only read.  The sums over patterns on the object block run on the
-    caller.  plan is an ExtendedPlan of ext, whose z the result is a view
-    of; without one the call makes its own."""
+    on the pool for large grids (see grids).  Without before, y is only
+    read.  The transform writes the pattern images on the compact block
+    alone, into the plan's images.  The sums over patterns on the object
+    block run on the caller.  plan is an ExtendedPlan of ext, whose z the
+    result is a view of; without one the call makes its own."""
     if before is None:
         y = np.asarray(y, dtype=np.complex128)
     else:
@@ -468,13 +493,10 @@ def extended_a(ext: ExtendedOp, y, before=None, plan=None) -> np.ndarray:
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
     plan = _plan(plan, ExtendedPlan, ext)
-    (grid, block, tail), mu = ext.layout, ext.householder[0]
+    (grid, _, _, tail), mu = ext.layout, ext.householder[0]
     L, n, prods = len(mu), ext.n, plan.prods
-    conj_mu, z, transform = plan.inverse
-    rows = y.reshape(L, grid.n)
-    images = idft_plain(rows, grid, before=before, out=rows if before is not None else None,
-                        plan=transform)
-    h = images.reshape(L, *grid.dims)[block]
+    conj_mu, z, images, h, transform = plan.inverse
+    idft_plain(y.reshape(L, grid.n), grid, before=before, out=images, plan=transform)
     # [c mu^H h ; Q^H h pixel-major ; the padded pixels' t], the last two over
     # sqrt(grid.n), cut to ntilde.
     np.multiply(conj_mu, h, out=prods)

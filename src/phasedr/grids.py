@@ -5,14 +5,17 @@ Objects live on a d-dimensional support grid with per-axis extents
 oversampled frequency grid has 2*M_j+1 points per axis, the sampling at
 which a diffraction pattern determines the object's autocorrelation.
 
-A DFT runs one pass per axis, last axis first.  When every image extent
-is at most DENSE_MAX_EXTENT points (the 31-point axes of a 16x16 object
-and below), a pass is one product with a dense DFT matrix: the DFT of the
-object extent zero-padded to the image extent, or the unnormalized inverse
-DFT cut back to the object extent.  Otherwise a pass is a numpy FFT.
-Both kinds are pruned: they skip the all-zero padding rows and the
-outputs that are cut away.  FFT passes give the same bits as the full
-padded FFTs; dense passes agree with them to roundoff.
+A DFT runs one pass per axis, last axis first.  The object side of an
+axis is an index set of image points: the first M_j+1 for the four DFTs
+below, the live rows or columns for an extension (forward.ExtendedOp).
+When every image extent is at most DENSE_MAX_EXTENT points (the 31-point
+axes of a 16x16 object and below), a pass is one product with a dense DFT
+matrix: the DFT of the set's points, zero elsewhere on the image axis, or
+the unnormalized inverse DFT read only at them.  Otherwise a pass is a
+numpy FFT, whose index sets must be leading ones.  Both kinds are pruned:
+they skip the all-zero padding rows and the outputs that are cut away.
+FFT passes give the same bits as the full padded FFTs; dense passes agree
+with them to roundoff.
 
 The four DFTs take a flat vector or a (k, n) stack of k vectors, so a
 measurement operator transforms all its patterns in one call.  Each pass
@@ -161,14 +164,19 @@ def _run_tasks(tasks) -> None:
 
 
 @lru_cache(maxsize=64)
-def _dft_matrix(rows: int, cols: int, inverse: bool) -> np.ndarray:
-    """The (rows, cols) matrix of one dense axis pass, shared read-only by
-    every plan: exp(-2 pi i ((j k) mod g) / g), g = rows, the DFT of cols
-    points zero-padded to g; or for the inverse exp(+2 pi i ((j k) mod g) / g),
-    g = cols, the unnormalized inverse DFT cut to its first rows outputs."""
-    g, sign = (cols, 1) if inverse else (rows, -1)
-    j, k = np.ogrid[:rows, :cols]
-    mat = np.exp(sign * 2j * np.pi * ((j * k) % g) / g)
+def _dft_matrix(g: int, index: tuple[int, ...], inverse: bool) -> np.ndarray:
+    """The matrix of one dense pass along a g-point image axis whose object
+    side is the points index, shared read-only by every plan.  Forward, the
+    (g, len(index)) matrix exp(-2 pi i ((j k) mod g) / g) over every j and
+    the k in index: the DFT of those points, zero elsewhere on the axis.
+    Inverse, the (len(index), g) matrix exp(+2 pi i ((j k) mod g) / g) over
+    the j in index and every k: the unnormalized inverse DFT read only at
+    those points.  index = range(M) gives the zero-padded DFT of M points
+    and its cut inverse, index = range(g) the plain DFT and its inverse."""
+    points, freqs = np.array(index), np.arange(g)
+    jk = np.multiply.outer(points, freqs) if inverse else np.multiply.outer(freqs, points)
+    sign = 1 if inverse else -1
+    mat = np.exp(sign * 2j * np.pi * (jk % g) / g)
     mat.setflags(write=False)
     return mat
 
@@ -187,14 +195,28 @@ class TransformPlan:
     inverse plan may share one work buffer, since a call's passes end
     before it returns; a plan serves one call at a time.  A plan holds no
     input or output.
+
+    index holds the object side's sorted image points per axis,
+    range(M_j+1) when not given: a forward plan transforms the (k, *len(index))
+    block of those points, and an inverse plan returns only that block.  An
+    FFT plan takes only leading sets, range(m).
     """
 
     def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, k: int,
-                 work=None) -> None:
+                 work=None, index=None) -> None:
         dims, d = shape.dims, shape.ndim
         self.key, self.k = (dims, image, inverse), k
         self.scale = prod(image)
         self.fft = np.fft.ifft if inverse else np.fft.fft
+        if index is None:
+            index = tuple(map(range, dims))
+        else:
+            index = tuple(tuple(map(int, ix)) for ix in index)
+            if len(index) != d:
+                raise ValueError(f"TransformPlan: {len(index)} index sets for {d} axes")
+            if max(image) > DENSE_MAX_EXTENT and any(ix != tuple(range(len(ix))) for ix in index):
+                raise ValueError("TransformPlan: an FFT plan takes only leading index sets")
+        dims = tuple(map(len, index))  # the object side's extents
         src_dims, dest_dims = (image, dims) if inverse else (dims, image)
         self.src_len, dest_len = prod(src_dims), prod(dest_dims)
         self.src_rows, self.dest_rows = (k, *src_dims), (k, *dest_dims)
@@ -225,7 +247,7 @@ class TransformPlan:
             ext = list(src_dims)
             for axis in range(d - 1, -1, -1):
                 n_in, n_out = ext[axis], dest_dims[axis]
-                mat = _dft_matrix(n_out, n_in, inverse)
+                mat = _dft_matrix(image[axis], index[axis], inverse)
                 before_axis, after_axis = prod(ext[:axis]), prod(ext[axis + 1 :])
                 if axis == d - 1:
                     shapes = [(k, before_axis, n) for n in (n_in, n_out)]
@@ -449,8 +471,8 @@ def phase_factor(y) -> np.ndarray:
 
 def _phase(y: np.ndarray, out: np.ndarray, mag=None) -> np.ndarray:
     """phase_factor of the complex128 array y, written into out and returned;
-    out may be y itself.  |y| is formed in mag when given, a float64 buffer
-    of y's shape.
+    out may be y itself.  |y| is formed in mag when given, a float64 scratch
+    buffer of y's shape (see :func:`_unit`).
 
     Calls only numpy, so transform hooks may run it on the pool."""
     return _unit(y, np.abs(y, out=mag), out)
@@ -458,9 +480,15 @@ def _phase(y: np.ndarray, out: np.ndarray, mag=None) -> np.ndarray:
 
 def _unit(y: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
     """y / mag with 1 where mag = 0, for mag = |y| already formed: the
-    divide of :func:`_phase`, into out."""
-    if mag.min(initial=np.inf) > 0:  # all positive: a plain divide, the masked one's bits
-        return np.divide(y, mag, out=out)
+    divide of :func:`_phase`, into out.  mag is scratch: it may be left
+    holding 1 / mag.
+
+    numpy divides a complex y by a real mag as y * (1 / mag), so when every
+    mag is positive the reciprocal and a multiply give the divide's values
+    (only the sign of an exact zero may differ) at less cost."""
+    if mag.min(initial=np.inf) > 0:
+        np.divide(1.0, mag, out=mag)
+        return np.multiply(y, mag, out=out)
     live = mag > 0
     np.divide(y, mag, out=out, where=live)
     np.copyto(out, 1.0, where=np.logical_not(live, out=live))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import OperatorPlan, PropagationOp, apply_a, apply_astar
-from .grids import _dot, _norm, phase_factor, realify, unrealify
+from .grids import _dot, _norm, dft_oversampled, dft_plain, phase_factor, realify, unrealify
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,20 @@ DENSE_GUARD = 1_000_000
 
 
 def dense_B(pt: LinearizationPoint, op: PropagationOp) -> np.ndarray:
-    """Materialize B = A diag(omega) as an n x N array (small problems only)."""
-    rows = np.empty((op.n, op.N), dtype=np.complex128)  # row j is A* e_j
+    """Materialize B = A diag(omega) as an n x N array (small problems only).
+
+    Row j is conj(A* e_j) . omega.  Each pattern's block of the n columns
+    A* e_j is one stacked transform of the masked basis vectors, with
+    apply_astar's arithmetic, so every row has its bits."""
+    L, g = len(op.masks), op.grid.n
+    transform = dft_oversampled if op.oversampled else dft_plain
+    images = np.empty((L, op.n, g), dtype=np.complex128)  # images[l, j] is pattern l of A* e_j
     eye = np.eye(op.n, dtype=np.complex128)
-    plan = OperatorPlan(op)  # one plan for all n columns
-    for j in range(op.n):
-        apply_astar(op, eye[j], out=rows[j], plan=plan)
-    return np.conj(rows, out=rows) * pt.omega
+    for image, mask in zip(images, op.masks):
+        transform(np.multiply(mask.values, eye), op.shape, out=image)
+    images *= op.c
+    rows = np.conj(images, out=images).transpose(1, 0, 2)
+    return np.multiply(rows, pt.omega.reshape(L, g)).reshape(op.n, op.N)
 
 
 def svd_oracle(pt: LinearizationPoint, op: PropagationOp) -> SingularSystem:

@@ -4,14 +4,22 @@ Everything here is built from definitions (explicit DFT sums, dense matrix
 assembly, grid search) and never calls the FFT-based code paths it verifies.
 The exception is the per-pattern loops at the end: they redo an operator's
 arithmetic one pattern at a time on the flat DFTs (themselves checked against
-explicit sums), as references for the stacked operators' exact bits.
+explicit sums; for an extension, on the index sets of its layout), as
+references for the stacked operators' exact bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from phasedr.grids import GridShape, dft_oversampled, dft_plain, idft_oversampled, idft_plain
+from phasedr.grids import (
+    GridShape,
+    TransformPlan,
+    dft_oversampled,
+    dft_plain,
+    idft_oversampled,
+    idft_plain,
+)
 from phasedr.solvers import NO_SECTOR, SectorSpec, sector_project
 
 
@@ -180,24 +188,41 @@ def _flat_householder(ext):
     return mu.reshape(len(mu), -1), w.reshape(len(w), -1), kappa.ravel()
 
 
+def _compact_plan(ext, inverse: bool):
+    """(cells, shape, plan): the index and shape of the compact block in a
+    (grid.dims) image, and the one-pattern plain transform plan to or from
+    it on the layout's index sets, the per-pattern kernel of the extended
+    operators."""
+    grid, index = ext.layout[:2]
+    return (np.ix_(*index), tuple(map(len, index)),
+            TransformPlan(grid, grid.dims, inverse, 1, index=index))
+
+
 def per_pattern_extended_astar(ext, x) -> np.ndarray:
     """A~* x with one flat plain DFT per pattern image, the image stack built
-    by gathers and scatters on index arrays."""
+    by gathers and scatters on index arrays and each image's compact block
+    transformed alone."""
     (grid, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
     images = np.zeros((len(mu), grid.n), dtype=np.complex128)
     images.ravel()[tail] = np.sqrt(len(mu)) * x[ext.n :]
     m = images[:, obj]
     images[:, obj] = m - (kappa * np.sum(np.conj(w) * m, axis=0)) * w + mu * x[: ext.n]
-    out = np.concatenate([dft_plain(image, grid) for image in images])
+    cells, _, plan = _compact_plan(ext, inverse=False)
+    out = np.concatenate([dft_plain(image.reshape(grid.dims)[cells].ravel(), grid, plan=plan)
+                          for image in images])
     out *= ext.base.c
     return out
 
 
 def per_pattern_extended_a(ext, y) -> np.ndarray:
-    """A~ y with one flat inverse plain DFT per pattern block, read out by
-    gathers on index arrays."""
+    """A~ y with one flat inverse plain DFT per pattern block, computed on
+    the compact block alone and read out by gathers on index arrays."""
     (grid, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
-    images = np.stack([idft_plain(block, grid) for block in y.reshape(len(mu), grid.n)])
+    cells, shape, plan = _compact_plan(ext, inverse=True)
+    images = np.zeros((len(mu), *grid.dims), dtype=np.complex128)
+    for image, block in zip(images, y.reshape(len(mu), grid.n)):
+        image[cells] = idft_plain(block, grid, plan=plan).reshape(shape)
+    images = images.reshape(len(mu), grid.n)
     h = images[:, obj]
     head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
     images[:, obj] = h - (kappa * np.sum(np.conj(w) * h, axis=0)) * w

@@ -1,6 +1,7 @@
 """Tests for masks, propagation operators, extensions and data synthesis."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from phasedr.forward import (
     synthesize_data,
 )
 from phasedr.grids import GridShape, embed
+from phasedr.solvers import NO_SECTOR, odr_step
 
 from blas_probe import outputs_under_blas_threads
 from oracles import (
+    _flat_layout,
     dense_astar,
     dense_extended_astar,
     naive_dft_matrix,
@@ -33,6 +36,8 @@ from oracles import (
     per_pattern_astar,
     per_pattern_extended_a,
     per_pattern_extended_astar,
+    proj_p2,
+    project_object_set,
     random_complex,
 )
 
@@ -237,6 +242,70 @@ def test_extension_orthogonality_relations(variant, patterns, shape):
         assert np.linalg.norm(extended_a(ext, extended_astar(ext, z)) - z) < 1e-10
 
 
+# Dense grids, whose extensions transform only the compact block of their
+# live rows and columns: 16x16 (a 31x31 grid), a 1-D and a 3-D grid.  The
+# 17x16 grid has a 33-point axis, so it runs FFT passes on the whole grid.
+PRUNED_CASES = [(VARIANT_ONE_AND_HALF, GridShape((16, 16))), (VARIANT_TWO_MASK, GridShape((12,))),
+                (VARIANT_TWO_MASK, GridShape((3, 4, 5)))]
+LAYOUT_CASES = PRUNED_CASES + [(VARIANT_ONE_AND_HALF, GridShape((17, 16)))]
+
+
+@lru_cache(maxsize=None)
+def _full_extension(variant, shape):
+    """The operator and the dense N x N oracle of its full extension, whose
+    leading ntilde columns are the oracle of every smaller one."""
+    op = make_operator(variant, shape, seed=11)
+    return op, dense_extended_astar(extend_op(op, op.N))
+
+
+def _ntildes(op):
+    L = len(op.masks)
+    return sorted({op.n, op.n + 7, L * op.n - 1, L * op.n, min(4 * op.n, op.N), op.N - 1})
+
+
+@pytest.mark.parametrize("variant, shape", PRUNED_CASES, ids=lambda v: str(v))
+def test_pruned_extension_matches_dense_oracle(variant, shape):
+    op, dense = _full_extension(variant, shape)
+    rng = np.random.default_rng(21)
+    b = np.abs(apply_astar(op, random_complex(rng, op.n)))
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    for ntilde in _ntildes(op):
+        ext, D = extend_op(op, ntilde), dense[:, :ntilde]
+        x, y = random_complex(rng, ntilde), random_complex(rng, op.N)
+        assert close(extended_astar(ext, x), D @ x)
+        assert close(extended_a(ext, y), D.conj().T @ y)
+        z = D.conj().T @ proj_p2(D @ x, b)
+        assert close(odr_step(x, ext, b), x + project_object_set(2.0 * z - x, op.n, NO_SECTOR) - z)
+    if shape.dims == (16, 16):
+        # At 4n the live pixels fill rows 0..18, 28..30 and columns 0..19, 27..30.
+        index = extend_op(op, 4 * op.n).layout[1]
+        assert index == ((*range(19), 28, 29, 30), (*range(20), 27, 28, 29, 30))
+
+
+@pytest.mark.parametrize("variant, shape", LAYOUT_CASES, ids=lambda v: str(v))
+def test_compact_layout_agrees_with_flat_layout(variant, shape):
+    op = make_operator(variant, shape, seed=11)
+    L = len(op.masks)
+    for ntilde in _ntildes(op):
+        ext = extend_op(op, ntilde)
+        grid, index, block, tail = ext.layout
+        _, obj, flat_tail = _flat_layout(ext)
+        # grid position of each compact cell
+        cells = np.ravel_multi_index(np.ix_(*index), grid.dims)
+        size = cells.size
+        assert np.array_equal(cells[block[1:]].ravel(), obj)
+        padded = flat_tail[(L - 1) * op.n :]
+        assert np.array_equal(cells.ravel()[tail % size] + grid.n * (tail // size), padded)
+        live = np.unravel_index(np.union1d(obj, padded % grid.n), grid.dims)
+        if max(grid.dims) <= grids.DENSE_MAX_EXTENT:
+            assert index == tuple(tuple(np.unique(p).tolist()) for p in live)
+        else:
+            assert index == tuple(tuple(range(g)) for g in grid.dims)
+
+
 def test_extend_op_range_errors():
     op = _op(VARIANT_ONE_MASK, GridShape((2, 2)))
     with pytest.raises(ValueError):
@@ -250,8 +319,8 @@ def test_extend_op_determinism():
     op = _op(VARIANT_ONE_AND_HALF, GridShape((3, 3)), seed=5)
     ntilde = (op.n + op.N) // 2
     a, b = extend_op(op, ntilde), extend_op(op, ntilde)
-    assert a.layout[0] == b.layout[0]
-    for u, v in zip(a.layout[1:] + a.householder, b.layout[1:] + b.householder):
+    assert a.layout[:3] == b.layout[:3]
+    for u, v in zip(a.layout[3:] + a.householder, b.layout[3:] + b.householder):
         assert np.array_equal(u, v)
     rng = np.random.default_rng(9)
     x = random_complex(rng, ntilde)

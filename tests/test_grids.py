@@ -177,6 +177,35 @@ def test_phase_factor_convention():
     assert np.allclose(np.abs(w), 1.0, atol=0)
 
 
+def test_unit_gives_the_divide_by_the_magnitude():
+    # _unit multiplies y by 1 / |y|, which is how numpy divides a complex by
+    # a real, so it has np.divide's values (== ignores the sign of zeros):
+    # over the whole float range, subnormal and exactly zero parts included.
+    # Magnitudes below 1 / max float overflow the reciprocal in both.
+    rng = np.random.default_rng(17)
+    size = 200_000
+    parts = rng.choice([-1.0, 1.0], (2, size)) * 10.0 ** rng.uniform(-320, 308, (2, size))
+    parts[0, rng.random(size) < 0.05] = 0.0
+    parts[1, rng.random(size) < 0.05] = 0.0
+    parts[:, (parts == 0).all(axis=0)] = 1.0  # no zero magnitude: the reciprocal path
+    y = parts[0] + 1j * parts[1]
+    assert (np.abs(y) < 1 / np.finfo(float).max).any() and (np.abs(y) > 1e307).any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.divide(y, np.abs(y))
+        got = grids._unit(y, np.abs(y), np.empty_like(y))
+    assert np.array_equal(got, want, equal_nan=True)
+    # A zero magnitude takes the masked divide, and gives 1 there.
+    y[::7] = 0.0
+    live = y != 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where(live, np.divide(y, np.where(live, np.abs(y), 1.0)), 1.0)
+        got = grids._unit(y, np.abs(y), np.empty_like(y))
+    assert np.array_equal(got, want, equal_nan=True)
+    # Unit-scale phases: no overflow, no warning.
+    y = random_complex(rng, 1000)
+    assert np.array_equal(grids._unit(y, np.abs(y), np.empty_like(y)), y / np.abs(y))
+
+
 def test_grid_shape_extents_are_computed_once():
     s = GridShape((4, 5))
     assert s.oversampled_dims is s.oversampled_dims
@@ -238,6 +267,60 @@ def test_dense_matrices_are_shared_read_only():
     # Each plan's second pass, along the first axis, holds the matrix itself.
     (m1, _, _, _), (m2, _, _, _) = (plan.groups[0][1][1] for plan in plans)
     assert m1 is m2 and not m1.flags.writeable
+
+
+def _padded_dft_matrix(rows, cols, inverse):
+    # The dense pass matrix as it was built before index sets: the DFT of
+    # cols points zero-padded to rows, or the inverse DFT of cols points cut
+    # to the first rows.
+    g, sign = (cols, 1) if inverse else (rows, -1)
+    j, k = np.ogrid[:rows, :cols]
+    return np.exp(sign * 2j * np.pi * ((j * k) % g) / g)
+
+
+def test_leading_index_sets_give_the_padded_matrices_bitwise():
+    # index = range(M) is the oversampled pass (g = 2M - 1), range(g) the plain one.
+    for m in range(1, grids.DENSE_MAX_EXTENT + 1):
+        for g in {m, 2 * m - 1} & set(range(grids.DENSE_MAX_EXTENT + 1)):
+            fwd = grids._dft_matrix(g, tuple(range(m)), False)
+            inv = grids._dft_matrix(g, tuple(range(m)), True)
+            assert np.array_equal(fwd.view(float), _padded_dft_matrix(g, m, False).view(float))
+            assert np.array_equal(inv.view(float), _padded_dft_matrix(m, g, True).view(float))
+
+
+@pytest.mark.parametrize("image, index", [
+    ((31, 31), ((0, 1, 2, 5, 28, 30), tuple(range(20)) + (27, 29))),
+    ((23,), ((0, 3, 4, 22),)),
+    ((5, 7, 9), ((0, 1, 4), tuple(range(7)), (0, 2, 8))),
+], ids=["31x31", "23", "5x7x9"])
+def test_dense_plans_on_index_sets_match_naive_dft(image, index):
+    # A forward plan transforms the block of the index sets' points, zero
+    # elsewhere on the image grid; an inverse plan returns only that block.
+    grid = GridShape(image)
+    phi = naive_dft_matrix(grid, oversampled=False)
+    cells = np.ravel_multi_index(np.ix_(*index), image).ravel()
+    rng = np.random.default_rng(13)
+    for k in (1, 3):
+        fwd, inv = (grids.TransformPlan(grid, image, inverse, k, index=index)
+                    for inverse in (False, True))
+        assert fwd.dense and inv.dense
+        x = random_complex(rng, k * cells.size).reshape(k, -1)
+        want = x @ phi[:, cells].T
+        assert np.abs(dft_plain(x, grid, plan=fwd) - want).max() <= 1e-12 * np.abs(want).max()
+        y = random_complex(rng, k * grid.n).reshape(k, -1)
+        want = y @ phi.conj()[:, cells]
+        assert np.abs(idft_plain(y, grid, plan=inv) - want).max() <= 1e-12 * np.abs(want).max()
+        # The full-grid input of an unpruned plan is refused.
+        with pytest.raises(ValueError):
+            dft_plain(random_complex(rng, k * grid.n).reshape(k, -1), grid, plan=fwd)
+
+
+def test_fft_plans_take_only_leading_index_sets():
+    grid = GridShape((40, 3))
+    plan = grids.TransformPlan(grid, grid.dims, True, 2, index=(range(40), range(3)))
+    assert not plan.dense
+    with pytest.raises(ValueError, match="leading index sets"):
+        grids.TransformPlan(grid, grid.dims, True, 2, index=((0, 1, 39), range(3)))
 
 
 def _stack_input(fn, shape, k, seed):
