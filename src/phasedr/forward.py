@@ -14,12 +14,13 @@ are bit for bit those of transforming one pattern at a time.
 
 What an application sets up on its operator is a plan: an OperatorPlan
 (the mask phasors and their conjugates, the (L, n) pattern stack and a
-grids.TransformPlan each way) or an ExtendedPlan (the conjugated mask
-phasors and reflectors, the object-block scratch, the compact image blocks,
-A~*'s result stack and the result of A~).  A solver makes one per solve
-and hands it to every call; a one-shot call makes a throwaway plan.  A
-plan holds arrays and shapes only, no function, so a wrapper installed on
-a module function (perfbench's tracer) still sees every call.
+grids.TransformPlan each way) or an ExtendedPlan (a grids.TransformPlan
+each way between the extension's lifted image block and the pattern
+images, with the buffers on both sides, and the object block's mask
+phasors).  A solver makes one per solve and hands it to every call; a
+one-shot call makes a throwaway plan.  A plan holds arrays and shapes
+only, no function, so a wrapper installed on a module function
+(perfbench's tracer) still sees every call.
 """
 
 from __future__ import annotations
@@ -288,8 +289,8 @@ class ExtendedOp:
     """Isometric extension A~* = [A*, A_perp*]: C^ntilde -> C^N.
 
     The L patterns share one image grid (the oversampled grid, or the object
-    grid for multi).  A~* fills L images h_l on it from the coordinates
-    (x, m, t) and returns each one's unitary DFT, F h_l / sqrt(grid.n):
+    grid for multi).  A~* lifts the coordinates (x, m, t) to L images h_l on
+    it and returns each one's unitary DFT, F h_l / sqrt(grid.n):
 
         object pixel j:  (h_1(j), ..., h_L(j)) = v_j x_j + Q_j m_j,
         padded pixel p:  h_l(p) = t_(p,l),
@@ -302,17 +303,13 @@ class ExtendedOp:
     (ties in raster order), each pixel's L patterns interleaved.  With one
     pattern this is the zero padding of HIO; multi has no padded pixels.
 
-    The operators work on the compact block of the (L, *grid) image stack:
-    on a dense grid (grids.DENSE_MAX_EXTENT) the rows, columns, ... that
-    hold a live pixel (an object pixel, or a padded pixel whose t lies in
-    the leading ntilde coordinates), on an FFT grid the whole stack.  The
-    stack is zero elsewhere, so A~* transforms the block alone into a
-    separate (L, grid.n) result stack, and A~ computes the block alone.  The
-    object pixels are the leading (L, *dims) block of the compact block, in
-    raster order, so the operators address x and m through slice views of
-    it (the m block laid in as a reshape/transpose); only the padded pixels
-    keep an index array.  extended_a takes apply_a's before hook: the hook
-    fills A~'s input, which A~ then reads.
+    A~* transforms the lift U x = sqrt(L) h, which ODR iterates.  It lies
+    flat on the compact block of the (L, *grid) image stack, zero elsewhere:
+    on a dense grid (grids.DENSE_MAX_EXTENT) the rows, columns, ... holding
+    a live pixel (an object pixel, or a padded pixel whose t lies in the
+    leading ntilde coordinates), on an FFT grid the whole stack.  The object
+    pixels are its leading (L, *dims) block, in raster order, reached
+    through slice views; only the padded pixels keep an index array.
     """
 
     base: PropagationOp
@@ -362,6 +359,30 @@ class ExtendedOp:
         w[0] += mu[0]
         return _freeze(mu), _freeze(w), _freeze(2.0 / np.sum(np.abs(w) ** 2, axis=0))
 
+    @cached_property
+    def lift_range(self) -> tuple[np.ndarray, tuple | None]:
+        """(mask, cut), U's range in the (L, K) block: mask is 1 on the
+        object pixels and on the padded (pixel, pattern) pairs inside
+        ntilde.  Below ntilde = L n the last pixels' m_j are cut, and the
+        range there is v_j and the columns of Q_j that m_j keeps: cut holds
+        their positions in a block row, an (L, cut) 0/1 mask of the kept
+        reflector coordinates, w and kappa; else it is None."""
+        _, index, block, tail = self.layout
+        _, w, kappa = self.householder
+        L, n, live = len(w), self.n, tuple(map(len, index))
+        mask = np.zeros((L, *live))
+        mask[block] = 1.0
+        mask.ravel()[tail] = 1.0
+        mask = _freeze(mask.reshape(L, -1))
+        kept = np.clip(self.ntilde - n - (L - 1) * np.arange(n), 0, L - 1)  # m_j's coordinates
+        cut = np.flatnonzero(kept < L - 1)
+        if not cut.size:
+            return mask, None
+        w = w.reshape(L, n)[:, cut]
+        return mask, (np.ravel_multi_index(np.unravel_index(cut, self.base.shape.dims), live),
+                      _freeze((np.arange(L)[:, None] <= kept[cut]).astype(np.float64)),
+                      _freeze(w), _freeze(kappa.ravel()[cut]))
+
 
 def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
     """The canonical extension of A* to ntilde columns (see :class:`ExtendedOp`)."""
@@ -390,122 +411,91 @@ def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
 
 
 class ExtendedPlan:
-    """What A~* and A~ set up on one extension, made once and reused by
-    every call given it: the conjugated reflectors, an (L, *dims) product
-    and a dims sum scratch, and the N-length work stack that both transform
-    plans carve their pass buffers from.  Both transform plans take the
-    layout's index sets: A~* transforms from the compact block, A~ to it.
-    The parts one direction needs are made on its first call: `forward`
-    for A~*, `inverse` for A~."""
+    """What A~*, A~ and the ODR step set up on one extension, made once and
+    reused by every call given it: a transform plan each way between the
+    (L, K) block and the (L, grid.n) images; A~*'s result y; A~'s block g;
+    the object block's mu and conj(mu) / L, and scratch."""
 
     def __init__(self, ext: ExtendedOp) -> None:
-        mu, w, _ = ext.householder
-        self.op, self.conj_w = ext, np.conj(w)
+        grid, index, block, _ = ext.layout
+        mu = ext.householder[0]
+        L, live = len(mu), tuple(map(len, index))
+        self.op, self.live, self.block = ext, (L, *live), block
+        work = np.empty(ext.N, dtype=np.complex128)
+        self.forward = TransformPlan(grid, grid.dims, False, L, work, index)
+        self.inverse = TransformPlan(grid, grid.dims, True, L, work, index)
+        self.y = np.empty((L, grid.n), dtype=np.complex128)
+        self.g = np.empty((L, prod(live)), dtype=np.complex128)
+        self.mu, self.conj_mu = mu, np.conj(mu) / L
         self.prods = np.empty(mu.shape, dtype=np.complex128)
         self.sums = np.empty(mu.shape[1:], dtype=np.complex128)
-        self.work = np.empty(ext.N, dtype=np.complex128)
 
-    def _images(self, inverse: bool) -> tuple:
-        """A zeroed compact block with its object block view, and the
-        transform plan from it (forward) or to it (inverse)."""
-        grid, index, block, _ = self.op.layout
-        live = (len(self.op.base.masks), *map(len, index))
-        images = np.zeros((live[0], prod(live[1:])), dtype=np.complex128)
-        return (images, images.reshape(live)[block],
-                TransformPlan(grid, grid.dims, inverse, live[0], self.work, index))
+    def objects(self, h: np.ndarray) -> np.ndarray:
+        """The (L, *dims) object block view of a block h."""
+        return h.reshape(self.live)[self.block]
 
-    @cached_property
-    def forward(self) -> tuple:
-        """A~*'s (mt, m, stack, block, y, transform plan): the sqrt(L) (m, t)
-        and m scratch, the input compact block with its object block view,
-        the (L, grid.n) result y.  The scratch and the block are zeroed
-        once: a call writes only the leading ntilde - n entries of mt, the
-        rows 2..L of m, and the block's object pixels and padded pixels' t."""
-        ext, mu = self.op, self.op.householder[0]
-        L, n = len(mu), ext.n
-        stack, block, transform = self._images(False)
-        return (np.zeros(max(ext.ntilde, L * n) - n, dtype=np.complex128),
-                np.zeros(mu.shape, dtype=np.complex128), stack, block,
-                np.empty((L, ext.base.grid.n), dtype=np.complex128), transform)
+    def object_part(self, v: np.ndarray, out=None) -> np.ndarray:
+        """sum_l conj(mu_l) v_l / L into out when given: x of U^-1 h, for v
+        the object block of h.  v may be prods."""
+        np.multiply(self.conj_mu, v, out=self.prods)
+        return self.prods.sum(axis=0, out=out)
 
-    @cached_property
-    def inverse(self) -> tuple:
-        """A~'s (conj_mu, z, images, h, transform plan): the conjugated mask
-        phasors on the object block, the result z, of length max(ntilde, L n),
-        and the compact block of pattern images with its object block view."""
-        ext, mu = self.op, self.op.householder[0]
-        return (np.conj(mu), np.empty(max(ext.ntilde, mu.size), dtype=np.complex128),
-                *self._images(True))
 
-    def correction(self, h: np.ndarray) -> np.ndarray:
-        """prods = (kappa * (conj(w) * h).sum(axis=0)) * w on the (L, *dims)
-        block h: what the reflectors I - kappa w w^H subtract from h."""
-        _, w, kappa = self.op.householder
-        np.multiply(self.conj_w, h, out=self.prods)
-        self.prods.sum(axis=0, out=self.sums)
-        np.multiply(kappa, self.sums, out=self.sums)
-        return np.multiply(self.sums, w, out=self.prods)
+def _reflected(ext: ExtendedOp, h: np.ndarray) -> np.ndarray:
+    """The reflectors I - kappa w w^H applied to the (L, *dims) block h."""
+    _, w, kappa = ext.householder
+    return h - (kappa * (np.conj(w) * h).sum(axis=0)) * w
+
+
+def extended_lift(ext: ExtendedOp, x) -> np.ndarray:
+    """U x = sqrt(L) h, the flat (L, K) block: mu_j x_j + sqrt(L) Q_j m_j
+    on object pixel j, sqrt(L) t on padded pixels (see ExtendedOp)."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (ext.ntilde,):
+        raise ValueError(f"extended_lift: expected length {ext.ntilde}, got shape {x.shape}")
+    (_, index, block, tail), mu = ext.layout, ext.householder[0]
+    L, n, live = len(mu), ext.n, (len(mu), *map(len, index))
+    h = np.zeros(prod(live), dtype=np.complex128)
+    # sqrt(L) (m, t): the m_j pixel-major, then the padded pixels' t, zero past ntilde.
+    mt = np.zeros(max(ext.ntilde, L * n) - n, dtype=np.complex128)
+    np.multiply(sqrt(L), x[n:], out=mt[: ext.ntilde - n])
+    m = np.zeros(mu.shape, dtype=np.complex128)
+    m.reshape(L, n)[1:] = mt[: n * (L - 1)].reshape(n, L - 1).T
+    # sqrt(L) Q m + mu x: the x block is the masked image A* transforms.
+    np.add(_reflected(ext, m), mu * x[:n].reshape(mu.shape[1:]), out=h.reshape(live)[block])
+    h[tail] = mt[n * (L - 1) :]
+    return h
 
 
 def extended_astar(ext: ExtendedOp, x, plan=None) -> np.ndarray:
-    """A~* x = A* x[:n] + A_perp* x[n:], length N, from one stacked transform call.
-
-    The compact block of the input images is transformed into y, scaled by
-    op.c in the transform's after hook.  plan is an ExtendedPlan of ext,
-    whose y the result is; without one the call makes its own."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (ext.ntilde,):
-        raise ValueError(f"extended_astar: expected length {ext.ntilde}, got shape {x.shape}")
+    """A~* x = A* x[:n] + A_perp* x[n:], length N: op.c times the stacked
+    transform of the lift of x.  plan is an ExtendedPlan of ext, whose y
+    the result is; without one the call makes its own."""
     plan = _plan(plan, ExtendedPlan, ext)
-    (grid, _, _, tail), mu = ext.layout, ext.householder[0]
-    L, n = len(mu), ext.n
-    mt, m, stack, block, y, transform = plan.forward
-    # sqrt(L) (m, t): the m_j pixel-major, then the padded pixels' t, zero past ntilde.
-    np.multiply(sqrt(L), x[n:], out=mt[: ext.ntilde - n])
-    m.reshape(L, n)[1:] = mt[: n * (L - 1)].reshape(n, L - 1).T
-    # sqrt(L) h = sqrt(L) Q m + mu x on the object pixels; the x block is then
-    # op.c * F(mu x), the exact arithmetic of apply_astar.
-    np.subtract(m, plan.correction(m), out=plan.prods)
-    np.multiply(mu, x[:n].reshape(mu.shape[1:]), out=block)
-    np.add(plan.prods, block, out=block)
-    stack.ravel()[tail] = mt[n * (L - 1) :]
+    h, y, c = extended_lift(ext, x), plan.y, ext.base.c
 
     def scale(rows):
-        y[rows] *= ext.base.c
+        y[rows] *= c
 
-    return dft_plain(stack, grid, after=scale, out=y, plan=transform).reshape(ext.N)
+    return dft_plain(h.reshape(plan.g.shape), ext.layout[0], after=scale, out=y,
+                     plan=plan.forward).reshape(ext.N)
 
 
-def extended_a(ext: ExtendedOp, y, before=None, plan=None) -> np.ndarray:
-    """A~ y = [A y ; A_perp y], length ntilde, from one stacked transform call.
-
-    before(rows), when given, first fills those rows of the (L, grid.n)
-    pattern view of y, which must then be a C-contiguous complex128 buffer,
-    on the pool for large grids (see grids).  Without before, y is only
-    read.  The transform writes the pattern images on the compact block
-    alone, into the plan's images.  The sums over patterns on the object
-    block run on the caller.  plan is an ExtendedPlan of ext, whose z the
-    result is a view of; without one the call makes its own."""
-    if before is None:
-        y = np.asarray(y, dtype=np.complex128)
-    else:
-        y = _buffer(y, (ext.N,), "extended_a: the buffer its before hook fills")
+def extended_a(ext: ExtendedOp, y, plan=None) -> np.ndarray:
+    """A~ y = [A y ; A_perp y], length ntilde: one stacked transform call
+    to the block, into the plan's g, and the coordinates read off it.  plan
+    is an ExtendedPlan of ext; without one the call makes its own."""
+    y = np.asarray(y, dtype=np.complex128)
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
     plan = _plan(plan, ExtendedPlan, ext)
     (grid, _, _, tail), mu = ext.layout, ext.householder[0]
-    L, n, prods = len(mu), ext.n, plan.prods
-    conj_mu, z, images, h, transform = plan.inverse
-    idft_plain(y.reshape(L, grid.n), grid, before=before, out=images, plan=transform)
-    # [c mu^H h ; Q^H h pixel-major ; the padded pixels' t], the last two over
-    # sqrt(grid.n), cut to ntilde.
-    np.multiply(conj_mu, h, out=prods)
-    np.multiply(ext.base.c, prods.sum(axis=0, out=plan.sums), out=z[:n].reshape(mu.shape[1:]))
-    np.subtract(h[1:], plan.correction(h)[1:],
-                out=z[n : L * n].reshape(*mu.shape[1:], L - 1).transpose(-1, *range(mu.ndim - 1)))
-    np.take(images, tail, out=z[L * n :])
-    z[n:] /= sqrt(grid.n)
-    return z[: ext.ntilde]
+    L, n = len(mu), ext.n
+    h = plan.objects(idft_plain(y.reshape(L, grid.n), grid, out=plan.g, plan=plan.inverse))
+    # [c mu^H h ; Q^H h pixel-major ; the padded pixels' t], the last two over sqrt(grid.n)
+    return np.concatenate([ext.base.c * (np.conj(mu) * h).sum(axis=0).ravel(),
+                           _reflected(ext, h)[1:].reshape(L - 1, n).T.ravel() / sqrt(grid.n),
+                           plan.g.ravel()[tail] / sqrt(grid.n)])[: ext.ntilde]
 
 
 @dataclass(frozen=True)

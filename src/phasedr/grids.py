@@ -67,6 +67,7 @@ PARALLEL_MIN_POINTS = 2**13
 # as FFTs, and at 48 and 63 points they take twice as long.
 DENSE_MAX_EXTENT = 31
 _COMPLEX = np.dtype(np.complex128)
+_TINY = 2.0**-1022  # the least normal float64
 
 _pool = None  # the concurrent.futures.ThreadPoolExecutor, once started
 _pool_ways = 0  # threads a stack is split over; 0 until first use
@@ -466,30 +467,25 @@ def embed(x, target: int) -> np.ndarray:
 def phase_factor(y) -> np.ndarray:
     """Componentwise y/|y| with the convention 1 where |y| = 0."""
     y = np.asarray(y, dtype=np.complex128)
-    return _phase(y, np.empty_like(y))
-
-
-def _phase(y: np.ndarray, out: np.ndarray, mag=None) -> np.ndarray:
-    """phase_factor of the complex128 array y, written into out and returned;
-    out may be y itself.  |y| is formed in mag when given, a float64 scratch
-    buffer of y's shape (see :func:`_unit`).
-
-    Calls only numpy, so transform hooks may run it on the pool."""
-    return _unit(y, np.abs(y, out=mag), out)
+    return _unit(y, np.abs(y), np.empty_like(y))
 
 
 def _unit(y: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
     """y / mag with 1 where mag = 0, for mag = |y| already formed: the
-    divide of :func:`_phase`, into out.  mag is scratch: it may be left
-    holding 1 / mag.
+    divide of :func:`phase_factor`, into out, which may be y.  mag is
+    scratch: it may be left holding 1 / mag.  Calls only numpy, so
+    transform hooks may run it on the pool.
 
     numpy divides a complex y by a real mag as y * (1 / mag), so when every
-    mag is positive the reciprocal and a multiply give the divide's values
-    (only the sign of an exact zero may differ) at less cost."""
-    if mag.min(initial=np.inf) > 0:
+    mag is normal the reciprocal and a multiply give the divide's values
+    (only the sign of an exact zero may differ) at less cost.  A subnormal
+    mag has lost bits, and below 1 / max float its reciprocal overflows, so
+    those entries are first scaled by 2**64, exactly, to a normal size."""
+    if mag.min(initial=np.inf) >= _TINY:
         np.divide(1.0, mag, out=mag)
         return np.multiply(y, mag, out=out)
-    live = mag > 0
-    np.divide(y, mag, out=out, where=live)
-    np.copyto(out, 1.0, where=np.logical_not(live, out=live))
+    y = y * np.where(mag < _TINY, 2.0**64, 1.0)
+    mag = np.abs(y)
+    np.divide(y, mag, out=out, where=mag > 0)
+    np.copyto(out, 1.0, where=mag == 0)
     return out

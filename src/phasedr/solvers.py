@@ -11,23 +11,17 @@ extension A~* of A*,
 
 where [.]_X truncates to the object coordinates and applies the sector
 constraint when one is active.  At ntilde = N, A~* is unitary and ODR is
-FDR in the coordinates x = A~ y, so run_solver runs it as FDR.  Every
-division by a magnitude uses the convention w = 1 where the magnitude
-vanishes.
+FDR in the coordinates x = A~ y, so run_solver runs it as FDR; below N
+it iterates the lift h = U x (forward.ExtendedOp).  Every division by a
+magnitude uses the convention w = 1 where the magnitude vanishes.
 
-An FDR step, error tracking included, costs one A / A* pair: 4
-transforms for the two-pattern layouts, made as two stacked transform
-calls (dense DFT-matrix products on grids of up to 31 points per axis,
-FFTs above; see grids).  Its pointwise work is per pattern, so it runs in
+A step costs one transform pair, 2L transforms for L patterns, made as
+two stacked transform calls (dense DFT-matrix products on grids of up to
+31 points per axis, FFTs above).  Its per-pattern pointwise work runs in
 those calls' hooks, inside each pattern's transform task (see grids);
-only the sum over patterns in A joins them.  The solver carries the
-object estimate A y along with the iterate, since AA* = I gives A y+ from
-quantities the step has already computed.  An ODR step costs one A~ /
-A~* pair: 2L transforms for L patterns, one forward and one inverse per
-pattern on the padded grid.  Its magnitude projection is per pattern, so
-it runs in A~'s before hook, in place in the A~* buffer; the extension's
-mixing of the patterns on the object block runs on the caller, on views
-of that block (see forward).
+only the sums over patterns, in A and in ODR's object projection, run on
+the caller.  The solver carries FDR's object estimate A y along, since
+AA* = I gives A y+ from quantities the step has already computed.
 Both steps write the next iterate into the buffer of the iterate before
 last.  The solver's norms, its near start and its phase alignment sum
 without BLAS (grids._norm).  The dense transform passes call BLAS gemm,
@@ -60,10 +54,9 @@ from .forward import (
     apply_a,
     apply_astar,
     extend_op,
-    extended_a,
-    extended_astar,
+    extended_lift,
 )
-from .grids import _buffer, _dot, _floats, _norm, _phase, _run_tasks, _unit, embed
+from .grids import _buffer, _dot, _floats, _norm, _run_tasks, _unit, dft_plain, embed, idft_plain
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -125,11 +118,12 @@ def sector_project(x, sector: SectorSpec) -> np.ndarray:
 class StepPlan:
     """What a DR step on one operator (FDR) or extension (ODR) and one data
     vector b sets up, made once per solve and reused by every step given it:
-    the operator plan (see forward), the (L, grid.n) pattern view of b, a
-    float buffer of that shape for the magnitudes |y| and, for FDR, the
-    buffer w = P2 y.  `scratch` is an iterate-length view of a buffer the
-    step is done with (w, or A~'s result): after a step it holds the step
-    change x+ - x, which FDR writes per pattern in its update hook.
+    the operator plan (see forward), the (L, grid.n) pattern view of b
+    (ODR's scaled by L c), a float buffer of that shape for the
+    magnitudes |y| and, for FDR, the buffer w = P2 y.  `scratch` is an
+    iterate-length view of a buffer the step is done with (w, or ODR's g):
+    after a step it holds the step change x+ - x, which FDR writes per
+    pattern in its update hook.
     `pooled` says whether the step writes x+ and its change on the pool:
     FDR does when its transforms split the patterns across it
     (grids.PARALLEL_MIN_POINTS), and the solver then sums its two residual
@@ -145,7 +139,8 @@ class StepPlan:
         self.mag = np.empty(shape)
         if isinstance(op, ExtendedOp):
             self.ops = ExtendedPlan(op)
-            self.scratch = self.ops.inverse[1][: op.ntilde]  # A~'s result z
+            self.bs = len(base.masks) * base.c * self.bs  # the lifted A~'s scale
+            self.scratch = self.ops.g.reshape(-1)
             self.pooled = False
         else:
             self.ops = OperatorPlan(op)
@@ -217,44 +212,62 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     return y_next, np.add(x, half, out=half)
 
 
-def odr_step(x, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
+def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
              plan=None) -> np.ndarray:
-    """One object-domain DR update x + [2z - x]_X - z on the padded iterate
-    x in C^ntilde, with z = A~(b . phase(A~* x)).  Costs one A~* / A~ pair.
-
-    The magnitude projection b . phase(.) is per pattern, so it runs in
-    A~'s before hook, in place in the A~* buffer, next to each pattern's
-    transform (see grids).  x+ is written into out when given, a
-    C-contiguous length-ntilde complex128 buffer that does not overlap x.
-    plan is a StepPlan of (ext, b); without one the step makes its own.
-    The step change x+ - x is left in z, the plan's scratch.
+    """One ODR update of the lift h = U x (forward.ExtendedOp), a flat
+    (L, K) block: h+ = h - g + P_X(2g - h), g = P_U(L c F^-1(b . phase(F h))),
+    with F the DFT from the block to the images, F^-1 its unnormalized
+    inverse read on the block, P_U the projection onto U's range and P_X,
+    on object pixel j, mu_j times the sector-projected sum_l conj(mu_l)
+    (.)_l / L, zero on padded pixels.  This is U of x + [2z - x]_X - z,
+    z = A~(b . phase(A~* x)).  b . phase and the mask of U's range run per
+    pattern in the inverse's hooks.  h+ is written into out when given, a
+    C-contiguous complex128 buffer of h's length apart from h.  plan is a
+    StepPlan of (ext, b); without one the step makes its own.  The step
+    change h+ - h is left in g, the plan's scratch.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if not np.isfinite(x).all():
+    h = np.asarray(h, dtype=np.complex128)
+    if not np.isfinite(h).all():
         raise FloatingPointError("odr_step: non-finite iterate")
     plan = _step_plan(plan, ext, b)
-    r = np.empty_like(x) if out is None else _buffer(out, (ext.ntilde,), "odr_step: out", x)
-    y = extended_astar(ext, x, plan=plan.ops)
-    bs, mag = plan.bs, plan.mag
-    ys = y.reshape(bs.shape)
+    ops = plan.ops
+    y, g, bs, mag = ops.y, ops.g, plan.bs, plan.mag
+    r = np.empty_like(h) if out is None else _buffer(out, h.shape, "odr_step: out", h)
+    grid, (mask, cut) = ext.layout[0], ext.lift_range
 
     def project(rows):
-        yr = ys[rows]
-        _phase(yr, yr, mag[rows])
+        yr = y[rows]
+        _unit(yr, np.abs(yr, out=mag[rows]), yr)
         np.multiply(bs[rows], yr, out=yr)
 
-    z = extended_a(ext, y, before=project, plan=plan.ops)
-    n = ext.n
-    # r holds [2z - x]_X, then x+.
-    r[n:] = 0.0
-    np.multiply(2.0, z[:n], out=r[:n])
-    np.subtract(r[:n], x[:n], out=r[:n])
-    if sector.active:
-        r[:n] = sector_project(r[:n], sector)
-    np.add(x, r, out=r)
-    np.subtract(r, z, out=r)
-    np.subtract(r, x, out=z)  # the step change, once z is read
+    def restrict(rows):
+        np.multiply(g[rows], mask[rows], out=g[rows])
+
+    dft_plain(h.reshape(g.shape), grid, out=y, plan=ops.forward)
+    idft_plain(y, grid, before=project, after=restrict, out=g, plan=ops.inverse)
+    if cut is not None:
+        _project_cut(g, cut)
+    # r holds h - g, then h+ = h - g + mu [sum conj(mu) (2g - h) / L]_X.
+    p = np.multiply(2.0, ops.objects(g), out=ops.prods)
+    np.subtract(p, ops.objects(h), out=p)
+    x = sector_project(ops.object_part(p, out=ops.sums), sector)
+    np.subtract(h, g.reshape(-1), out=r)
+    np.multiply(ops.mu, x, out=p)
+    ro = ops.objects(r)
+    np.add(ro, p, out=ro)
+    np.subtract(r, h, out=g.reshape(-1))  # the step change, once g is read
     return r
+
+
+def _project_cut(g: np.ndarray, cut: tuple) -> None:
+    """P_U, in place in g, on the pixels whose m block is cut: reflect,
+    zero the coordinates m_j lacks, reflect back (ExtendedOp.lift_range)."""
+    pos, keep, w, kappa = cut
+    v = g[:, pos]
+    v -= (kappa * (np.conj(w) * v).sum(axis=0)) * w
+    v *= keep
+    v -= (kappa * (np.conj(w) * v).sum(axis=0)) * w
+    g[:, pos] = v
 
 
 def _norms(u, v, pooled: bool) -> tuple[float, float]:
@@ -393,14 +406,16 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     cfg.ntilde coordinates, min(4n, N) when unset; at ntilde = N it is the
     FDR recursion and runs as FDR, bit for bit.  Any other ntilde outside
     [n, N] raises ValueError.  The result records the resolved ntilde.
+    ODR iterates the lift h = U x of its start (see odr_step); U is sqrt(L)
+    times an isometry, so the step residual reads the same on h as on x.
 
     Stops when the relative iterate change or (with ground truth) the
     relative aligned error drops to cfg.tol, at cfg.max_iters, or at a
     non-finite iterate, read off the step's change after the initial
     iterate.  Each iterate is evaluated once: its object
     estimate is A y (FDR), tracked through the steps rather than applied
-    anew, or the first n coordinates of the padded iterate (ODR),
-    sector-projected when a sector is active.  The result is the last
+    anew, or the x coordinates of U^-1 h (ODR), sector-projected when a
+    sector is active.  The result is the last
     evaluation, so history[-1][1] equals relative_error exactly; a
     non-finite iterate evaluates to an all-nan x_hat with nan errors.
     """
@@ -416,9 +431,11 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
 
     iterate = _initial_iterate(cfg.init, op, ext, x0)
     plan = StepPlan(op if ext is None else ext, b)
-    # FDR carries u = A y along, updated by fdr_step; ODR reads its object
-    # coordinates directly.
-    u = apply_a(op, iterate, plan=plan.ops) if ext is None else None
+    # u is the object estimate: FDR carries A y along, ODR reads it off U x.
+    if ext is None:
+        u = apply_a(op, iterate, plan=plan.ops)
+    else:
+        iterate, ops = extended_lift(ext, iterate), plan.ops
     diff = np.empty(op.n, dtype=np.complex128)  # align_phase's alpha x - x0
 
     history: list[tuple[int, float, float]] = []
@@ -440,7 +457,9 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             aligned = float("nan")
             rel = aligned / norm_x0
             break
-        x_hat = sector_project(u if ext is None else iterate[: op.n], cfg.sector)
+        if ext is not None:
+            u = ops.object_part(ops.objects(iterate)).reshape(op.n)
+        x_hat = sector_project(u, cfg.sector)
         aligned = align_phase(x_hat, x0, out=diff)[1] if x0 is not None else float("nan")
         rel = aligned / norm_x0
         history.append((k, rel, step_res))
@@ -466,8 +485,6 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         iterate, spare = nxt, iterate
         k += 1
 
-    if x_hat.base is not None:  # a view of ODR's iterate
-        x_hat = x_hat.copy()
     return RecoveryResult(
         x_hat=x_hat,
         aligned_error=aligned,

@@ -198,18 +198,56 @@ def _compact_plan(ext, inverse: bool):
             TransformPlan(grid, grid.dims, inverse, 1, index=index))
 
 
-def per_pattern_extended_astar(ext, x) -> np.ndarray:
-    """A~* x with one flat plain DFT per pattern image, the image stack built
-    by gathers and scatters on index arrays and each image's compact block
-    transformed alone."""
+def _to_block(ext, images) -> np.ndarray:
+    """The flat (L, K) compact block of an (L, grid.n) image stack."""
+    grid = ext.base.grid
+    cells = _compact_plan(ext, inverse=False)[0]
+    return np.stack([image.reshape(grid.dims)[cells].ravel() for image in images]).ravel()
+
+
+def _from_block(ext, h) -> np.ndarray:
+    """The (L, grid.n) image stack that is the flat (L, K) compact block h
+    on its cells and zero elsewhere."""
+    grid, L = ext.base.grid, len(ext.base.masks)
+    cells, shape, _ = _compact_plan(ext, inverse=False)
+    images = np.zeros((L, *grid.dims), dtype=np.complex128)
+    for image, block in zip(images, np.reshape(h, (L, -1))):
+        image[cells] = block.reshape(shape)
+    return images.reshape(L, grid.n)
+
+
+def per_pattern_lift(ext, x) -> np.ndarray:
+    """U x, the flat compact image block that A~* transforms, built by
+    gathers and scatters on index arrays: mu x + sqrt(L) Q m on the object
+    pixels, sqrt(L) t on the padded ones."""
     (grid, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
     images = np.zeros((len(mu), grid.n), dtype=np.complex128)
     images.ravel()[tail] = np.sqrt(len(mu)) * x[ext.n :]
     m = images[:, obj]
     images[:, obj] = m - (kappa * np.sum(np.conj(w) * m, axis=0)) * w + mu * x[: ext.n]
-    cells, _, plan = _compact_plan(ext, inverse=False)
-    out = np.concatenate([dft_plain(image.reshape(grid.dims)[cells].ravel(), grid, plan=plan)
-                          for image in images])
+    return _to_block(ext, images)
+
+
+def per_pattern_unlift(ext, h) -> np.ndarray:
+    """U^-1 h for h in U's range: x = sum_l conj(mu_l) h_l / L on the object
+    pixels, then m = Q^H h / sqrt(L) pixel-major and t = h / sqrt(L) on the
+    padded pixels, read by gathers on index arrays."""
+    (_, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
+    L = len(mu)
+    images = _from_block(ext, h)
+    ho = images[:, obj]
+    x = np.sum(np.conj(mu) * ho, axis=0) / L
+    images[:, obj] = ho - (kappa * np.sum(np.conj(w) * ho, axis=0)) * w
+    return np.concatenate([x, images.ravel()[tail] / np.sqrt(L)])
+
+
+def per_pattern_extended_astar(ext, x) -> np.ndarray:
+    """A~* x with one flat plain DFT per pattern image, each image's compact
+    block of the lift transformed alone."""
+    grid, L = ext.base.grid, len(ext.base.masks)
+    plan = _compact_plan(ext, inverse=False)[2]
+    out = np.concatenate([dft_plain(block, grid, plan=plan)
+                          for block in per_pattern_lift(ext, x).reshape(L, -1)])
     out *= ext.base.c
     return out
 
@@ -242,3 +280,41 @@ def per_pattern_odr_step(x, ext, b, sector=NO_SECTOR) -> np.ndarray:
     per-pattern extended operators, with temporaries for every term."""
     z = per_pattern_extended_a(ext, proj_p2(per_pattern_extended_astar(ext, x), b))
     return x + project_object_set(2.0 * z - x, ext.n, sector) - z
+
+
+def per_pattern_block_odr_step(h, ext, b, sector=NO_SECTOR) -> np.ndarray:
+    """One ODR update of a lifted block h = U x, h - g + P_X(2g - h) with
+    g = P_U(L c F^-1(b . phase(F h))), one flat DFT per pattern row and
+    temporaries for every term.  U's range is rebuilt from the definition:
+    the live set S of the (L, grid.n) stack on the block's cells, and on
+    each object pixel whose m block is cut, the reflector coordinates that
+    m keeps."""
+    op = ext.base
+    L, n, grid = len(op.masks), op.n, op.grid
+    (_, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
+    live = np.zeros((L, grid.n))
+    live[:, obj] = 1.0
+    live.ravel()[tail] = 1.0  # the m coordinates on object pixels, the t on padded ones
+    mask = _to_block(ext, live).reshape(L, -1)
+    cells = np.ravel_multi_index(np.ix_(*ext.layout[1]), grid.dims).ravel()
+    objpos = np.array([np.flatnonzero(cells == j)[0] for j in obj])
+    forward, inverse = _compact_plan(ext, inverse=False)[2], _compact_plan(ext, inverse=True)[2]
+    h = np.reshape(h, (L, -1))
+    y = np.concatenate([dft_plain(row, grid, plan=forward) for row in h])
+    p = proj_p2(y, L * op.c * b).reshape(L, -1)
+    g = np.stack([idft_plain(row, grid, plan=inverse) for row in p]) * mask
+    # m_j's i-th coordinate is n + j (L - 1) + i; those past ntilde are cut.
+    kept = np.array([sum(n + j * (L - 1) + i < ext.ntilde for i in range(L - 1))
+                     for j in range(n)], dtype=np.int64)
+    cut = np.flatnonzero(kept < L - 1)
+    if cut.size:
+        wc, kc = w[:, cut], kappa[cut]
+        v = g[:, objpos[cut]]
+        v = v - (kc * np.sum(np.conj(wc) * v, axis=0)) * wc
+        v = v * (np.arange(L)[:, None] <= kept[cut]).astype(np.float64)
+        g[:, objpos[cut]] = v - (kc * np.sum(np.conj(wc) * v, axis=0)) * wc
+    xs = sector_project(np.sum(np.conj(mu) / L * (2.0 * g[:, objpos] - h[:, objpos]), axis=0),
+                        sector)
+    out = h - g
+    out[:, objpos] = out[:, objpos] + mu * xs
+    return out.ravel()

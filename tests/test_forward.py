@@ -19,6 +19,7 @@ from phasedr.forward import (
     extend_op,
     extended_a,
     extended_astar,
+    extended_lift,
     make_mask,
     make_operator,
     synthesize_data,
@@ -36,6 +37,8 @@ from oracles import (
     per_pattern_astar,
     per_pattern_extended_a,
     per_pattern_extended_astar,
+    per_pattern_lift,
+    per_pattern_unlift,
     proj_p2,
     project_object_set,
     random_complex,
@@ -278,7 +281,8 @@ def test_pruned_extension_matches_dense_oracle(variant, shape):
         assert close(extended_astar(ext, x), D @ x)
         assert close(extended_a(ext, y), D.conj().T @ y)
         z = D.conj().T @ proj_p2(D @ x, b)
-        assert close(odr_step(x, ext, b), x + project_object_set(2.0 * z - x, op.n, NO_SECTOR) - z)
+        assert close(per_pattern_unlift(ext, odr_step(extended_lift(ext, x), ext, b)),
+                     x + project_object_set(2.0 * z - x, op.n, NO_SECTOR) - z)
     if shape.dims == (16, 16):
         # At 4n the live pixels fill rows 0..18, 28..30 and columns 0..19, 27..30.
         index = extend_op(op, 4 * op.n).layout[1]
@@ -435,23 +439,7 @@ def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, thread
 
     ext = extend_op(op, min(4 * op.n, op.N))
     xt = random_complex(rng, ext.ntilde)
+    assert np.array_equal(_bits(extended_lift(ext, xt)), _bits(per_pattern_lift(ext, xt)))
     assert np.array_equal(_bits(extended_astar(ext, xt)),
                           _bits(per_pattern_extended_astar(ext, xt)))
     assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_extended_a(ext, y)))
-
-
-@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
-def test_extended_a_reads_the_rows_its_before_hook_fills(threaded, monkeypatch):
-    if threaded:
-        monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
-    op = _op(VARIANT_TWO_MASK, GridShape((4, 4)), seed=6)
-    ext = extend_op(op, 4 * op.n)
-    y = random_complex(np.random.default_rng(33), op.N)
-    scratch = np.full(op.N, np.nan, dtype=complex)
-    ys = y.reshape(len(op.masks), -1)
-
-    def before(sl):
-        scratch.reshape(len(op.masks), -1)[sl] = ys[sl]
-
-    assert np.array_equal(_bits(extended_a(ext, scratch, before=before)),
-                          _bits(per_pattern_extended_a(ext, y)))

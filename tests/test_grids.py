@@ -179,9 +179,11 @@ def test_phase_factor_convention():
 
 def test_unit_gives_the_divide_by_the_magnitude():
     # _unit multiplies y by 1 / |y|, which is how numpy divides a complex by
-    # a real, so it has np.divide's values (== ignores the sign of zeros):
-    # over the whole float range, subnormal and exactly zero parts included.
-    # Magnitudes below 1 / max float overflow the reciprocal in both.
+    # a real, so it has np.divide's values (== ignores the sign of zeros)
+    # wherever |y| is normal: over the whole float range, subnormal and
+    # exactly zero parts included.  A subnormal |y| (below about 2.2e-308),
+    # whose reciprocal loses bits or overflows below 1 / max float, is
+    # scaled first, so every phase has unit modulus and no warning is raised.
     rng = np.random.default_rng(17)
     size = 200_000
     parts = rng.choice([-1.0, 1.0], (2, size)) * 10.0 ** rng.uniform(-320, 308, (2, size))
@@ -189,19 +191,21 @@ def test_unit_gives_the_divide_by_the_magnitude():
     parts[1, rng.random(size) < 0.05] = 0.0
     parts[:, (parts == 0).all(axis=0)] = 1.0  # no zero magnitude: the reciprocal path
     y = parts[0] + 1j * parts[1]
-    assert (np.abs(y) < 1 / np.finfo(float).max).any() and (np.abs(y) > 1e307).any()
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = np.divide(y, np.abs(y))
-        got = grids._unit(y, np.abs(y), np.empty_like(y))
-    assert np.array_equal(got, want, equal_nan=True)
-    # A zero magnitude takes the masked divide, and gives 1 there.
+    mag = np.abs(y)
+    normal = mag >= np.finfo(float).tiny
+    assert (mag < 1 / np.finfo(float).max).any() and (mag > 1e307).any()
+    got = grids._unit(y, np.abs(y), np.empty_like(y))
+    assert np.abs(np.abs(got) - 1.0).max() <= 4 * np.finfo(float).eps
+    assert np.array_equal(got[normal], np.divide(y[normal], mag[normal]))
+    # A zero magnitude gives 1 there.
     y[::7] = 0.0
     live = y != 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = np.where(live, np.divide(y, np.where(live, np.abs(y), 1.0)), 1.0)
-        got = grids._unit(y, np.abs(y), np.empty_like(y))
-    assert np.array_equal(got, want, equal_nan=True)
-    # Unit-scale phases: no overflow, no warning.
+    got = grids._unit(y, np.abs(y), np.empty_like(y))
+    assert np.all(got[~live] == 1.0)
+    assert np.abs(np.abs(got) - 1.0).max() <= 4 * np.finfo(float).eps
+    keep = live & normal
+    assert np.array_equal(got[keep], np.divide(y[keep], mag[keep]))
+    # Unit-scale phases take the reciprocal path.
     y = random_complex(rng, 1000)
     assert np.array_equal(grids._unit(y, np.abs(y), np.empty_like(y)), y / np.abs(y))
 

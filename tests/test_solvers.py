@@ -13,6 +13,7 @@ from phasedr.forward import (
     extend_op,
     extended_a,
     extended_astar,
+    extended_lift,
     make_operator,
     synthesize_data,
 )
@@ -37,7 +38,10 @@ from oracles import (
     dense_extended_astar,
     per_pattern_a,
     per_pattern_astar,
+    per_pattern_block_odr_step,
+    per_pattern_lift,
     per_pattern_odr_step,
+    per_pattern_unlift,
     proj_p1,
     proj_p2,
     project_object_set,
@@ -271,29 +275,54 @@ class TestFdrStepBits:
 
 
 class TestOdrStepBits:
-    # The step addresses the object block through views, projects the
-    # magnitudes in A~'s before hook (per pattern on the pool, or once over
-    # all patterns) and writes into out; all give the per-pattern oracle's bits.
-    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
-    @pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.25, 0.5)], ids=["free", "sector"])
-    @pytest.mark.parametrize("variant", ["one-mask", "one-and-half", "two-mask", "multi"])
-    @pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4)], ids=str)
-    def test_matches_per_pattern_oracle(self, dims, variant, sector, threaded, monkeypatch):
-        if threaded:
-            monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+    # The step iterates the lifted block h = U x.  It restricts A~'s block
+    # in its after hook (per pattern on the pool, or once over all
+    # patterns), projects the pixels whose m block is cut (n + 7 and L n - 1
+    # cut some) through their reflectors and writes into out; all give the
+    # per-pattern block oracle's bits.  Mapped back by U^-1 it is the
+    # x-domain step to roundoff: the two sum in different coordinates.
+    PADDED = pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4)], ids=str)
+    VARIANT = pytest.mark.parametrize("variant",
+                                      ["one-mask", "one-and-half", "two-mask", "multi"])
+    SECTOR = pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.25, 0.5)],
+                                     ids=["free", "sector"])
+
+    @staticmethod
+    def _cases(dims, variant):
         op, _, b = _instance(variant, dims=dims, mask_seed=8, x_seed=4)
         n, N, L = op.n, op.N, len(op.masks)
         rng = np.random.default_rng(19)
-        paddings = sorted({min(max(t, n), N) for t in (n, n + 7, L * n - 1, L * n, 4 * n, N - 1)})
-        for ntilde in paddings:
+        for ntilde in sorted({min(max(t, n), N)
+                              for t in (n, n + 7, L * n - 1, L * n, 4 * n, N - 1)}):
             ext = extend_op(op, ntilde)
             x = random_complex(rng, ntilde)
             x[::5] = 0.0
+            yield ext, b, x
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    @SECTOR
+    @VARIANT
+    @PADDED
+    def test_matches_per_pattern_block_oracle(self, dims, variant, sector, threaded,
+                                              monkeypatch):
+        if threaded:
+            monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+        for ext, b, x in self._cases(dims, variant):
+            h = extended_lift(ext, x)
+            want = per_pattern_block_odr_step(h, ext, b, sector)
+            assert np.array_equal(_bits(odr_step(h, ext, b, sector)), _bits(want)), ext.ntilde
+            buf = np.full(h.size, np.nan, dtype=complex)
+            assert odr_step(h, ext, b, sector, out=buf) is buf
+            assert np.array_equal(_bits(buf), _bits(want)), ext.ntilde
+
+    @SECTOR
+    @VARIANT
+    @PADDED
+    def test_is_the_lifted_x_domain_step(self, dims, variant, sector):
+        for ext, b, x in self._cases(dims, variant):
+            got = per_pattern_unlift(ext, odr_step(per_pattern_lift(ext, x), ext, b, sector))
             want = per_pattern_odr_step(x, ext, b, sector)
-            assert np.array_equal(_bits(odr_step(x, ext, b, sector)), _bits(want)), ntilde
-            buf = np.full(ntilde, np.nan, dtype=complex)
-            assert odr_step(x, ext, b, sector, out=buf) is buf
-            assert np.array_equal(_bits(buf), _bits(want)), ntilde
+            assert _norm(got - want) <= 1e-12 * _norm(want), ext.ntilde
 
 
 def _step_case(algorithm, variant="one-and-half", dims=(4, 4)):
@@ -303,7 +332,7 @@ def _step_case(algorithm, variant="one-and-half", dims=(4, 4)):
     if algorithm == "fdr":
         return fdr_step, op, b, random_complex(rng, op.N)
     ext = extend_op(op, {"odr": min(4 * op.n, op.N), "odr-N-1": op.N - 1}[algorithm])
-    return odr_step, ext, b, random_complex(rng, ext.ntilde)
+    return odr_step, ext, b, extended_lift(ext, random_complex(rng, ext.ntilde))
 
 
 class TestStepBuffers:
@@ -419,6 +448,7 @@ class TestStepResidual:
         assert plan.pooled == (algorithm == "fdr" and dims == (64, 64))
         y = _initial_iterate(cfg.init, op, ext, x0)
         u = apply_a(op, y) if ext is None else None
+        y = y if ext is None else extended_lift(ext, y)
         spare = None
         for _, _, step_res in res.history[1:]:
             if ext is None:
@@ -440,22 +470,25 @@ class TestOdrStep:
         rng = np.random.default_rng(16)
         for _ in range(5):
             y = random_complex(rng, op.N)
-            lhs = extended_astar(ext, odr_step(extended_a(ext, y), ext, b))
+            h = odr_step(extended_lift(ext, extended_a(ext, y)), ext, b)
+            lhs = extended_astar(ext, per_pattern_unlift(ext, h))
             assert np.linalg.norm(lhs - fdr_step(y, op, b)) < 1e-10
 
     def test_solution_embedding_is_fixed_point(self):
         op, x0, b = _instance()
         for ntilde in [op.n, op.n + 5, op.N]:
             ext = extend_op(op, ntilde)
-            x = embed(x0, ntilde)  # equals A~ (A* x0)
-            assert np.linalg.norm(odr_step(x, ext, b) - x) < 1e-10
+            h = extended_lift(ext, embed(x0, ntilde))  # U A~ (A* x0)
+            assert np.linalg.norm(odr_step(h, ext, b) - h) < 1e-10
 
     def test_nonfinite_rejected(self):
         op, _, b = _instance()
         ext = extend_op(op, 4 * op.n)
-        x = np.full(ext.ntilde, np.nan, dtype=complex)
-        with pytest.raises(FloatingPointError):
-            odr_step(x, ext, b)
+        h = extended_lift(ext, random_complex(np.random.default_rng(15), ext.ntilde))
+        for bad in (np.nan, np.inf):
+            h[3] = bad
+            with pytest.raises(FloatingPointError):
+                odr_step(h, ext, b)
 
     def test_matches_dense_evaluation(self):
         op, _, b = _instance()
@@ -469,7 +502,8 @@ class TestOdrStep:
         trunc = np.zeros_like(x)
         trunc[: op.n] = inner[: op.n]
         expected = x + trunc - z
-        assert np.linalg.norm(odr_step(x, ext, b) - expected) < 1e-10
+        got = per_pattern_unlift(ext, odr_step(extended_lift(ext, x), ext, b))
+        assert np.linalg.norm(got - expected) < 1e-10
 
     def test_fdr_independent_of_extension(self):
         # Evaluating the DR update through A~ gives the same map for every ntilde.
@@ -736,16 +770,20 @@ def test_diagnostics_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-# 16x16 FDR and ODR solves, whose transforms run as dense DFT-matrix
-# products (BLAS gemm) on 31-point axes, and an 8x8 lambda2_power; prints
-# each solve's repr(history) and x_hat bytes, then repr(lambda2).
+# 16x16 and 16x16x16 FDR and ODR solves, whose transforms run as dense
+# DFT-matrix products (BLAS gemm) on 31-point axes, and an 8x8
+# lambda2_power; prints each solve's repr(history) and x_hat bytes, then
+# repr(lambda2).  The 3-D grid (31**3 points) runs its patterns on the pool,
+# and its first-axis gemms are the largest a dense pass makes.
 _GEMM_PROBE = """
 import numpy as np
 from phasedr.forward import make_operator, synthesize_data
 from phasedr.grids import GridShape
 from phasedr.solvers import InitSpec, SolverConfig, run_solver
 from phasedr.spectral import lambda2_power, linearize_at_solution
-for dims, algorithm in (((16, 16), "fdr"), ((16, 16), "odr"), ((8, 8), None)):
+for dims, algorithm, iters in (((16, 16), "fdr", 40), ((16, 16), "odr", 40),
+                               ((16, 16, 16), "fdr", 16), ((16, 16, 16), "odr", 16),
+                               ((8, 8), None, 0)):
     shape = GridShape(dims)
     rng = np.random.default_rng(3)
     x0 = rng.uniform(0.0, 1.0, shape.n) * np.exp(2j * np.pi * rng.uniform(size=shape.n))
@@ -753,7 +791,7 @@ for dims, algorithm in (((16, 16), "fdr"), ((16, 16), "odr"), ((8, 8), None)):
     if algorithm is None:
         print(repr(lambda2_power(linearize_at_solution(op, x0), op).lambda2))
         continue
-    res = run_solver(SolverConfig(algorithm=algorithm, max_iters=40, tol=1e-300,
+    res = run_solver(SolverConfig(algorithm=algorithm, max_iters=iters, tol=1e-300,
                                   init=InitSpec(kind="ri", seed=5)),
                      op, synthesize_data(op, x0).b, x0)
     print(repr(res.history))
@@ -766,7 +804,8 @@ def test_dense_transforms_do_not_depend_on_blas_threads():
     # gemm, and numpy calls gemm once per row of a stack.
     outputs = outputs_under_blas_threads(_GEMM_PROBE)
     lines = outputs[0].splitlines()
-    assert len(lines) == 5 and all(h.count("(") == 40 for h in lines[0:4:2])
-    assert all(len(x) == 2 * 16 * 256 for x in lines[1:4:2])
-    assert 0.0 < float(lines[4]) < 1.0
+    assert len(lines) == 9
+    assert [h.count("(") for h in lines[0:8:2]] == [40, 40, 16, 16]
+    assert [len(x) for x in lines[1:8:2]] == [2 * 16 * 256] * 2 + [2 * 16 * 4096] * 2
+    assert 0.0 < float(lines[8]) < 1.0
     assert outputs[0] == outputs[1]
