@@ -2,15 +2,15 @@
 
 First sweep: reconstruction error versus noise-to-signal ratio; the error
 grows roughly linearly in the noise.  At this scale (8x8, three trials) the
-median error is 5.8e-2 at 1% NSR and 0.75 at 20%, and the fitted slope is
-3.62, steeper than the full-scale reference slope of about 2.2.  Second
+median error is 4.9e-2 at 1% NSR and 0.75 at 20%, and the fitted slope is
+3.78, steeper than the full-scale reference slope of about 2.2.  Second
 sweep: with the canonical extension the object-domain iteration recovers
 two of the three objects within 500 iterations at the standard padding
 ratio ntilde/n = 4 (mean error about 1e-4), all three from ratio 6 on, and
 matches the Fourier-domain iteration when ntilde reaches the full
 measurement dimension: success and accuracy grow with the padding.
 
-Run:  python3 demos/05_noise_and_padding.py   (a couple of minutes; writes demo_out/*.csv)
+Run:  python3 demos/05_noise_and_padding.py   (about 2 s; writes demo_out/*.csv)
 """
 
 import pathlib

@@ -12,14 +12,19 @@ Each application of A*, A, A~* or A~ hands all its patterns to grids in one
 stacked transform call, which may run them on separate cores; the results
 are bit for bit those of transforming one pattern at a time.
 
-What an application sets up on its operator is a plan: an OperatorPlan
-(the mask phasors and their conjugates, the (L, n) pattern stack and a
-grids.TransformPlan each way) or an ExtendedPlan (a grids.TransformPlan
-each way between the extension's lifted image block and the pattern
-images, with the buffers on both sides, and the object block's mask
-phasors).  A solver makes one per solve and hands it to every call; a
-one-shot call makes a throwaway plan.  A plan holds arrays and shapes
-only, no function, so a wrapper installed on a module function
+Every operator transforms between a block of image points and its L
+pattern images on the image grid: the plain DFT of that grid, with the
+object side cut to per-axis index sets.  For A* and A the sets are the
+object's leading points (the zero-padded oversampled DFT, or the plain DFT
+for multi); for the extension they are the compact block of its lift
+(ExtendedOp).  What an application sets up is a plan holding the two
+grids.TransformPlans of that form, made on first use and sharing one
+work stack, and the buffers around them: an OperatorPlan adds the mask
+phasors and the (L, n) pattern stack, an ExtendedPlan the buffers on both
+sides of the lifted block, the object block's mask phasors and the
+projection onto U's range.  A solver makes one per solve and hands it to
+every call; a one-shot call makes a throwaway plan.  A plan keeps no
+reference to a module's function, so a wrapper installed on one
 (perfbench's tracer) still sees every call.
 """
 
@@ -31,7 +36,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .grids import (
+from .grids import (  # dft_oversampled: bound here for perfbench's binding test
     DENSE_MAX_EXTENT,
     GridShape,
     TransformPlan,
@@ -39,7 +44,6 @@ from .grids import (
     _norm,
     dft_oversampled,
     dft_plain,
-    idft_oversampled,
     idft_plain,
 )
 
@@ -179,49 +183,61 @@ def _verify_isometry(op: PropagationOp, tol: float = 1e-10) -> None:
             raise RuntimeError(f"operator normalization failed: |AA*x - x|/|x| = {err:.3e}")
 
 
-class OperatorPlan:
-    """What A* and A set up on one operator, made once and reused by every
-    call given it: the mask phasors and their conjugates (the identity
-    mask's stay broadcasts), paired with the rows of the (L, n) stack that
-    holds A*'s masked input and A's unmasked images, and one transform plan
-    each way.  The parts one direction needs are made on its first call;
-    the forward passes share the inverse's N-length work stack when A runs
-    first, as in a solve."""
+class _TransformPair:
+    """The DFT plans between the (L, *len(index)) block of base's image grid
+    at the per-axis index sets index and the (L, grid.n) pattern images,
+    forward and inverse, each made on its first use.  Both carve their pass
+    buffers from one N-length work stack: the given one, else one that the
+    inverse makes, so a forward made first, as in a one-shot A*, allocates
+    only what its passes need.  target is what the plan was made for, the
+    operator or extension, which _plan checks."""
 
-    def __init__(self, op: PropagationOp) -> None:
-        self.op, self.c, self.oversampled = op, op.c, op.oversampled
-        self.x_shape, self.y_shape = (op.n,), (op.N,)
-        self.patterns = (len(op.masks), op.grid.n)  # the pattern view of a length-N vector
-        self.stack = np.empty((len(op.masks), op.n), dtype=np.complex128)
-        self.masking = [(row, m.values) for row, m in zip(self.stack, op.masks)]
-        self.work = None  # the inverse's N-length work stack, once made
+    def __init__(self, target, base: PropagationOp, index, work=None) -> None:
+        self.target, self.grid, self.index, self.L = (target,), base.grid, index, len(base.masks)
+        self.work = work
 
     @cached_property
     def forward(self) -> TransformPlan:
-        # A one-shot A* allocates only what its passes need.
-        op = self.op
-        return TransformPlan(op.shape, op.grid.dims, False, len(op.masks), self.work)
+        return TransformPlan(self.grid, self.grid.dims, False, self.L, self.work, self.index)
+
+    @cached_property
+    def inverse(self) -> TransformPlan:
+        if self.work is None:
+            self.work = np.empty(self.L * self.grid.n, dtype=np.complex128)
+        return TransformPlan(self.grid, self.grid.dims, True, self.L, self.work, self.index)
+
+
+class OperatorPlan(_TransformPair):
+    """What A* and A set up on one operator, made once and reused by every
+    call given it: the transform plans on the object's leading index sets,
+    and the mask phasors and their conjugates (the identity mask's stay
+    broadcasts), paired with the rows of the (L, n) stack that holds A*'s
+    masked input and A's unmasked images.  The parts one direction needs
+    are made on its first call."""
+
+    def __init__(self, op: PropagationOp) -> None:
+        super().__init__(op, op, tuple(map(range, op.shape.dims)))
+        self.masks, self.c = op.masks, op.c
+        self.x_shape, self.y_shape = (op.n,), (op.N,)
+        self.patterns = (self.L, self.grid.n)  # the pattern view of a length-N vector
+        self.stack = np.empty((self.L, op.n), dtype=np.complex128)
+        self.masking = [(row, m.values) for row, m in zip(self.stack, op.masks)]
 
     @cached_property
     def unmasking(self) -> list:
         # The identity mask's conjugate is the scalar 1 - 0j, which a
         # multiply broadcasts as it would n copies of it.
         return [(row, np.conj(mu[0]) if m.kind == MASK_IDENTITY else np.conj(mu))
-                for (row, mu), m in zip(self.masking, self.op.masks)]
-
-    @cached_property
-    def inverse(self) -> TransformPlan:
-        op = self.op
-        self.work = np.empty(op.N, dtype=np.complex128)
-        return TransformPlan(op.shape, op.grid.dims, True, len(op.masks), self.work)
+                for (row, mu), m in zip(self.masking, self.masks)]
 
 
-def _plan(plan, cls, target):
-    """plan when it was made for target; a throwaway cls(target) when None."""
+def _plan(plan, cls, *target):
+    """plan when it was made for target, the same objects (an operator, and
+    a StepPlan's data vector after it); a throwaway cls(*target) when None."""
     if plan is None:
-        return cls(target)
-    if plan.op is not target:
-        raise ValueError(f"plan: an {cls.__name__} made for another operator")
+        return cls(*target)
+    if plan.target[0] is not target[0] or plan.target[-1] is not target[-1]:
+        raise ValueError(f"plan: a {cls.__name__} made for other arguments")
     return plan
 
 
@@ -251,8 +267,7 @@ def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.nda
         if after is not None:
             after(rows)
 
-    transform = dft_oversampled if plan.oversampled else dft_plain
-    transform(plan.stack, op.shape, before=mask, after=scale, out=images, plan=plan.forward)
+    dft_plain(plan.stack, op.grid, before=mask, after=scale, out=images, plan=plan.forward)
     return out
 
 
@@ -278,9 +293,8 @@ def apply_a(op: PropagationOp, y, before=None, plan=None) -> np.ndarray:
         for image, conj in unmasking[rows]:
             np.multiply(conj, image, out=image)
 
-    inverse = idft_oversampled if plan.oversampled else idft_plain
-    inverse(y.reshape(plan.patterns), op.shape, before=before, after=unmask, out=plan.stack,
-            plan=plan.inverse)
+    idft_plain(y.reshape(plan.patterns), op.grid, before=before, after=unmask, out=plan.stack,
+               plan=plan.inverse)
     return plan.c * np.add.reduce(plan.stack, axis=0, initial=0)
 
 
@@ -410,25 +424,24 @@ def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
             )
 
 
-class ExtendedPlan:
+class ExtendedPlan(_TransformPair):
     """What A~*, A~ and the ODR step set up on one extension, made once and
-    reused by every call given it: a transform plan each way between the
-    (L, K) block and the (L, grid.n) images; A~*'s result y; A~'s block g;
-    the object block's mu and conj(mu) / L, and scratch."""
+    reused by every call given it: the transform plans on the compact
+    block's index sets; A~*'s result y; A~'s block g; the object block's mu
+    and conj(mu) / L, and scratch; and U's range (ExtendedOp.lift_range),
+    onto which restrict and project_cut project g."""
 
     def __init__(self, ext: ExtendedOp) -> None:
-        grid, index, block, _ = ext.layout
+        _, index, self.block, _ = ext.layout
+        super().__init__(ext, ext.base, index, np.empty(ext.N, dtype=np.complex128))
         mu = ext.householder[0]
-        L, live = len(mu), tuple(map(len, index))
-        self.op, self.live, self.block = ext, (L, *live), block
-        work = np.empty(ext.N, dtype=np.complex128)
-        self.forward = TransformPlan(grid, grid.dims, False, L, work, index)
-        self.inverse = TransformPlan(grid, grid.dims, True, L, work, index)
-        self.y = np.empty((L, grid.n), dtype=np.complex128)
-        self.g = np.empty((L, prod(live)), dtype=np.complex128)
-        self.mu, self.conj_mu = mu, np.conj(mu) / L
+        self.live = (self.L, *map(len, index))
+        self.y = np.empty((self.L, self.grid.n), dtype=np.complex128)
+        self.g = np.empty((self.L, prod(self.live[1:])), dtype=np.complex128)
+        self.mu, self.conj_mu = mu, np.conj(mu) / self.L
         self.prods = np.empty(mu.shape, dtype=np.complex128)
         self.sums = np.empty(mu.shape[1:], dtype=np.complex128)
+        self.mask, self.cut = ext.lift_range
 
     def objects(self, h: np.ndarray) -> np.ndarray:
         """The (L, *dims) object block view of a block h."""
@@ -440,10 +453,22 @@ class ExtendedPlan:
         np.multiply(self.conj_mu, v, out=self.prods)
         return self.prods.sum(axis=0, out=out)
 
+    def restrict(self, rows) -> None:
+        """Zero those rows of g off U's range S, as a transform's after hook
+        may; with project_cut after it, this is P_U."""
+        g = self.g[rows]
+        np.multiply(g, self.mask[rows], out=g)
 
-def _reflected(ext: ExtendedOp, h: np.ndarray) -> np.ndarray:
-    """The reflectors I - kappa w w^H applied to the (L, *dims) block h."""
-    _, w, kappa = ext.householder
+    def project_cut(self) -> None:
+        """P_U's rest, in place in g, on the pixels whose m block is cut:
+        reflect, zero the coordinates m_j lacks, reflect back."""
+        if self.cut is not None:
+            pos, keep, w, kappa = self.cut
+            self.g[:, pos] = _reflect(_reflect(self.g[:, pos], w, kappa) * keep, w, kappa)
+
+
+def _reflect(h: np.ndarray, w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """The reflectors I - kappa w w^H applied to the columns of the (L, ...) h."""
     return h - (kappa * (np.conj(w) * h).sum(axis=0)) * w
 
 
@@ -462,7 +487,8 @@ def extended_lift(ext: ExtendedOp, x) -> np.ndarray:
     m = np.zeros(mu.shape, dtype=np.complex128)
     m.reshape(L, n)[1:] = mt[: n * (L - 1)].reshape(n, L - 1).T
     # sqrt(L) Q m + mu x: the x block is the masked image A* transforms.
-    np.add(_reflected(ext, m), mu * x[:n].reshape(mu.shape[1:]), out=h.reshape(live)[block])
+    np.add(_reflect(m, *ext.householder[1:]), mu * x[:n].reshape(mu.shape[1:]),
+           out=h.reshape(live)[block])
     h[tail] = mt[n * (L - 1) :]
     return h
 
@@ -477,7 +503,7 @@ def extended_astar(ext: ExtendedOp, x, plan=None) -> np.ndarray:
     def scale(rows):
         y[rows] *= c
 
-    return dft_plain(h.reshape(plan.g.shape), ext.layout[0], after=scale, out=y,
+    return dft_plain(h.reshape(plan.g.shape), plan.grid, after=scale, out=y,
                      plan=plan.forward).reshape(ext.N)
 
 
@@ -489,13 +515,12 @@ def extended_a(ext: ExtendedOp, y, plan=None) -> np.ndarray:
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
     plan = _plan(plan, ExtendedPlan, ext)
-    (grid, _, _, tail), mu = ext.layout, ext.householder[0]
-    L, n = len(mu), ext.n
+    (_, w, kappa), grid, L, n = ext.householder, plan.grid, plan.L, ext.n
     h = plan.objects(idft_plain(y.reshape(L, grid.n), grid, out=plan.g, plan=plan.inverse))
     # [c mu^H h ; Q^H h pixel-major ; the padded pixels' t], the last two over sqrt(grid.n)
-    return np.concatenate([ext.base.c * (np.conj(mu) * h).sum(axis=0).ravel(),
-                           _reflected(ext, h)[1:].reshape(L - 1, n).T.ravel() / sqrt(grid.n),
-                           plan.g.ravel()[tail] / sqrt(grid.n)])[: ext.ntilde]
+    return np.concatenate([ext.base.c * (np.conj(plan.mu) * h).sum(axis=0).ravel(),
+                           _reflect(h, w, kappa)[1:].reshape(L - 1, n).T.ravel() / sqrt(grid.n),
+                           plan.g.ravel()[ext.layout[3]] / sqrt(grid.n)])[: ext.ntilde]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@ Objects live on a d-dimensional support grid with per-axis extents
 oversampled frequency grid has 2*M_j+1 points per axis, the sampling at
 which a diffraction pattern determines the object's autocorrelation.
 
-A DFT runs one pass per axis, last axis first.  The object side of an
-axis is an index set of image points: the first M_j+1 for the four DFTs
-below, the live rows or columns for an extension (forward.ExtendedOp).
+A DFT runs one pass per axis, last axis first, between an image grid and
+an object side that is, per axis, an index set of image points.  The
+oversampled DFTs below take the object's leading M_j+1 points on the
+oversampled grid, the plain ones every point; a TransformPlan may hold any
+sorted sets.  So forward's operators all run the plain DFT of their image
+grid with a plan over their object side's sets: the object's leading
+points for A* and A, the compact block of the lift for an extension.
 When every image extent is at most DENSE_MAX_EXTENT points (the 31-point
 axes of a 16x16 object and below), a pass is one product with a dense DFT
 matrix: the DFT of the set's points, zero elsewhere on the image axis, or
@@ -36,12 +40,13 @@ rows, around the stacked call.  A call writes its result into a caller's
 out buffer when given one.
 
 What a call sets up before its passes (the geometry, the pass buffers and
-the cut views the passes write, the dense matrices, the split of the rows
-into tasks) is a TransformPlan.  A caller that transforms stacks of one
-shape many times, as a solve does, makes the plan once and hands it to
-every call; a call without one makes a throwaway plan, so both run one
-code path.  The dense matrices are built once per shape and shared
-read-only by every plan.
+the cut views the passes write, the split of the rows into tasks, and each
+pass as one call: a product with a dense matrix or an FFT along one axis)
+is a TransformPlan.  A caller that transforms stacks of one shape many
+times, as a solve does, makes the plan once and hands it to every call; a
+call without one makes a throwaway plan, so both run one code path.  The
+dense matrices are built once per shape and shared read-only by every
+plan.
 """
 
 from __future__ import annotations
@@ -182,14 +187,19 @@ def _dft_matrix(g: int, index: tuple[int, ...], inverse: bool) -> np.ndarray:
     return mat
 
 
+def _times(mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows @ mat into out: a dense pass along the last axis."""
+    return np.matmul(rows, mat, out=out)
+
+
 class TransformPlan:
     """The set-up of one DFT between an object grid and an image grid, made
     once for a (k, n) stack and reused by every call given it.
 
-    It holds the geometry, the kind of its passes (dense products when
-    `dense`, see DENSE_MAX_EXTENT) with their matrices, the pass buffers
-    with the cut views each pass writes, and the split of the rows into
-    tasks, decided by PARALLEL_MIN_POINTS when the plan is made.  The pass
+    It holds the geometry, its passes (dense products when `dense`, see
+    DENSE_MAX_EXTENT, else FFTs), each a call with the pass buffers or cut
+    views it reads and writes, and the split of the rows into tasks,
+    decided by PARALLEL_MIN_POINTS when the plan is made.  The pass
     buffers are carved from `work`, a flat complex128 buffer, while it
     lasts: a dense plan and a forward FFT plan take the d - 1 intermediate
     passes, an inverse FFT plan one (k, *image) stack.  A forward and an
@@ -197,10 +207,11 @@ class TransformPlan:
     before it returns; a plan serves one call at a time.  A plan holds no
     input or output.
 
-    index holds the object side's sorted image points per axis,
-    range(M_j+1) when not given: a forward plan transforms the (k, *len(index))
-    block of those points, and an inverse plan returns only that block.  An
-    FFT plan takes only leading sets, range(m).
+    index holds the object side's image points per axis, each a sorted
+    tuple of ints or a range, range(M_j+1) when not given: a forward plan
+    transforms the (k, *len(index)) block of those points, and an inverse
+    plan returns only that block.  An FFT plan takes only leading sets,
+    range(m).
     """
 
     def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, k: int,
@@ -208,15 +219,12 @@ class TransformPlan:
         dims, d = shape.dims, shape.ndim
         self.key, self.k = (dims, image, inverse), k
         self.scale = prod(image)
-        self.fft = np.fft.ifft if inverse else np.fft.fft
-        if index is None:
-            index = tuple(map(range, dims))
-        else:
-            index = tuple(tuple(map(int, ix)) for ix in index)
-            if len(index) != d:
-                raise ValueError(f"TransformPlan: {len(index)} index sets for {d} axes")
-            if max(image) > DENSE_MAX_EXTENT and any(ix != tuple(range(len(ix))) for ix in index):
-                raise ValueError("TransformPlan: an FFT plan takes only leading index sets")
+        fft = np.fft.ifft if inverse else np.fft.fft
+        index = tuple(map(range, dims)) if index is None else tuple(index)
+        if len(index) != d:
+            raise ValueError(f"TransformPlan: {len(index)} index sets for {d} axes")
+        if max(image) > DENSE_MAX_EXTENT and any(ix[-1] != len(ix) - 1 for ix in index):
+            raise ValueError("TransformPlan: an FFT plan takes only leading index sets")
         dims = tuple(map(len, index))  # the object side's extents
         src_dims, dest_dims = (image, dims) if inverse else (dims, image)
         self.src_len, dest_len = prod(src_dims), prod(dest_dims)
@@ -235,9 +243,9 @@ class TransformPlan:
                 return work[at - size : at].reshape(shape_j)
             return np.empty(shape_j, dtype=np.complex128)
 
-        # Each pass is (axis, n, input, output) for an FFT, or (matrix, on
-        # the left, input, output) for a dense product, last axis first; None
-        # stands for the call's input rows or output rows.
+        # Each pass is (call, input, output), last axis first, and runs as
+        # call(input, out=output); None stands for the call's input rows or
+        # output rows.
         passes, inp, cut = [], None, None
         self.dense = max(image) <= DENSE_MAX_EXTENT
         if self.dense:
@@ -259,7 +267,8 @@ class TransformPlan:
                 else:
                     inp = inp.reshape(shapes[0])
                 out = carve(shapes[1]) if axis else None
-                passes.append((mat.T, False, inp, out) if axis == d - 1 else (mat, True, inp, out))
+                call = partial(_times, mat.T) if axis == d - 1 else partial(np.matmul, mat)
+                passes.append((call, inp, out))
                 ext[axis], inp = n_out, out
             self.dest_rows = shapes[1]
         elif inverse:
@@ -267,7 +276,7 @@ class TransformPlan:
             # the previous one left.
             out = carve((k, *image))
             for axis in range(d - 1, -1, -1):
-                passes.append((axis + 1, image[axis], inp, out))
+                passes.append((partial(fft, n=image[axis], axis=axis + 1), inp, out))
                 inp = out = out[(slice(None),) * (axis + 1) + (slice(0, dims[axis]),)]
             cut = out
         else:
@@ -275,14 +284,14 @@ class TransformPlan:
             # the caller's output.
             for axis in range(d - 1, -1, -1):
                 out = carve((k, *dims[:axis], *image[axis:])) if axis else None
-                passes.append((axis + 1, image[axis], inp, out))
+                passes.append((partial(fft, n=image[axis], axis=axis + 1), inp, out))
                 inp = out
         if k > 1 and self.scale >= PARALLEL_MIN_POINTS:
             def part(a, i):
                 return None if a is None else a[i : i + 1]
 
             self.groups = [(slice(i, i + 1),
-                            [(p, q, part(a, i), part(o, i)) for p, q, a, o in passes],
+                            [(call, part(a, i), part(o, i)) for call, a, o in passes],
                             part(cut, i)) for i in range(k)]
         else:
             self.groups = [(slice(None), passes, cut)]
@@ -301,14 +310,8 @@ class TransformPlan:
         rows, passes, cut = group
         if before is not None:
             before(rows)
-        if self.dense:
-            for mat, left, a, o in passes:
-                a, o = src[rows] if a is None else a, dest[rows] if o is None else o
-                np.matmul(mat, a, out=o) if left else np.matmul(a, mat, out=o)
-        else:
-            for axis, n, a, o in passes:  # numpy.fft's out=, hence NumPy >= 2.0
-                self.fft(src[rows] if a is None else a, n, axis, None,
-                         dest[rows] if o is None else o)
+        for call, a, o in passes:  # numpy.fft's out=, hence NumPy >= 2.0
+            call(src[rows] if a is None else a, out=dest[rows] if o is None else o)
         if cut is not None:
             np.multiply(cut, self.scale, dest[rows])
         if after is not None:

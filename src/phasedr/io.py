@@ -36,7 +36,10 @@ def _read_pgm(path: Path) -> np.ndarray:
         tokens.extend(body.split())
     if not tokens or tokens[0] != "P2":
         raise ValueError(f"{path}: not an ASCII PGM (P2) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = map(int, tokens[1:4])
+    except ValueError:
+        raise ValueError(f"{path}: PGM header needs integer width, height and maxval") from None
     pix = np.array([int(t) for t in tokens[4 : 4 + w * h]], dtype=float)
     if pix.size != w * h:
         raise ValueError(f"{path}: expected {w * h} pixels, found {pix.size}")

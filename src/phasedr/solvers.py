@@ -28,14 +28,15 @@ without BLAS (grids._norm).  The dense transform passes call BLAS gemm,
 once per pattern and too small for OpenBLAS to split over threads.  So
 iterates and diagnostics do not depend on the BLAS thread count.
 
-run_solver prepares the step once per solve as a StepPlan: the operator
-plan of forward, the pattern view of b, the magnitude and P2 y buffers,
-and a scratch buffer.  Each step then works in those buffers and the
-buffer of the iterate before last, and leaves its change x+ - x in the
-scratch.  Where FDR's steps run on the pool, the two norms of the step
-residual ||x+ - x|| / ||x|| run there too, side by side (see StepPlan).
-A step called without a plan, as in fdr_step(y, op, b), makes a
-throwaway one.
+run_solver prepares the step once per solve as a StepPlan: the plan of
+forward for its operator (an OperatorPlan for FDR, an ExtendedPlan, which
+also projects onto U's range, for ODR; the two hold transform plans of
+one form), the pattern view of b, the magnitude and P2 y buffers, and a
+scratch buffer.  Each step then works in those buffers and the buffer of
+the iterate before last, and leaves its change x+ - x in the scratch.
+Where FDR's steps run on the pool, the two norms of the step residual
+||x+ - x|| / ||x|| run there too, side by side (see StepPlan).  A step
+called without a plan, as in fdr_step(y, op, b), makes a throwaway one.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .forward import (
     ExtendedPlan,
     OperatorPlan,
     PropagationOp,
+    _plan,
     apply_a,
     apply_astar,
     extend_op,
@@ -132,7 +134,7 @@ class StepPlan:
     plan makes its own."""
 
     def __init__(self, op, b) -> None:
-        self.op, self.b = op, b
+        self.target = (op, b)
         base = op.base if isinstance(op, ExtendedOp) else op
         shape = (len(base.masks), base.grid.n)
         self.bs = np.asarray(b).reshape(shape)
@@ -147,14 +149,6 @@ class StepPlan:
             self.w = np.empty(shape, dtype=np.complex128)
             self.scratch = self.w.reshape(-1)
             self.pooled = len(self.ops.inverse.groups) > 1
-
-
-def _step_plan(plan, op, b) -> StepPlan:
-    if plan is None:
-        return StepPlan(op, b)
-    if plan.op is not op or plan.b is not b:
-        raise ValueError("plan: a StepPlan made for another operator or data vector")
-    return plan
 
 
 def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None, out=None,
@@ -176,7 +170,7 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     the step change y+ - y, written into w, the plan's scratch.
     """
     y = np.asarray(y, dtype=np.complex128)
-    plan = _step_plan(plan, op, b)
+    plan = _plan(plan, StepPlan, op, b)
     r = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
         out, plan.ops.y_shape, "fdr_step: out", y, estimate)
     # r holds 2 P2 y - y, then A* x, then y+.
@@ -221,32 +215,28 @@ def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     on object pixel j, mu_j times the sector-projected sum_l conj(mu_l)
     (.)_l / L, zero on padded pixels.  This is U of x + [2z - x]_X - z,
     z = A~(b . phase(A~* x)).  b . phase and the mask of U's range run per
-    pattern in the inverse's hooks.  h+ is written into out when given, a
-    C-contiguous complex128 buffer of h's length apart from h.  plan is a
-    StepPlan of (ext, b); without one the step makes its own.  The step
-    change h+ - h is left in g, the plan's scratch.
+    pattern in the inverse's hooks; the plan's ExtendedPlan holds P_U.  h+
+    is written into out when given, a C-contiguous complex128 buffer of h's
+    length apart from h.  plan is a StepPlan of (ext, b); without one the
+    step makes its own.  The step change h+ - h is left in g, the plan's
+    scratch.
     """
     h = np.asarray(h, dtype=np.complex128)
     if not np.isfinite(h).all():
         raise FloatingPointError("odr_step: non-finite iterate")
-    plan = _step_plan(plan, ext, b)
+    plan = _plan(plan, StepPlan, ext, b)
     ops = plan.ops
     y, g, bs, mag = ops.y, ops.g, plan.bs, plan.mag
     r = np.empty_like(h) if out is None else _buffer(out, h.shape, "odr_step: out", h)
-    grid, (mask, cut) = ext.layout[0], ext.lift_range
 
     def project(rows):
         yr = y[rows]
         _unit(yr, np.abs(yr, out=mag[rows]), yr)
         np.multiply(bs[rows], yr, out=yr)
 
-    def restrict(rows):
-        np.multiply(g[rows], mask[rows], out=g[rows])
-
-    dft_plain(h.reshape(g.shape), grid, out=y, plan=ops.forward)
-    idft_plain(y, grid, before=project, after=restrict, out=g, plan=ops.inverse)
-    if cut is not None:
-        _project_cut(g, cut)
+    dft_plain(h.reshape(g.shape), ops.grid, out=y, plan=ops.forward)
+    idft_plain(y, ops.grid, before=project, after=ops.restrict, out=g, plan=ops.inverse)
+    ops.project_cut()
     # r holds h - g, then h+ = h - g + mu [sum conj(mu) (2g - h) / L]_X.
     p = np.multiply(2.0, ops.objects(g), out=ops.prods)
     np.subtract(p, ops.objects(h), out=p)
@@ -257,17 +247,6 @@ def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     np.add(ro, p, out=ro)
     np.subtract(r, h, out=g.reshape(-1))  # the step change, once g is read
     return r
-
-
-def _project_cut(g: np.ndarray, cut: tuple) -> None:
-    """P_U, in place in g, on the pixels whose m block is cut: reflect,
-    zero the coordinates m_j lacks, reflect back (ExtendedOp.lift_range)."""
-    pos, keep, w, kappa = cut
-    v = g[:, pos]
-    v -= (kappa * (np.conj(w) * v).sum(axis=0)) * w
-    v *= keep
-    v -= (kappa * (np.conj(w) * v).sum(axis=0)) * w
-    g[:, pos] = v
 
 
 def _norms(u, v, pooled: bool) -> tuple[float, float]:

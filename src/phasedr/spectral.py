@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import OperatorPlan, PropagationOp, apply_a, apply_astar
-from .grids import _dot, _norm, dft_oversampled, dft_plain, phase_factor, realify, unrealify
+from .grids import _dot, _norm, phase_factor, realify, unrealify
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,12 @@ DENSE_GUARD = 1_000_000
 def dense_B(pt: LinearizationPoint, op: PropagationOp) -> np.ndarray:
     """Materialize B = A diag(omega) as an n x N array (small problems only).
 
-    Row j is conj(A* e_j) . omega.  Each pattern's block of the n columns
-    A* e_j is one stacked transform of the masked basis vectors, with
-    apply_astar's arithmetic, so every row has its bits."""
-    L, g = len(op.masks), op.grid.n
-    transform = dft_oversampled if op.oversampled else dft_plain
-    images = np.empty((L, op.n, g), dtype=np.complex128)  # images[l, j] is pattern l of A* e_j
-    eye = np.eye(op.n, dtype=np.complex128)
-    for image, mask in zip(images, op.masks):
-        transform(np.multiply(mask.values, eye), op.shape, out=image)
-    images *= op.c
-    rows = np.conj(images, out=images).transpose(1, 0, 2)
-    return np.multiply(rows, pt.omega.reshape(L, g)).reshape(op.n, op.N)
+    Row j is conj(A* e_j) . omega, with A* e_j from apply_astar through
+    one plan."""
+    plan, rows = OperatorPlan(op), np.empty((op.n, op.N), dtype=np.complex128)
+    for row, e in zip(rows, np.eye(op.n, dtype=np.complex128)):
+        apply_astar(op, e, out=row, plan=plan)
+    return np.multiply(np.conj(rows, out=rows), pt.omega, out=rows)
 
 
 def svd_oracle(pt: LinearizationPoint, op: PropagationOp) -> SingularSystem:

@@ -180,12 +180,17 @@ def test_length_mismatch_errors():
         apply_a(op, np.zeros(op.N + 1, dtype=complex))
 
 
-def test_extend_op_trivial():
-    op = _op(VARIANT_ONE_AND_HALF, GridShape((3, 3)))
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dims", [(3, 3), (40, 40), (2, 3, 4)], ids=["3x3", "40x40", "2x3x4"])
+def test_extend_op_trivial(variant, dims):
+    # At ntilde = n the extension is A* itself: its two maps give A*'s and
+    # A's bits, on a dense grid, an FFT grid (40x40) and a 3-D grid.
+    op = _op(variant, GridShape(dims))
     ext = extend_op(op, op.n)
     rng = np.random.default_rng(2)
-    x = random_complex(rng, op.n)
-    assert np.array_equal(extended_astar(ext, x), apply_astar(op, x))
+    x, y = random_complex(rng, op.n), random_complex(rng, op.N)
+    assert extended_astar(ext, x).tobytes() == apply_astar(op, x).tobytes()
+    assert extended_a(ext, y).tobytes() == apply_a(op, y).tobytes()
 
 
 def test_extend_one_mask_full_is_unitary():

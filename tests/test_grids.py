@@ -268,8 +268,9 @@ def test_transforms_above_the_dense_bound_are_the_padded_fft():
 def test_dense_matrices_are_shared_read_only():
     shape = GridShape((16, 16))
     plans = [grids.TransformPlan(shape, shape.oversampled_dims, True, k) for k in (1, 2)]
-    # Each plan's second pass, along the first axis, holds the matrix itself.
-    (m1, _, _, _), (m2, _, _, _) = (plan.groups[0][1][1] for plan in plans)
+    # Each plan's second pass, along the first axis, is a product with the
+    # matrix itself.
+    m1, m2 = (plan.groups[0][1][1][0].args[0] for plan in plans)
     assert m1 is m2 and not m1.flags.writeable
 
 

@@ -82,6 +82,18 @@ def test_header_without_integer_count(tmp_path, load, tag, count):
         load(p)
 
 
+@pytest.mark.parametrize("header", ["P2\n", "P2\n3 2\n", "P2\n3 two 255\n", "P2\n3 2 1.5\n"])
+def test_pgm_header_without_integer_fields(tmp_path, header):
+    # A PGM header short of an integer width, height or maxval is malformed
+    # like a wrong magic: a ValueError naming the file, not an IndexError.
+    stem = tmp_path / "img"
+    save_pgm_pair(stem, np.ones((2, 3), dtype=complex))
+    bad = tmp_path / "img.re.pgm"
+    bad.write_text(header)
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        load_pgm_pair(stem)
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "out" / "rows.csv"
     rows = [[0, "fdr", 1, 0.5], [0, "fdr", 2, 0.25]]
