@@ -200,10 +200,9 @@ def _summarize(name: str, result) -> str:
     if name == "noise-sweep":
         slopes = ", ".join(f"{b}: {s:.2f}" for b, s in sorted(result.slopes.items()))
         return f"error-vs-NSR slopes {{{slopes}}} (reference 2.2 at full scale)"
-    if name == "padding-sweep":
-        pairs = ", ".join(f"{r:g}: {result.mean_error[r]:.2e}" for r in sorted(result.mean_error))
-        return f"mean error by ratio {{{pairs}}}, trend corr {result.trend_correlation:.2f}"
-    return ""
+    # padding-sweep
+    pairs = ", ".join(f"{r:g}: {result.mean_error[r]:.2e}" for r in sorted(result.mean_error))
+    return f"mean error by ratio {{{pairs}}}, trend corr {result.trend_correlation:.2f}"
 
 
 def console_main() -> None:

@@ -173,13 +173,13 @@ def make_operator(
     return op
 
 
-def _verify_isometry(op: PropagationOp, tol: float = 1e-10) -> None:
+def _verify_isometry(op: PropagationOp) -> None:
     rng = np.random.default_rng(12345)
     plan = OperatorPlan(op)  # one throwaway plan for the whole check
     for _ in range(3):
         x = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
         err = _norm(apply_a(op, apply_astar(op, x, plan=plan), plan=plan) - x) / _norm(x)
-        if not err < tol:
+        if not err < 1e-10:
             raise RuntimeError(f"operator normalization failed: |AA*x - x|/|x| = {err:.3e}")
 
 
@@ -408,7 +408,7 @@ def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
     return ext
 
 
-def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
+def _verify_extension(ext: ExtendedOp) -> None:
     """Check A~ A~* x = x and A A~*[0; t] = 0 on random vectors."""
     rng = np.random.default_rng(707)
     plan, base = ExtendedPlan(ext), OperatorPlan(ext.base)  # throwaway plans for the check
@@ -418,7 +418,7 @@ def _verify_extension(ext: ExtendedOp, tol: float = 1e-10) -> None:
         iso = _norm(extended_a(ext, extended_astar(ext, x, plan=plan), plan=plan) - x) / scale
         x[: ext.n] = 0.0  # [0; t]
         cross = _norm(apply_a(ext.base, extended_astar(ext, x, plan=plan), plan=base)) / scale
-        if not (iso < tol and cross < tol):
+        if not (iso < 1e-10 and cross < 1e-10):
             raise RuntimeError(
                 f"extension verification failed (isometry {iso:.3e}, cross {cross:.3e})"
             )

@@ -362,10 +362,9 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
     if out_shape is None:
         raise ValueError(f"{what}: expected flat length {plan.src_len} or a "
                          f"({plan.k}, {plan.src_len}) stack, got shape {v.shape}")
-    if out is None:
-        out = np.empty(out_shape, dtype=np.complex128)
-    elif out.shape != out_shape or out.dtype != _COMPLEX or not out.flags.c_contiguous:
-        raise ValueError(f"{what}: out must be a C-contiguous complex128 {out_shape} array")
+    # out may be v itself, so _buffer gets no inputs to check overlap with
+    out = np.empty(out_shape, dtype=np.complex128) if out is None else _buffer(
+        out, out_shape, f"{what}: out")
     plan.run(v.reshape(plan.src_rows), out.reshape(plan.dest_rows), before, after)
     return out
 
@@ -410,13 +409,20 @@ def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None,
 
 def dft_plain(x, shape: GridShape, before=None, after=None, out=None,
               plan=None) -> np.ndarray:
-    """Unoversampled (standard) DFT on the object grid itself, flat or stacked."""
+    """Unoversampled (standard) DFT on the grid shape, flat or stacked.
+
+    Its object side is the whole grid or, with a plan, the plan's per-axis
+    index sets of it, zero elsewhere.  forward's operators call it so: on
+    their image grid, with a plan whose sets are the object's leading
+    points (A*) or an extension's compact block.  Either way its Gram
+    matrix is shape.n * I."""
     return _transform(x, shape, shape.dims, False, "dft_plain", before, after, out, plan)
 
 
 def idft_plain(y, shape: GridShape, before=None, after=None, out=None,
                plan=None) -> np.ndarray:
-    """Adjoint of :func:`dft_plain` (Gram matrix is n * I), flat or stacked."""
+    """Adjoint of :func:`dft_plain`, flat or stacked: the unnormalized
+    inverse DFT, read on the same object side (the plan's index sets)."""
     return _transform(y, shape, shape.dims, True, "idft_plain", before, after, out, plan)
 
 

@@ -119,13 +119,12 @@ def load_data(path: str | Path) -> np.ndarray:
     return _load_values(path, "B", "data")
 
 
-def write_csv(path: str | Path, header: list[str], rows, config_comment: str = "") -> Path:
-    """Write rows with a header line and an optional leading `#` config comment."""
+def write_csv(path: str | Path, header: list[str], rows, config_comment: str) -> Path:
+    """Write rows with a header line after a leading `#` config comment."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        if config_comment:
-            fh.write(f"# {config_comment}\n")
+        fh.write(f"# {config_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

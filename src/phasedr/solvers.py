@@ -67,6 +67,12 @@ INIT_RANDOM = "ri"
 INIT_CONSTANT = "ci"
 INIT_NEAR = "near"
 
+# RecoveryResult.stop: why a run_solver run ended.
+STOP_ERROR_TOL = "error tol"
+STOP_STEP_TOL = "step tol"
+STOP_MAX_ITERS = "max_iters"
+STOP_NON_FINITE = "non-finite"
+
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -328,7 +334,11 @@ class RecoveryResult:
     k = 1).  iterations is the index k of the last iterate, the initial
     iterate being k = 1: the run took iterations - 1 DR steps, and history
     has iterations rows.  When the last iterate is non-finite, history has
-    one row fewer, x_hat is all nan and both errors are nan.
+    one row fewer, x_hat is all nan and both errors are nan.  stop says
+    why the run ended, one of STOP_ERROR_TOL ("error tol"), STOP_STEP_TOL
+    ("step tol"), STOP_MAX_ITERS ("max_iters") and STOP_NON_FINITE
+    ("non-finite"); `converged` reads true for the two tolerance tests.
+    A run that stops on the step test may end with its error above tol.
     rate_estimate is the geometric-mean error ratio over a trailing window
     of at most 20 ratios among errors above 1e-12.  ntilde is the number of
     coordinates the iteration ran on: N for FDR, and for ODR its resolved
@@ -339,11 +349,14 @@ class RecoveryResult:
     aligned_error: float
     relative_error: float
     iterations: int
-    converged: bool
+    stop: str
     rate_estimate: float
     ntilde: int
     history: list[tuple[int, float, float]] = field(default_factory=list)
-    diagnostic: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in (STOP_ERROR_TOL, STOP_STEP_TOL)
 
 
 RATE_FLOOR = 1e-12
@@ -388,15 +401,17 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     ODR iterates the lift h = U x of its start (see odr_step); U is sqrt(L)
     times an isometry, so the step residual reads the same on h as on x.
 
-    Stops when the relative iterate change or (with ground truth) the
-    relative aligned error drops to cfg.tol, at cfg.max_iters, or at a
+    Stops when (with ground truth) the relative aligned error or the
+    relative iterate change drops to cfg.tol, at cfg.max_iters, or at a
     non-finite iterate, read off the step's change after the initial
-    iterate.  Each iterate is evaluated once: its object
+    iterate.  One test at the exit sets the result's stop to the first of
+    these that holds for the last iterate, in that order, with the
+    non-finite test first.  Each iterate is evaluated once: its object
     estimate is A y (FDR), tracked through the steps rather than applied
     anew, or the x coordinates of U^-1 h (ODR), sector-projected when a
-    sector is active.  The result is the last
-    evaluation, so history[-1][1] equals relative_error exactly; a
-    non-finite iterate evaluates to an all-nan x_hat with nan errors.
+    sector is active.  The result is the last evaluation, so
+    history[-1][1] equals relative_error exactly; a non-finite iterate
+    evaluates to an all-nan x_hat with nan errors.
     """
     b = np.asarray(b, dtype=np.float64)
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
@@ -418,8 +433,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     diff = np.empty(op.n, dtype=np.complex128)  # align_phase's alpha x - x0
 
     history: list[tuple[int, float, float]] = []
-    converged = False
-    diagnostic = ""
+    tol, max_iters = cfg.tol, cfg.max_iters
     k = 1
     step_res = float("nan")
     finite = np.all(np.isfinite(iterate))
@@ -431,7 +445,6 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
 
     while True:
         if not finite:
-            diagnostic = f"diverged: non-finite iterate at k={k}"
             x_hat = np.full(op.n, np.nan, dtype=np.complex128)
             aligned = float("nan")
             rel = aligned / norm_x0
@@ -442,14 +455,9 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         aligned = align_phase(x_hat, x0, out=diff)[1] if x0 is not None else float("nan")
         rel = aligned / norm_x0
         history.append((k, rel, step_res))
-
-        if x0 is not None and rel <= cfg.tol:
-            converged = True
-            break
-        if k > 1 and step_res <= cfg.tol:
-            converged = True
-            break
-        if k >= cfg.max_iters:
+        # rel is nan without ground truth and step_res nan at k = 1, so
+        # neither passes its test there.
+        if rel <= tol or step_res <= tol or k >= max_iters:
             break
 
         if ext is None:
@@ -469,9 +477,9 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         aligned_error=aligned,
         relative_error=rel,
         iterations=k,
-        converged=converged,
+        stop=(STOP_NON_FINITE if not finite else STOP_ERROR_TOL if rel <= tol
+              else STOP_STEP_TOL if step_res <= tol else STOP_MAX_ITERS),
         rate_estimate=estimate_rate([row[1] for row in history]),
         ntilde=ntilde,
         history=history,
-        diagnostic=diagnostic,
     )

@@ -158,7 +158,6 @@ class SpectralReport:
     pairing_defect: float
     power_iters: int
     converged: bool = True
-    note: str = ""
     next_ritz: float = float("nan")
     restarts: int = 0
 
@@ -306,7 +305,6 @@ def lambda2_power(
         pairing_defect=abs(_dot(r, r) + _dot(r_rot, r_rot) - 1.0),
         power_iters=matvecs,
         converged=converged,
-        note="" if converged else f"Lanczos hit max_iters={max_iters}",
         next_ritz=next_ritz,
         restarts=restarts,
     )

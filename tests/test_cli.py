@@ -1,5 +1,7 @@
 """Tests for the command-line interface contract."""
 
+import argparse
+import re
 import shlex
 from dataclasses import replace
 from functools import partial
@@ -7,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from phasedr.cli import build_parser, main, parse_shape
+from phasedr.cli import build_parser, main, parse_floats, parse_init, parse_sector, parse_shape
 from phasedr.experiments import ExperimentConfig, make_instance, run_spectral_cert
 from phasedr.images import ImageSpec
 from phasedr.io import read_csv
+from phasedr.solvers import InitSpec
 from phasedr.spectral import lambda2_power, linearize_at_solution
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -27,6 +30,34 @@ def test_unknown_flag_is_config_error():
 
 def test_bad_shape_is_config_error():
     assert main(["spectral-cert", "--shape", "axb"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["global", "--trials", "0"],
+    ["global", "--tol", "0"],
+    ["global", "--margin", "-1"],
+    ["noise-sweep", "--nsr", "0.7"],
+], ids=["no-trials", "zero-tol", "negative-margin", "nsr-above-half"])
+def test_runner_config_error_exits_2(argv, capsys):
+    # A ValueError from a runner's configuration is a config error, not a crash.
+    assert main([*argv, "--shape", "4x4"]) == 2
+    assert "phasedr: config error" in capsys.readouterr().err
+
+
+def test_parse_init():
+    assert parse_init("ri") == InitSpec(kind="ri")
+    assert parse_init("ci") == InitSpec(kind="ci")
+    assert parse_init("near:0.01") == InitSpec(kind="near", delta=0.01)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_init, "near"), (parse_init, "random"),
+    (parse_sector, "0.5"), (parse_sector, "0,x"), (parse_sector, "0,2"),
+    (parse_floats, "4,x"), (parse_shape, "axb"),
+])
+def test_bad_option_text(parse, text):
+    with pytest.raises(argparse.ArgumentTypeError, match=re.escape(repr(text))):
+        parse(text)
 
 
 def test_gen_image_writes_pgm_pair(tmp_path, capsys):

@@ -61,6 +61,14 @@ class TestProbLowerBound:
             prob_lower_bound(10, 2, 0.0, 1.5)
 
 
+@pytest.mark.parametrize("changes, match", [
+    ({"trials": 0}, "trials"), ({"nsr_grid": ()}, "grids"), ({"ntilde_ratios": ()}, "grids"),
+], ids=["no-trials", "empty-nsr-grid", "empty-ntilde-ratios"])
+def test_config_validation(changes, match):
+    with pytest.raises(ValueError, match=match):
+        _cfg("global", **changes)
+
+
 def test_role_seed_distinct():
     seeds = {role_seed(3, t, r) for t in range(50) for r in range(1, 6)}
     assert len(seeds) == 250

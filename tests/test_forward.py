@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from phasedr import grids
+from phasedr import forward, grids
 from phasedr.forward import (
     MASK_IDENTITY,
     MASK_UNIFORM,
@@ -448,3 +448,29 @@ def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, thread
     assert np.array_equal(_bits(extended_astar(ext, xt)),
                           _bits(per_pattern_extended_astar(ext, xt)))
     assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_extended_a(ext, y)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda op, ext: extended_lift(ext, np.zeros(ext.ntilde + 1, complex)), "extended_lift"),
+    (lambda op, ext: extended_astar(ext, np.zeros(ext.ntilde - 1, complex)), "extended_lift"),
+    (lambda op, ext: extended_a(ext, np.zeros(op.N - 1, complex)), "extended_a"),
+    (lambda op, ext: make_operator(VARIANT_MULTI, op.shape, patterns=1), "2 patterns"),
+    (lambda op, ext: synthesize_data(op, np.ones(op.n), nsr=-0.1), "nsr"),
+], ids=["lift-length", "extended-astar-length", "extended-a-length", "multi-one-pattern",
+        "negative-nsr"])
+def test_argument_errors(call, match):
+    op = _op(VARIANT_ONE_AND_HALF, GridShape((2, 2)))
+    with pytest.raises(ValueError, match=match):
+        call(op, extend_op(op, op.n + 1))
+
+
+@pytest.mark.parametrize("name, build", [
+    ("apply_a", lambda op: make_operator(op.variant, op.shape)),
+    ("extended_a", lambda op: extend_op(op, op.n + 1)),
+], ids=["isometry", "extension"])
+def test_construction_check_catches_a_broken_map(name, build, monkeypatch):
+    op = _op(VARIANT_ONE_AND_HALF, GridShape((2, 2)))
+    original = getattr(forward, name)
+    monkeypatch.setattr(forward, name, lambda *args, **kwargs: 2 * original(*args, **kwargs))
+    with pytest.raises(RuntimeError):
+        build(op)

@@ -13,6 +13,7 @@ import pytest
 from phasedr import grids
 from phasedr.grids import (
     GridShape,
+    TransformPlan,
     dft_oversampled,
     dft_plain,
     embed,
@@ -125,6 +126,24 @@ def test_dft_shape_errors():
         dft_oversampled(np.zeros(5, dtype=complex), s)
     with pytest.raises(ValueError):
         idft_oversampled(np.zeros(4, dtype=complex), s)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda s: TransformPlan(s, s.oversampled_dims, False, 1, index=(range(2),)), "index sets"),
+    (lambda s: dft_plain(np.zeros(s.n, complex), s,
+                         plan=TransformPlan(s, s.oversampled_dims, False, 1)), "another transform"),
+    (lambda s: idft_oversampled(np.zeros(s.n_oversampled, complex), s,
+                                plan=TransformPlan(s, s.oversampled_dims, False, 1)),
+     "another transform"),
+    (lambda s: dft_plain(np.zeros(s.n, complex), s, out=np.empty(2 * s.n, complex)[::2]),
+     "out must be"),
+    (lambda s: dft_plain(np.zeros(s.n, complex), s, out=np.empty(s.n)), "out must be"),
+    (lambda s: embed(np.zeros((2, 3), complex), 12), "flat vector"),
+], ids=["index-set-count", "plan-of-another-size", "plan-of-another-direction",
+        "strided-out", "float-out", "embed-2d"])
+def test_transform_and_embed_argument_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(GridShape((2, 3)))
 
 
 def test_realify_definition():

@@ -64,6 +64,11 @@ def test_unknown_kind_rejected():
         ImageSpec(kind="noise", shape=GridShape((4, 4)))
 
 
+def test_negative_margin_rejected():
+    with pytest.raises(ValueError, match="margin"):
+        ImageSpec(kind="rpp", shape=GridShape((4, 4)), margin=-1)
+
+
 def test_support_rank_edge_cases():
     assert support_rank(np.zeros((3, 3))) == 0
     point = np.zeros((3, 3))

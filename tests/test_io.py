@@ -94,6 +94,21 @@ def test_pgm_header_without_integer_fields(tmp_path, header):
         load_pgm_pair(stem)
 
 
+@pytest.mark.parametrize("name, text, load", [
+    ("img.re.pgm", "P5\n3 2\n255\n1 2 3 4 5 6\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.re.pgm", "P2\n3 2\n255\n1 2 3 4 5\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("mask.txt", "PHASES 3\n0.5\n1.5\n", load_mask),
+    ("data.txt", "B 2\n", load_data),
+    ("rows.csv", "# seed=3\n", read_csv),
+], ids=["not-p2", "short-pixel-list", "short-mask", "short-data", "empty-csv"])
+def test_malformed_file_names_the_file(tmp_path, name, text, load):
+    save_pgm_pair(tmp_path / "img", np.ones((2, 3), dtype=complex))
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load(path)
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "out" / "rows.csv"
     rows = [[0, "fdr", 1, 0.5], [0, "fdr", 2, 0.25]]

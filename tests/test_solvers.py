@@ -20,6 +20,10 @@ from phasedr.forward import (
 from phasedr.grids import GridShape, _norm, embed, phase_factor
 from phasedr.solvers import (
     NO_SECTOR,
+    STOP_ERROR_TOL,
+    STOP_MAX_ITERS,
+    STOP_NON_FINITE,
+    STOP_STEP_TOL,
     InitSpec,
     SectorSpec,
     SolverConfig,
@@ -569,6 +573,16 @@ class TestRunSolver:
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: SolverConfig(algorithm="hio"), "unknown algorithm"),
+        (lambda: SolverConfig(tol=0.0), "tol"),
+        (lambda: SolverConfig(tol=-1e-9), "tol"),
+        (lambda: InitSpec(kind="random"), "unknown init kind"),
+    ], ids=["unknown-algorithm", "zero-tol", "negative-tol", "unknown-init"])
+    def test_config_validation(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_single_iteration_returns_initial_metrics(self):
         op, x0, b = _instance()
         cfg = SolverConfig(max_iters=1, init=InitSpec(kind="ci"))
@@ -644,7 +658,7 @@ class TestRunSolver:
         b[3] = np.nan
         cfg = SolverConfig(algorithm=algorithm, max_iters=50, init=InitSpec(kind="ri", seed=2))
         res = run_solver(cfg, op, b, x0)
-        assert res.diagnostic == "diverged: non-finite iterate at k=2"
+        assert res.stop == STOP_NON_FINITE
         assert res.iterations == 2
         assert len(res.history) == res.iterations - 1
         assert res.x_hat.shape == (op.n,) and np.all(np.isnan(res.x_hat))
@@ -659,8 +673,45 @@ class TestRunSolver:
         cfg = SolverConfig(algorithm=algorithm, max_iters=10, init=InitSpec(kind="ri", seed=2))
         with np.errstate(over="ignore", invalid="ignore"):
             res = run_solver(cfg, op, 1e160 * b, 1e160 * x0)
-        assert res.diagnostic == "" and res.iterations == 10
+        assert res.stop == STOP_MAX_ITERS and res.iterations == 10
+        assert not res.converged
         assert np.all(np.isfinite(res.x_hat))
+
+    # One 4x4 one-and-half solve per algorithm and stop reason, at tol 1e-9.
+    # ODR pads to N - 1 = 97 for its error-tol run and to 3n = 48 for its
+    # step-tol run; both step-tol runs end with their error above tol.
+    @pytest.mark.parametrize("algorithm,stop,ntilde,init,max_iters", [
+        ("fdr", STOP_ERROR_TOL, None, InitSpec(kind="near", seed=0), 6000),
+        ("fdr", STOP_STEP_TOL, None, InitSpec(kind="ri", seed=2), 6000),
+        ("fdr", STOP_MAX_ITERS, None, InitSpec(kind="ri", seed=2), 30),
+        ("fdr", STOP_NON_FINITE, None, InitSpec(kind="ri", seed=2), 30),
+        ("odr", STOP_ERROR_TOL, 97, InitSpec(kind="near", seed=0), 6000),
+        ("odr", STOP_STEP_TOL, 48, InitSpec(kind="near", seed=0), 6000),
+        ("odr", STOP_MAX_ITERS, None, InitSpec(kind="ri", seed=2), 30),
+        ("odr", STOP_NON_FINITE, None, InitSpec(kind="ri", seed=2), 30),
+    ])
+    def test_stop_names_the_test_that_ended_the_run(self, algorithm, stop, ntilde, init,
+                                                     max_iters):
+        op, x0, b = _instance("one-and-half", dims=(4, 4))
+        if stop == STOP_NON_FINITE:
+            b = b.copy()
+            b[3] = np.nan
+        tol = 1e-9
+        cfg = SolverConfig(algorithm=algorithm, ntilde=ntilde, max_iters=max_iters, tol=tol,
+                           init=init)
+        res = run_solver(cfg, op, b, x0)
+        assert res.stop == stop
+        assert res.converged == (stop in (STOP_ERROR_TOL, STOP_STEP_TOL))
+        k, error, step = res.history[-1]
+        if stop == STOP_ERROR_TOL:
+            assert error == res.relative_error <= tol < step
+        elif stop == STOP_STEP_TOL:
+            assert step <= tol < error == res.relative_error
+        elif stop == STOP_MAX_ITERS:
+            assert k == res.iterations == max_iters
+            assert min(error, step) > tol
+        else:
+            assert k == 1 and res.iterations == 2 and np.isnan(res.relative_error)
 
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
     def test_estimate_does_not_depend_on_ground_truth(self, algorithm):
