@@ -2,9 +2,10 @@
 
 Every runner is deterministic given (config, base seed): trial t uses
 base_seed + t as its identity, and each random role (image, mask, init,
-noise) derives its own sub-seed from it.  Runners return their
-rows and summary statistics and, when an output path is configured, write a
-CSV with a `#` comment recording the configuration.
+noise) derives its own sub-seed from it.  Each runner returns a subclass
+of `ExperimentResult`, which holds the emitted `rows` and `csv_path`: when
+cfg.out is set, `save` writes the rows there as a CSV with a `#` comment
+recording the configuration and sets `csv_path`, which otherwise stays None.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ExperimentConfig:
 
 
 def make_instance(cfg: ExperimentConfig, trial: int):
-    """Object (unit norm, flattened), operator and grid shape for one trial."""
+    """(x0, op): the trial's object (unit norm, flattened) and its operator."""
     img_spec = replace(cfg.image, seed=role_seed(cfg.base_seed, trial, ROLE_IMAGE))
     grid = gen_image(img_spec)
     x0 = grid.ravel()
@@ -115,11 +116,21 @@ def _iters_to(history, threshold: float) -> float:
 
 
 @dataclass
-class SpectralCertResult:
+class ExperimentResult:
     rows: list = field(default_factory=list)
+    csv_path: Path | None = None
+
+    def save(self, cfg: ExperimentConfig, header: list[str], comment: str):
+        """Write `rows` under `header` to cfg.out, if set, and return self."""
+        if cfg.out:
+            self.csv_path = write_csv(cfg.out, header, self.rows, comment)
+        return self
+
+
+@dataclass
+class SpectralCertResult(ExperimentResult):
     unconverged: list = field(default_factory=list)
     max_lambda2: float = 0.0
-    csv_path: Path | None = None
 
     @property
     def certified(self) -> bool:
@@ -155,21 +166,13 @@ def run_spectral_cert(cfg: ExperimentConfig) -> SpectralCertResult:
                          report.lambda2n, report.residual, report.power_iters,
                          report.next_ritz, report.restarts, t))
         out.max_lambda2 = max(out.max_lambda2, report.lambda2)
-    if cfg.out:
-        out.csv_path = write_csv(
-            cfg.out,
-            ["seed", "variant", "n", "N", "lambda1", "lambda2", "lambda2n",
-             "residual", "power_iters", "next_ritz", "restarts", "trial"],
-            out.rows, cfg.instance_comment(),
-        )
-    return out
+    return out.save(cfg, ["seed", "variant", "n", "N", "lambda1", "lambda2", "lambda2n", "residual",
+                          "power_iters", "next_ritz", "restarts", "trial"], cfg.instance_comment())
 
 
 @dataclass
-class LocalRateResult:
-    rows: list = field(default_factory=list)
+class LocalRateResult(ExperimentResult):
     trials: list = field(default_factory=list)
-    csv_path: Path | None = None
 
 
 def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
@@ -210,21 +213,13 @@ def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
             if algo == ALGO_ODR:
                 entry["odr_ntilde"] = res.ntilde
         out.trials.append(entry)
-
-    if cfg.out:
-        out.csv_path = write_csv(
-            cfg.out, ["trial", "algo", "k", "error", "lambda2_ref"], out.rows,
-            cfg.comment(algos=algos),
-        )
-    return out
+    return out.save(cfg, ["trial", "algo", "k", "error", "lambda2_ref"], cfg.comment(algos=algos))
 
 
 @dataclass
-class GlobalResult:
-    rows: list = field(default_factory=list)
+class GlobalResult(ExperimentResult):
     success: dict = field(default_factory=dict)
     iters_to_visual: dict = field(default_factory=dict)
-    csv_path: Path | None = None
 
 
 def run_global(cfg: ExperimentConfig, inits: tuple[str, ...] = (INIT_RANDOM, INIT_CONSTANT)) -> GlobalResult:
@@ -233,9 +228,8 @@ def run_global(cfg: ExperimentConfig, inits: tuple[str, ...] = (INIT_RANDOM, INI
     Emits rows (trial, init, k, relative_error); success rates are the
     fraction of trials whose error reaches 1e-4 / 1e-8 at any iteration.
     """
-    out = GlobalResult()
+    out = GlobalResult(iters_to_visual={init: [] for init in inits})
     reached = {(init, thr): 0 for init in inits for thr in (SUCCESS_VISUAL, SUCCESS_NUMERIC)}
-    out.iters_to_visual = {init: [] for init in inits}
     for t in range(cfg.trials):
         x0, op = make_instance(cfg, t)
         data = synthesize_data(op, x0)
@@ -251,20 +245,14 @@ def run_global(cfg: ExperimentConfig, inits: tuple[str, ...] = (INIT_RANDOM, INI
                     reached[(init, thr)] += 1
             out.iters_to_visual[init].append(_iters_to(res.history, SUCCESS_VISUAL))
     out.success = {key: count / cfg.trials for key, count in reached.items()}
-    if cfg.out:
-        out.csv_path = write_csv(
-            cfg.out, ["trial", "init", "k", "relative_error"], out.rows, cfg.comment(inits=inits)
-        )
-    return out
+    return out.save(cfg, ["trial", "init", "k", "relative_error"], cfg.comment(inits=inits))
 
 
 @dataclass
-class NoiseSweepResult:
-    rows: list = field(default_factory=list)
+class NoiseSweepResult(ExperimentResult):
     medians: dict = field(default_factory=dict)
     slopes: dict = field(default_factory=dict)
     budgets: tuple[int, int] = (0, 0)
-    csv_path: Path | None = None
 
 
 def run_noise_sweep(cfg: ExperimentConfig) -> NoiseSweepResult:
@@ -279,10 +267,8 @@ def run_noise_sweep(cfg: ExperimentConfig) -> NoiseSweepResult:
     """
     if any(nsr < 0 or nsr > 0.5 for nsr in cfg.nsr_grid):
         raise ValueError("nsr grid must lie in [0, 0.5]")
-    out = NoiseSweepResult()
-    budgets = (cfg.solver.max_iters, 2 * cfg.solver.max_iters)
-    short, full = budgets
-    out.budgets = budgets
+    short, full = budgets = (cfg.solver.max_iters, 2 * cfg.solver.max_iters)
+    out = NoiseSweepResult(budgets=budgets)
     errs = {(nsr, budget): [] for nsr in cfg.nsr_grid for budget in budgets}
     for t in range(cfg.trials):
         x0, op = make_instance(cfg, t)
@@ -301,20 +287,14 @@ def run_noise_sweep(cfg: ExperimentConfig) -> NoiseSweepResult:
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
         out.slopes[budget] = float(np.polyfit(xs, ys, 1)[0]) if xs.size >= 2 else float("nan")
-    if cfg.out:
-        out.csv_path = write_csv(
-            cfg.out, ["nsr", "trial", "max_iters", "relative_error"], out.rows, cfg.comment()
-        )
-    return out
+    return out.save(cfg, ["nsr", "trial", "max_iters", "relative_error"], cfg.comment())
 
 
 @dataclass
-class PaddingSweepResult:
-    rows: list = field(default_factory=list)
+class PaddingSweepResult(ExperimentResult):
     mean_error: dict = field(default_factory=dict)
     success_rate: dict = field(default_factory=dict)
     trend_correlation: float = float("nan")
-    csv_path: Path | None = None
 
 
 def ratio_to_ntilde(ratio: float, n: int, N: int) -> int:
@@ -346,21 +326,15 @@ def run_padding_sweep(cfg: ExperimentConfig) -> PaddingSweepResult:
             per_ratio[ratio].append((final, best))
 
     for ratio, vals in per_ratio.items():
-        finals = np.array([v[0] for v in vals])
-        bests = np.array([v[1] for v in vals])
+        finals, bests = np.array(vals).T
         out.mean_error[ratio] = float(finals.mean())
         out.success_rate[ratio] = float((bests <= SUCCESS_VISUAL).mean())
     ratios = sorted(per_ratio)
     out.trend_correlation = rank_correlation(
         ratios, [out.success_rate[r] for r in ratios]
     )
-    if cfg.out:
-        out.csv_path = write_csv(
-            cfg.out,
-            ["ratio", "ntilde", "trial", "final_error", "min_error", "iters"],
-            out.rows, cfg.comment(),
-        )
-    return out
+    return out.save(cfg, ["ratio", "ntilde", "trial", "final_error", "min_error", "iters"],
+                    cfg.comment())
 
 
 def rank_correlation(xs, ys) -> float:

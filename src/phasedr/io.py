@@ -40,9 +40,13 @@ def _read_pgm(path: Path) -> np.ndarray:
         w, h, maxval = map(int, tokens[1:4])
     except ValueError:
         raise ValueError(f"{path}: PGM header needs integer width, height and maxval") from None
+    if w < 1 or h < 1 or not 1 <= maxval <= PGM_MAXVAL:
+        raise ValueError(f"{path}: PGM needs width and height >= 1 and maxval in [1, {PGM_MAXVAL}]")
     pix = np.array([int(t) for t in tokens[4 : 4 + w * h]], dtype=float)
     if pix.size != w * h:
         raise ValueError(f"{path}: expected {w * h} pixels, found {pix.size}")
+    if pix.min() < 0 or pix.max() > maxval:
+        raise ValueError(f"{path}: pixel values must lie in [0, {maxval}]")
     return pix.reshape(h, w) / maxval
 
 
@@ -65,12 +69,20 @@ def save_pgm_pair(stem: str | Path, grid: np.ndarray) -> tuple[Path, Path, Path]
 
 
 def load_pgm_pair(stem: str | Path) -> np.ndarray:
-    """Inverse of :func:`save_pgm_pair` (lossy: 16-bit quantization)."""
+    """Inverse of :func:`save_pgm_pair` (lossy: 16-bit quantization).
+
+    A malformed PGM (size, maxval outside [1, 65535], a pixel outside
+    [0, maxval]) or a sidecar without all four range keys raises ValueError
+    naming the file.
+    """
     stem = Path(stem)
+    meta_path = stem.with_suffix(stem.suffix + ".range.txt")
     meta = {}
-    for line in stem.with_suffix(stem.suffix + ".range.txt").read_text().splitlines():
+    for line in meta_path.read_text().splitlines():
         key, value = line.split()
         meta[key] = float(value)
+    if {"re_min", "re_max", "im_min", "im_max"} - meta.keys():
+        raise ValueError(f"{meta_path}: range sidecar needs re_min, re_max, im_min and im_max")
     out = []
     for name in ("re", "im"):
         unit = _read_pgm(stem.with_suffix(stem.suffix + f".{name}.pgm"))

@@ -397,7 +397,8 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     FDR runs on all N coordinates and ignores cfg.ntilde.  ODR runs on
     cfg.ntilde coordinates, min(4n, N) when unset; at ntilde = N it is the
     FDR recursion and runs as FDR, bit for bit.  Any other ntilde outside
-    [n, N] raises ValueError.  The result records the resolved ntilde.
+    [n, N] raises ValueError, as does an all-zero x0.  The result records
+    the resolved ntilde.
     ODR iterates the lift h = U x of its start (see odr_step); U is sqrt(L)
     times an isometry, so the step residual reads the same on h as on x.
 
@@ -416,6 +417,8 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     b = np.asarray(b, dtype=np.float64)
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
     norm_x0 = _norm(x0) if x0 is not None else float("nan")
+    if norm_x0 == 0:
+        raise ValueError("run_solver: x0 must be nonzero (the error is relative to its norm)")
 
     if cfg.algorithm == ALGO_FDR:
         ntilde = op.N

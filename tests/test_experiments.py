@@ -18,6 +18,7 @@ from phasedr.experiments import (
     run_local_rate,
     run_noise_sweep,
     run_padding_sweep,
+    run_spectral_cert,
 )
 from phasedr.forward import synthesize_data
 from phasedr.grids import GridShape
@@ -116,6 +117,39 @@ def test_comment_records_forced_settings(tmp_path, experiment, runner, forced):
     assert forced in comment
     if experiment == "padding-sweep":
         assert "init=ri " in comment
+
+
+@pytest.mark.parametrize("runner, experiment, solver_changes, header, comment", [
+    (run_spectral_cert, "spectral-cert", {},
+     ["seed", "variant", "n", "N", "lambda1", "lambda2", "lambda2n", "residual", "power_iters",
+      "next_ritz", "restarts", "trial"], lambda cfg: cfg.instance_comment()),
+    (run_local_rate, "local-rate", {"init": InitSpec(kind="near", delta=1e-3)},
+     ["trial", "algo", "k", "error", "lambda2_ref"],
+     lambda cfg: cfg.comment(algos=("fdr", "odr"))),
+    (run_global, "global", {}, ["trial", "init", "k", "relative_error"],
+     lambda cfg: cfg.comment(inits=("ri", "ci"))),
+    (run_noise_sweep, "noise-sweep", {}, ["nsr", "trial", "max_iters", "relative_error"],
+     lambda cfg: cfg.comment()),
+    (run_padding_sweep, "padding-sweep", {"algorithm": "odr"},
+     ["ratio", "ntilde", "trial", "final_error", "min_error", "iters"],
+     lambda cfg: cfg.comment()),
+], ids=["spectral-cert", "local-rate", "global", "noise-sweep", "padding-sweep"])
+def test_csv_holds_the_rows_only_when_out_is_set(tmp_path, monkeypatch, runner, experiment,
+                                                 solver_changes, header, comment):
+    # The solver settings match what the runner forces, so its comment is the config's own.
+    monkeypatch.chdir(tmp_path)
+    solver = replace(SolverConfig(max_iters=20, init=InitSpec(kind="ri")), **solver_changes)
+    cfg = _cfg(experiment, dims=(4, 4), trials=2, nsr_grid=(0.0, 0.1), ntilde_ratios=(4.0, 8.0),
+               solver=solver)
+    res = runner(cfg)
+    assert res.csv_path is None
+    assert list(tmp_path.iterdir()) == []
+
+    saved = runner(replace(cfg, out=str(tmp_path / "rows.csv")))
+    assert saved.csv_path == tmp_path / "rows.csv"
+    assert saved.rows == res.rows
+    assert read_csv(saved.csv_path) == (
+        header, [[str(v) for v in row] for row in res.rows], comment(cfg))
 
 
 class TestLocalRate:

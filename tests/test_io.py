@@ -97,10 +97,20 @@ def test_pgm_header_without_integer_fields(tmp_path, header):
 @pytest.mark.parametrize("name, text, load", [
     ("img.re.pgm", "P5\n3 2\n255\n1 2 3 4 5 6\n", lambda p: load_pgm_pair(p.parent / "img")),
     ("img.re.pgm", "P2\n3 2\n255\n1 2 3 4 5\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.re.pgm", "P2\n3 2\n0\n0 0 0 0 0 0\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.re.pgm", "P2\n3 2\n65536\n1 2 3 4 5 6\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.re.pgm", "P2\n0 2\n255\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.re.pgm", "P2\n3 0\n255\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.re.pgm", "P2\n3 2\n255\n1 2 900 4 5 6\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.re.pgm", "P2\n3 2\n255\n1 2 -3 4 5 6\n", lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.range.txt", "re_min 0.0\nre_max 1.0\nim_min 0.0\n",
+     lambda p: load_pgm_pair(p.parent / "img")),
     ("mask.txt", "PHASES 3\n0.5\n1.5\n", load_mask),
     ("data.txt", "B 2\n", load_data),
     ("rows.csv", "# seed=3\n", read_csv),
-], ids=["not-p2", "short-pixel-list", "short-mask", "short-data", "empty-csv"])
+], ids=["not-p2", "short-pixel-list", "zero-maxval", "maxval-above-16-bit", "zero-width",
+        "zero-height", "pixel-above-maxval", "negative-pixel", "sidecar-without-im-max",
+        "short-mask", "short-data", "empty-csv"])
 def test_malformed_file_names_the_file(tmp_path, name, text, load):
     save_pgm_pair(tmp_path / "img", np.ones((2, 3), dtype=complex))
     path = tmp_path / name

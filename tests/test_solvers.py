@@ -608,6 +608,13 @@ class TestRunSolver:
         with pytest.raises(ValueError):
             run_solver(cfg, op, b)
 
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_zero_ground_truth_raises(self, algorithm):
+        op, _, b = _instance()
+        cfg = SolverConfig(algorithm=algorithm, max_iters=5)
+        with pytest.raises(ValueError, match="x0 must be nonzero"):
+            run_solver(cfg, op, b, np.zeros(op.n))
+
     def test_recovered_magnitudes_match_data(self):
         op, x0, _ = _instance("one-and-half", dims=(4, 4), mask_seed=6, x_seed=7)
         x0 = x0 / np.linalg.norm(x0)
