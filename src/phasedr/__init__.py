@@ -20,7 +20,6 @@ from .grids import (
     GridShape,
     dft_oversampled,
     dft_plain,
-    embed,
     idft_oversampled,
     idft_plain,
     phase_factor,

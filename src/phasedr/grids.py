@@ -461,18 +461,6 @@ def _norm(v) -> float:
     return sqrt(_dot(f, f))  # the correctly rounded square root, as np.sqrt's
 
 
-def embed(x, target: int) -> np.ndarray:
-    """Zero padding: append zeros up to flat length `target`."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ValueError("embed expects a flat vector")
-    if target < x.size:
-        raise ValueError(f"embed: target {target} < length {x.size}")
-    out = np.zeros(target, dtype=np.complex128)
-    out[: x.size] = x
-    return out
-
-
 def phase_factor(y) -> np.ndarray:
     """Componentwise y/|y| with the convention 1 where |y| = 0."""
     y = np.asarray(y, dtype=np.complex128)

@@ -72,21 +72,21 @@ def load_pgm_pair(stem: str | Path) -> np.ndarray:
     """Inverse of :func:`save_pgm_pair` (lossy: 16-bit quantization).
 
     A malformed PGM (size, maxval outside [1, 65535], a pixel outside
-    [0, maxval]) or a sidecar without all four range keys raises ValueError
-    naming the file.
+    [0, maxval]), or a sidecar with a line other than "key float" or
+    without all four range keys, raises ValueError naming the file.
     """
     stem = Path(stem)
     meta_path = stem.with_suffix(stem.suffix + ".range.txt")
-    meta = {}
-    for line in meta_path.read_text().splitlines():
-        key, value = line.split()
-        meta[key] = float(value)
-    if {"re_min", "re_max", "im_min", "im_max"} - meta.keys():
-        raise ValueError(f"{meta_path}: range sidecar needs re_min, re_max, im_min and im_max")
+    try:
+        lines = map(str.split, meta_path.read_text().splitlines())
+        meta = {key: float(value) for key, value in lines}
+        ranges = [(meta[f"{name}_min"], meta[f"{name}_max"]) for name in ("re", "im")]
+    except (KeyError, ValueError):
+        raise ValueError(f"{meta_path}: range sidecar needs one 'key float' line for each of "
+                         "re_min, re_max, im_min and im_max") from None
     out = []
-    for name in ("re", "im"):
+    for name, (lo, hi) in zip(("re", "im"), ranges):
         unit = _read_pgm(stem.with_suffix(stem.suffix + f".{name}.pgm"))
-        lo, hi = meta[f"{name}_min"], meta[f"{name}_max"]
         out.append(lo + unit * (hi - lo))
     return out[0] + 1j * out[1]
 

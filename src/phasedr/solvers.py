@@ -20,20 +20,24 @@ two stacked transform calls (dense DFT-matrix products on grids of up to
 31 points per axis, FFTs above).  Its per-pattern pointwise work runs in
 those calls' hooks, inside each pattern's transform task (see grids);
 only the sums over patterns, in A and in ODR's object projection, run on
-the caller.  The solver carries FDR's object estimate A y along, since
-AA* = I gives A y+ from quantities the step has already computed.
-Both steps write the next iterate into the buffer of the iterate before
-last.  The solver's norms, its near start and its phase alignment sum
-without BLAS (grids._norm).  The dense transform passes call BLAS gemm,
-once per pattern and too small for OpenBLAS to split over threads.  So
-iterates and diagnostics do not depend on the BLAS thread count.
+the caller.  Both steps write the next iterate into the buffer of the
+iterate before last.  The solver's norms, its near start and its phase
+alignment sum without BLAS (grids._norm).  The dense transform passes
+call BLAS gemm, once per pattern and too small for OpenBLAS to split
+over threads.  So iterates and diagnostics do not depend on the BLAS
+thread count.
 
-run_solver prepares the step once per solve as a StepPlan: the plan of
-forward for its operator (an OperatorPlan for FDR, an ExtendedPlan, which
-also projects onto U's range, for ODR; the two hold transform plans of
-one form), the pattern view of b, the magnitude and P2 y buffers, and a
-scratch buffer.  Each step then works in those buffers and the buffer of
-the iterate before last, and leaves its change x+ - x in the scratch.
+The two steps share one contract, step(v, target, b, sector, out, plan)
+-> v+, so run_solver picks one per solve and its loop does not branch on
+the algorithm.  It prepares the step once per solve as a StepPlan: the
+plan of forward for its operator (an OperatorPlan for FDR, an
+ExtendedPlan, which also projects onto U's range, for ODR; the two hold
+transform plans of one form), the pattern view of b, the magnitude and
+P2 y buffers, and a scratch buffer.  Each step then works in those buffers and the buffer of
+the iterate before last, leaves its change x+ - x in the scratch and,
+when the plan's estimate is set, replaces it with the object estimate of
+x+: FDR updates A y, since AA* = I gives A y+ from quantities the step
+has already computed, and ODR reads the x coordinates off U^-1 h+.
 Where FDR's steps run on the pool, the two norms of the step residual
 ||x+ - x|| / ||x|| run there too, side by side (see StepPlan).  A step
 called without a plan, as in fdr_step(y, op, b), makes a throwaway one.
@@ -58,7 +62,7 @@ from .forward import (
     extend_op,
     extended_lift,
 )
-from .grids import _buffer, _dot, _floats, _norm, _run_tasks, _unit, dft_plain, embed, idft_plain
+from .grids import _buffer, _dot, _floats, _norm, _run_tasks, _unit, dft_plain, idft_plain
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -131,7 +135,11 @@ class StepPlan:
     magnitudes |y| and, for FDR, the buffer w = P2 y.  `scratch` is an
     iterate-length view of a buffer the step is done with (w, or ODR's g):
     after a step it holds the step change x+ - x, which FDR writes per
-    pattern in its update hook.
+    pattern in its update hook.  `estimate`, None unless its user sets it,
+    is the object estimate of the iterate: when set, each step replaces it
+    with a new array, the estimate of x+ (it never writes into the old one,
+    which the caller may still hold).  FDR needs the old one for the new,
+    ODR reads the new one off x+.
     `pooled` says whether the step writes x+ and its change on the pool:
     FDR does when its transforms split the patterns across it
     (grids.PARALLEL_MIN_POINTS), and the solver then sums its two residual
@@ -141,6 +149,7 @@ class StepPlan:
 
     def __init__(self, op, b) -> None:
         self.target = (op, b)
+        self.estimate = None
         base = op.base if isinstance(op, ExtendedOp) else op
         shape = (len(base.masks), base.grid.n)
         self.bs = np.asarray(b).reshape(shape)
@@ -157,18 +166,18 @@ class StepPlan:
             self.pooled = len(self.ops.inverse.groups) > 1
 
 
-def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=None, out=None,
-             plan=None):
+def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
+             plan=None) -> np.ndarray:
     """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y.
 
     P1 y = A*[A y]_X projects onto the diffracted-field set A* X and
     P2 y = b . y/|y| onto the magnitude set {|y| = b}.  Costs one A / A*
-    pair.  When `estimate` holds u = A y, the step also returns the next
-    estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y), which AA* = I
-    makes exact at no extra FFT; the return value is then the pair
-    (y+, A y+).  y+ is written into out when given, a C-contiguous
-    length-N complex128 buffer that overlaps neither y nor the estimate.
+    pair.  y+ is written into out when given, a C-contiguous length-N
+    complex128 buffer that overlaps neither y nor the plan's estimate.
     plan is a StepPlan of (op, b); without one the step makes its own.
+    When plan.estimate holds u = A y, the step replaces it with a new
+    array, the next estimate A y+ = [z]_X + (u - z)/2 with
+    z = A(2 P2 y - y), which AA* = I makes exact at no extra FFT.
 
     Everything but the pattern sum inside A is per pattern, so it runs in
     the transforms' hooks, next to each pattern's transform: the finiteness
@@ -178,7 +187,7 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
     y = np.asarray(y, dtype=np.complex128)
     plan = _plan(plan, StepPlan, op, b)
     r = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
-        out, plan.ops.y_shape, "fdr_step: out", y, estimate)
+        out, plan.ops.y_shape, "fdr_step: out", y, plan.estimate)
     # r holds 2 P2 y - y, then A* x, then y+.
     w, bs, mag = plan.w, plan.bs, plan.mag
     ys, rs = y.reshape(bs.shape), r.reshape(bs.shape)
@@ -203,13 +212,13 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, estimate=N
 
     z = apply_a(op, r, before=reflect, plan=plan.ops)
     x = sector_project(z, sector)
-    y_next = apply_astar(op, x, after=update, out=r, plan=plan.ops)
-    if estimate is None:
-        return y_next
-    # x + 0.5 * (estimate - z), in one buffer
-    half = np.subtract(estimate, z)
-    np.multiply(0.5, half, out=half)
-    return y_next, np.add(x, half, out=half)
+    apply_astar(op, x, after=update, out=r, plan=plan.ops)
+    if plan.estimate is not None:
+        # x + 0.5 * (estimate - z), in one new buffer
+        half = np.subtract(plan.estimate, z)
+        np.multiply(0.5, half, out=half)
+        plan.estimate = np.add(x, half, out=half)
+    return r
 
 
 def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
@@ -225,7 +234,8 @@ def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     is written into out when given, a C-contiguous complex128 buffer of h's
     length apart from h.  plan is a StepPlan of (ext, b); without one the
     step makes its own.  The step change h+ - h is left in g, the plan's
-    scratch.
+    scratch, and when plan.estimate is set, the step replaces it with a
+    new array, the x coordinates of U^-1 h+.
     """
     h = np.asarray(h, dtype=np.complex128)
     if not np.isfinite(h).all():
@@ -252,6 +262,8 @@ def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     ro = ops.objects(r)
     np.add(ro, p, out=ro)
     np.subtract(r, h, out=g.reshape(-1))  # the step change, once g is read
+    if plan.estimate is not None:
+        plan.estimate = ops.object_part(ops.objects(r)).reshape(ext.n)
     return r
 
 
@@ -373,10 +385,11 @@ def estimate_rate(errors) -> float:
 
 
 def _initial_iterate(init: InitSpec, op: PropagationOp, ext: ExtendedOp | None, x0):
-    """The first iterate: a start object lifted by A* (FDR) or embedded in
-    C^ntilde (ODR).  The near start perturbs the lifted x0 in iterate space."""
+    """The first iterate: a start object lifted by A* (FDR) or zero-padded
+    to C^ntilde (ODR).  The near start perturbs the lifted x0 in iterate
+    space."""
     def lift(v):
-        return apply_astar(op, v) if ext is None else embed(v, ext.ntilde)
+        return apply_astar(op, v) if ext is None else np.pad(v, (0, ext.ntilde - op.n))
 
     if init.kind == INIT_NEAR:
         if x0 is None:
@@ -408,11 +421,12 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     iterate.  One test at the exit sets the result's stop to the first of
     these that holds for the last iterate, in that order, with the
     non-finite test first.  Each iterate is evaluated once: its object
-    estimate is A y (FDR), tracked through the steps rather than applied
-    anew, or the x coordinates of U^-1 h (ODR), sector-projected when a
-    sector is active.  The result is the last evaluation, so
-    history[-1][1] equals relative_error exactly; a non-finite iterate
-    evaluates to an all-nan x_hat with nan errors.
+    estimate, which each step leaves in the plan (see StepPlan), is A y
+    (FDR), tracked through the steps rather than applied anew, or the x
+    coordinates of U^-1 h (ODR), sector-projected when a sector is
+    active.  The result is the last evaluation, so history[-1][1] equals
+    relative_error exactly; a non-finite iterate evaluates to an all-nan
+    x_hat with nan errors.
     """
     b = np.asarray(b, dtype=np.float64)
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
@@ -425,14 +439,18 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     else:
         ntilde = cfg.ntilde if cfg.ntilde is not None else min(4 * op.n, op.N)
     ext = None if ntilde == op.N else extend_op(op, ntilde)
+    # Picked per call, not bound at import: a wrapper set on this module's
+    # fdr_step or odr_step sees every step.
+    target, step = (op, fdr_step) if ext is None else (ext, odr_step)
 
     iterate = _initial_iterate(cfg.init, op, ext, x0)
-    plan = StepPlan(op if ext is None else ext, b)
-    # u is the object estimate: FDR carries A y along, ODR reads it off U x.
+    plan = StepPlan(target, b)
+    # The object estimate: A y (FDR), the x coordinates of U^-1 h (ODR).
     if ext is None:
-        u = apply_a(op, iterate, plan=plan.ops)
+        plan.estimate = apply_a(op, iterate, plan=plan.ops)
     else:
         iterate, ops = extended_lift(ext, iterate), plan.ops
+        plan.estimate = ops.object_part(ops.objects(iterate)).reshape(op.n)
     diff = np.empty(op.n, dtype=np.complex128)  # align_phase's alpha x - x0
 
     history: list[tuple[int, float, float]] = []
@@ -452,9 +470,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             aligned = float("nan")
             rel = aligned / norm_x0
             break
-        if ext is not None:
-            u = ops.object_part(ops.objects(iterate)).reshape(op.n)
-        x_hat = sector_project(u, cfg.sector)
+        x_hat = sector_project(plan.estimate, cfg.sector)
         aligned = align_phase(x_hat, x0, out=diff)[1] if x0 is not None else float("nan")
         rel = aligned / norm_x0
         history.append((k, rel, step_res))
@@ -463,10 +479,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         if rel <= tol or step_res <= tol or k >= max_iters:
             break
 
-        if ext is None:
-            nxt, u = fdr_step(iterate, op, b, cfg.sector, estimate=u, out=spare, plan=plan)
-        else:
-            nxt = odr_step(iterate, ext, b, cfg.sector, out=spare, plan=plan)
+        nxt = step(iterate, target, b, cfg.sector, out=spare, plan=plan)
         change, denom = _norms(plan.scratch, iterate, plan.pooled)  # scratch: nxt - iterate
         # nxt is finite when its change from the finite iterate is; only an
         # overflowing change needs the full check.

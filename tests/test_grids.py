@@ -16,7 +16,6 @@ from phasedr.grids import (
     TransformPlan,
     dft_oversampled,
     dft_plain,
-    embed,
     idft_oversampled,
     idft_plain,
     phase_factor,
@@ -138,9 +137,8 @@ def test_dft_shape_errors():
     (lambda s: dft_plain(np.zeros(s.n, complex), s, out=np.empty(2 * s.n, complex)[::2]),
      "out must be"),
     (lambda s: dft_plain(np.zeros(s.n, complex), s, out=np.empty(s.n)), "out must be"),
-    (lambda s: embed(np.zeros((2, 3), complex), 12), "flat vector"),
 ], ids=["index-set-count", "plan-of-another-size", "plan-of-another-direction",
-        "strided-out", "float-out", "embed-2d"])
+        "strided-out", "float-out"])
 def test_transform_and_embed_argument_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call(GridShape((2, 3)))
@@ -174,18 +172,6 @@ def test_realify_multiply_by_minus_i():
 def test_unrealify_length_check():
     with pytest.raises(ValueError):
         unrealify(np.zeros(5))
-
-
-def test_embed_restrict():
-    assert np.array_equal(embed(np.array([1.0, 2.0]), 4), np.array([1, 2, 0, 0], dtype=complex))
-    rng = np.random.default_rng(14)
-    x = random_complex(rng, 6)
-    padded = embed(x, 19)
-    # the restriction [.]_n is the leading slice; the tail is zero
-    assert np.array_equal(padded[:6], x)
-    assert not np.any(padded[6:])
-    with pytest.raises(ValueError):
-        embed(x, 5)
 
 
 def test_phase_factor_convention():

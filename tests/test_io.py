@@ -105,11 +105,18 @@ def test_pgm_header_without_integer_fields(tmp_path, header):
     ("img.re.pgm", "P2\n3 2\n255\n1 2 -3 4 5 6\n", lambda p: load_pgm_pair(p.parent / "img")),
     ("img.range.txt", "re_min 0.0\nre_max 1.0\nim_min 0.0\n",
      lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.range.txt", "re_min\nre_max 1.0\nim_min 0.0\nim_max 1.0\n",
+     lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.range.txt", "re_min 0.0 2.0\nre_max 1.0\nim_min 0.0\nim_max 1.0\n",
+     lambda p: load_pgm_pair(p.parent / "img")),
+    ("img.range.txt", "re_min zero\nre_max 1.0\nim_min 0.0\nim_max 1.0\n",
+     lambda p: load_pgm_pair(p.parent / "img")),
     ("mask.txt", "PHASES 3\n0.5\n1.5\n", load_mask),
     ("data.txt", "B 2\n", load_data),
     ("rows.csv", "# seed=3\n", read_csv),
 ], ids=["not-p2", "short-pixel-list", "zero-maxval", "maxval-above-16-bit", "zero-width",
         "zero-height", "pixel-above-maxval", "negative-pixel", "sidecar-without-im-max",
+        "sidecar-line-one-field", "sidecar-line-three-fields", "sidecar-value-not-float",
         "short-mask", "short-data", "empty-csv"])
 def test_malformed_file_names_the_file(tmp_path, name, text, load):
     save_pgm_pair(tmp_path / "img", np.ones((2, 3), dtype=complex))

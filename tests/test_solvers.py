@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phasedr import grids
+from phasedr import grids, solvers
 from phasedr.forward import (
     apply_a,
     apply_astar,
@@ -17,7 +17,7 @@ from phasedr.forward import (
     make_operator,
     synthesize_data,
 )
-from phasedr.grids import GridShape, _norm, embed, phase_factor
+from phasedr.grids import GridShape, _norm, phase_factor
 from phasedr.solvers import (
     NO_SECTOR,
     STOP_ERROR_TOL,
@@ -237,9 +237,11 @@ class TestFdrStepBits:
         y[::7] = 0.0  # w = 1 where |y| = 0
         u = random_complex(rng, op.n)
         want_y, want_u = _oracle_fdr_step(y, op, b, sector, u)
-        got_y, got_u = fdr_step(y, op, b, sector, estimate=u)
+        plan = StepPlan(op, b)
+        plan.estimate = u
+        got_y = fdr_step(y, op, b, sector, plan=plan)
         assert np.array_equal(_bits(got_y), _bits(want_y))
-        assert np.array_equal(_bits(got_u), _bits(want_u))
+        assert np.array_equal(_bits(plan.estimate), _bits(want_u))
         assert np.array_equal(_bits(fdr_step(y, op, b, sector)), _bits(want_y))
         buf = np.full(op.N, np.nan, dtype=complex)
         assert fdr_step(y, op, b, sector, out=buf) is buf
@@ -273,9 +275,11 @@ class TestFdrStepBits:
         assert np.isinf(np.abs(y[op.grid.n]))
         u = random_complex(rng, op.n)
         want_y, want_u = _oracle_fdr_step(y, op, b, NO_SECTOR, u)
-        got_y, got_u = fdr_step(y, op, b, estimate=u)
+        plan = StepPlan(op, b)
+        plan.estimate = u
+        got_y = fdr_step(y, op, b, plan=plan)
         assert np.array_equal(_bits(got_y), _bits(want_y))
-        assert np.array_equal(_bits(got_u), _bits(want_u))
+        assert np.array_equal(_bits(plan.estimate), _bits(want_u))
 
 
 class TestOdrStepBits:
@@ -328,6 +332,25 @@ class TestOdrStepBits:
             want = per_pattern_odr_step(x, ext, b, sector)
             assert _norm(got - want) <= 1e-12 * _norm(want), ext.ntilde
 
+    @SECTOR
+    @VARIANT
+    @PADDED
+    def test_estimate_is_the_x_part_of_the_unlifted_step(self, dims, variant, sector):
+        # With plan.estimate set, the step replaces it with a new array, the
+        # x coordinates of U^-1 h+, and leaves the old one as it was.
+        op, _, b = _instance(variant, dims=dims, mask_seed=8, x_seed=4)
+        n, N, L = op.n, op.N, len(op.masks)
+        rng = np.random.default_rng(25)
+        for ntilde in sorted({max(t, n) for t in (n + 7, L * n - 1, min(4 * n, N))}):
+            ext = extend_op(op, ntilde)
+            plan = StepPlan(ext, b)
+            plan.estimate = old = np.zeros(n, dtype=complex)
+            h = odr_step(extended_lift(ext, random_complex(rng, ntilde)), ext, b, sector,
+                         plan=plan)
+            want = per_pattern_unlift(ext, h)[:n]
+            assert plan.estimate is not old and not old.any()
+            assert _norm(plan.estimate - want) <= 1e-12 * _norm(want), ntilde
+
 
 def _step_case(algorithm, variant="one-and-half", dims=(4, 4)):
     """A step function, its data, its operator or extension and a first iterate."""
@@ -366,24 +389,21 @@ class TestStepBuffers:
 class TestPlanReuse:
     # One plan serves every step of a solve: a chain of planned steps, each
     # written into the buffer of the iterate before last, equals a chain of
-    # one-shot steps on fresh buffers, bit for bit.
+    # steps on fresh buffers and a fresh plan each, bit for bit, in the
+    # iterates and in the object estimates the steps leave in their plans.
     STEPS = 30
 
     def _chains(self, algorithm, variant, dims, sector):
         step, target, b, v = _step_case(algorithm, variant, dims)
         plan = StepPlan(target, b)
         planned, spare, oneshot = v.copy(), None, v.copy()
-        fdr = algorithm == "fdr"
-        u = u_planned = apply_a(target, v) if fdr else None
+        plan.estimate = u = random_complex(np.random.default_rng(24), target.n)
         for _ in range(self.STEPS):
-            if fdr:
-                nxt, u_planned = step(planned, target, b, sector, estimate=u_planned, out=spare,
-                                      plan=plan)
-                oneshot, u = step(oneshot, target, b, sector, estimate=u)
-                assert np.array_equal(_bits(u_planned), _bits(u))
-            else:
-                nxt = step(planned, target, b, sector, out=spare, plan=plan)
-                oneshot = step(oneshot, target, b, sector)
+            nxt = step(planned, target, b, sector, out=spare, plan=plan)
+            fresh = StepPlan(target, b)
+            fresh.estimate = u
+            oneshot, u = step(oneshot, target, b, sector, plan=fresh), fresh.estimate
+            assert np.array_equal(_bits(plan.estimate), _bits(u))
             planned, spare = nxt, planned
             assert np.array_equal(_bits(planned), _bits(oneshot))
 
@@ -413,13 +433,11 @@ class TestPlanReuse:
         step, target, b, v = _step_case(algorithm, dims=(64, 64))
         N = b.size
         plan = StepPlan(target, b)
-        kwargs = {"estimate": apply_a(target, v)} if algorithm == "fdr" else {}
+        plan.estimate = random_complex(np.random.default_rng(24), target.n)
         bufs = [v, np.empty_like(v)]
 
         def one_step():
-            got = step(bufs[0], target, b, out=bufs[1], plan=plan, **kwargs)
-            if kwargs:
-                kwargs["estimate"] = got[1]
+            step(bufs[0], target, b, out=bufs[1], plan=plan)
             bufs.reverse()
 
         for _ in range(3):
@@ -451,18 +469,20 @@ class TestStepResidual:
         plan = StepPlan(op if ext is None else ext, b)
         assert plan.pooled == (algorithm == "fdr" and dims == (64, 64))
         y = _initial_iterate(cfg.init, op, ext, x0)
-        u = apply_a(op, y) if ext is None else None
-        y = y if ext is None else extended_lift(ext, y)
+        if ext is None:
+            step, target, plan.estimate = fdr_step, op, apply_a(op, y)
+        else:  # ODR reads each estimate off h+, so it never reads this one
+            step, target, plan.estimate = odr_step, ext, y[:op.n]
+            y = extended_lift(ext, y)
         spare = None
         for _, _, step_res in res.history[1:]:
-            if ext is None:
-                nxt, u = fdr_step(y, op, b, estimate=u, out=spare, plan=plan)
-            else:
-                nxt = odr_step(y, ext, b, out=spare, plan=plan)
+            nxt = step(y, target, b, out=spare, plan=plan)
             change = nxt - y
             assert np.array_equal(_bits(plan.scratch), _bits(change))
             assert step_res == _norm(change) / _norm(y)
             y, spare = nxt, y
+        # No sector: the result's x_hat is the last step's estimate.
+        assert np.array_equal(_bits(plan.estimate), _bits(res.x_hat))
 
 
 class TestOdrStep:
@@ -482,7 +502,7 @@ class TestOdrStep:
         op, x0, b = _instance()
         for ntilde in [op.n, op.n + 5, op.N]:
             ext = extend_op(op, ntilde)
-            h = extended_lift(ext, embed(x0, ntilde))  # U A~ (A* x0)
+            h = extended_lift(ext, np.pad(x0, (0, ntilde - op.n)))  # U A~ (A* x0)
             assert np.linalg.norm(odr_step(h, ext, b) - h) < 1e-10
 
     def test_nonfinite_rejected(self):
@@ -797,6 +817,30 @@ class TestIterationChoice:
         for ntilde in (op.n - 1, op.N + 1):
             with pytest.raises(ValueError):
                 run_solver(SolverConfig(algorithm="odr", ntilde=ntilde), op, b, x0)
+
+    # A wrapper set on phasedr.solvers.fdr_step or odr_step, as a tracer
+    # sets one, sees every step of a solve: run_solver looks its step up
+    # per call, binding it neither at import nor as a default argument.
+    @pytest.mark.parametrize("algorithm, full, called", [
+        ("fdr", False, "fdr_step"), ("odr", False, "odr_step"), ("odr", True, "fdr_step")],
+        ids=["fdr", "odr", "odr-at-N"])
+    def test_run_solver_calls_the_module_step(self, algorithm, full, called, monkeypatch):
+        op, x0, b = _instance("one-and-half", dims=(4, 4))
+        calls = {"fdr_step": 0, "odr_step": 0}
+
+        def counting(name, step):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+        cfg = SolverConfig(algorithm=algorithm, ntilde=op.N if full else None, max_iters=15,
+                           tol=1e-300, init=InitSpec(kind="ri", seed=2))
+        res = run_solver(cfg, op, b, x0)
+        assert res.iterations == 15 and res.ntilde == (op.N if called == "fdr_step" else 4 * op.n)
+        assert calls == {"fdr_step": 0, "odr_step": 0, called: res.iterations - 1}
 
 
 # A 64x64 one-and-half solve from a random start; prints repr(history) and
