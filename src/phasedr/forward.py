@@ -186,11 +186,12 @@ def _verify_isometry(op: PropagationOp) -> None:
 class _TransformPair:
     """The DFT plans between the (L, *len(index)) block of base's image grid
     at the per-axis index sets index and the (L, grid.n) pattern images,
-    forward and inverse, each made on its first use.  Both carve their pass
-    buffers from one N-length work stack: the given one, else one that the
-    inverse makes, so a forward made first, as in a one-shot A*, allocates
-    only what its passes need.  target is what the plan was made for, the
-    operator or extension, which _plan checks."""
+    forward and inverse, each made on its first use.  Their pass buffers
+    come from one N-length work stack: the given one, else one that the
+    inverse makes.  A forward FFT plan needs none, as it pads in its output,
+    so a one-shot A* allocates no pass buffer on an FFT grid and only its
+    d - 1 intermediate passes on a dense one.  target is what the plan was
+    made for, the operator or extension, which _plan checks."""
 
     def __init__(self, target, base: PropagationOp, index, work=None) -> None:
         self.target, self.grid, self.index, self.L = (target,), base.grid, index, len(base.masks)

@@ -16,7 +16,11 @@ When every image extent is at most DENSE_MAX_EXTENT points (the 31-point
 axes of a 16x16 object and below), a pass is one product with a dense DFT
 matrix: the DFT of the set's points, zero elsewhere on the image axis, or
 the unnormalized inverse DFT read only at them.  Otherwise a pass is a
-numpy FFT, whose index sets must be leading ones.  Both kinds are pruned:
+numpy FFT, whose index sets must be leading ones.  A forward FFT copies
+its input into the leading block of the output stack and zero-pads each
+axis there before transforming it in place, so no numpy call gets an input
+shorter than its n: numpy transforms such a padded call one line at a
+time, a full-length one on its vectorized path.  Both kinds are pruned:
 they skip the all-zero padding rows and the outputs that are cut away.
 FFT passes give the same bits as the full padded FFTs; dense passes agree
 with them to roundoff.
@@ -40,9 +44,9 @@ rows, around the stacked call.  A call writes its result into a caller's
 out buffer when given one.
 
 What a call sets up before its passes (the geometry, the pass buffers and
-the cut views the passes write, the split of the rows into tasks, and each
-pass as one call: a product with a dense matrix or an FFT along one axis)
-is a TransformPlan.  A caller that transforms stacks of one shape many
+the views the passes write, the split of the rows into tasks, and the
+passes as calls: products with dense matrices, or FFTs) is a
+TransformPlan.  A caller that transforms stacks of one shape many
 times, as a solve does, makes the plan once and hands it to every call; a
 call without one makes a throwaway plan, so both run one code path.  The
 dense matrices are built once per shape and shared read-only by every
@@ -67,9 +71,10 @@ PARALLEL_MIN_POINTS = 2**13
 # pass as one product with a dense DFT matrix instead of an FFT.  numpy's
 # FFT of a short axis, above all of a prime one such as the 31 frequencies
 # of a 16-pixel axis, costs more than the product: on a 2-vCPU x86 host a
-# 16x16 grid's transform pair took 0.3 of the FFT time, a plain 31x31 pair
-# 0.5.  From 32 points up the plain transforms of equal extent are as fast
-# as FFTs, and at 48 and 63 points they take twice as long.
+# two-pattern 16x16 grid's transform pair took 0.3 of the FFT time, a plain
+# 31x31 pair 0.4, against FFT forwards that pad in their output.  From 32
+# points up the plain transforms of equal extent are as fast as FFTs, and
+# at 48 and 63 points they take twice as long.
 DENSE_MAX_EXTENT = 31
 _COMPLEX = np.dtype(np.complex128)
 _TINY = 2.0**-1022  # the least normal float64
@@ -192,6 +197,22 @@ def _times(mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(rows, mat, out=out)
 
 
+def _fft_in_place(lead: tuple, steps: list, rows: np.ndarray, out: np.ndarray) -> None:
+    """The forward FFT passes of rows into out, padding in out itself.
+
+    rows is copied into out's leading block lead, and each step (axis,
+    view, slab), last axis first, zeroes the slab of out past the object
+    extent of its axis and transforms the view, cut to the object extents
+    of the axes before it, in place along that axis.  So numpy pads
+    nothing through n=, which would take it off its vectorized path (see
+    the module docstring)."""
+    out[lead] = rows
+    for axis, view, slab in steps:
+        out[slab] = 0.0
+        v = out[view]
+        np.fft.fft(v, axis=axis, out=v)
+
+
 class TransformPlan:
     """The set-up of one DFT between an object grid and an image grid, made
     once for a (k, n) stack and reused by every call given it.
@@ -201,8 +222,9 @@ class TransformPlan:
     views it reads and writes, and the split of the rows into tasks,
     decided by PARALLEL_MIN_POINTS when the plan is made.  The pass
     buffers are carved from `work`, a flat complex128 buffer, while it
-    lasts: a dense plan and a forward FFT plan take the d - 1 intermediate
-    passes, an inverse FFT plan one (k, *image) stack.  A forward and an
+    lasts: a dense plan takes the d - 1 intermediate passes, an inverse FFT
+    plan one (k, *image) stack, and a forward FFT plan none, as it pads and
+    transforms in the caller's output stack.  A forward and an
     inverse plan may share one work buffer, since a call's passes end
     before it returns; a plan serves one call at a time.  A plan holds no
     input or output.
@@ -219,7 +241,6 @@ class TransformPlan:
         dims, d = shape.dims, shape.ndim
         self.key, self.k = (dims, image, inverse), k
         self.scale = prod(image)
-        fft = np.fft.ifft if inverse else np.fft.fft
         index = tuple(map(range, dims)) if index is None else tuple(index)
         if len(index) != d:
             raise ValueError(f"TransformPlan: {len(index)} index sets for {d} axes")
@@ -276,16 +297,15 @@ class TransformPlan:
             # the previous one left.
             out = carve((k, *image))
             for axis in range(d - 1, -1, -1):
-                passes.append((partial(fft, n=image[axis], axis=axis + 1), inp, out))
+                passes.append((partial(np.fft.ifft, n=image[axis], axis=axis + 1), inp, out))
                 inp = out = out[(slice(None),) * (axis + 1) + (slice(0, dims[axis]),)]
             cut = out
         else:
-            # Pass j pads axis j into its own buffer; the last pass writes
-            # the caller's output.
-            for axis in range(d - 1, -1, -1):
-                out = carve((k, *dims[:axis], *image[axis:])) if axis else None
-                passes.append((partial(fft, n=image[axis], axis=axis + 1), inp, out))
-                inp = out
+            # One pass over the caller's output stack: see _fft_in_place.
+            lead = (slice(None), *(slice(0, m) for m in dims))
+            steps = [(axis + 1, lead[: axis + 1], (*lead[: axis + 1], slice(dims[axis], None)))
+                     for axis in range(d - 1, -1, -1)]
+            passes.append((partial(_fft_in_place, lead, steps), None, None))
         if k > 1 and self.scale >= PARALLEL_MIN_POINTS:
             def part(a, i):
                 return None if a is None else a[i : i + 1]
@@ -336,8 +356,9 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
                before=None, after=None, out=None, plan=None) -> np.ndarray:
     """The d-axis DFT between the object grid and the image grid, flat or stacked.
 
-    Forward: each axis, last first, is transformed at its image extent, the
-    zero padding coming from numpy's n=.  Inverse: each axis, last first, is
+    Forward: v is copied into the leading block of the output stack, and
+    each axis, last first, is zero-padded there to its image extent and
+    transformed in place.  Inverse: each axis, last first, is
     inverse-transformed in place and cut to its object extent, then the
     result is scaled by the image size, the adjoint's normalization.  A
     dense plan's matrices hold the padding, the cut and that scale (the
@@ -380,8 +401,9 @@ def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None,
     map isometric.  Normalization is applied
     at the measurement-operator level, not here.
 
-    The transform is pruned: each axis pass pads only that axis, so the
-    all-zero rows of the padded grid are never transformed.  Above
+    The transform is pruned: each axis pass zeroes only that axis's padding
+    in the output stack and transforms the lines that can be nonzero, so
+    the all-zero rows of the padded grid are never transformed.  Above
     DENSE_MAX_EXTENT every computed 1-D transform is the one the full padded
     FFT computes, so the result is bit-identical to it.  At or below it each
     pass is a product with the (2M_j+1) x (M_j+1) DFT matrix, which agrees

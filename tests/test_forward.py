@@ -451,6 +451,20 @@ def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, thread
     assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_extended_a(ext, y)))
 
 
+@pytest.mark.parametrize("shape", [GridShape((20, 18)), GridShape((64, 64))], ids=str)
+def test_astar_after_a_on_one_plan_matches_a_fresh_plan(shape):
+    # A's inverse passes overwrite the plan's work stack; A*'s forward
+    # passes, which pad in their output, must not read anything left there.
+    op = _op(VARIANT_ONE_AND_HALF, shape, seed=7)
+    rng = np.random.default_rng(32)
+    x, y = random_complex(rng, op.n), random_complex(rng, op.N)
+    plan = forward.OperatorPlan(op)
+    for _ in range(2):
+        apply_a(op, y, plan=plan)
+        got = apply_astar(op, x, plan=plan)
+        assert np.array_equal(_bits(got), _bits(apply_astar(op, x, plan=forward.OperatorPlan(op))))
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda op, ext: extended_lift(ext, np.zeros(ext.ntilde + 1, complex)), "extended_lift"),
     (lambda op, ext: extended_astar(ext, np.zeros(ext.ntilde - 1, complex)), "extended_lift"),

@@ -333,6 +333,65 @@ def test_fft_plans_take_only_leading_index_sets():
         grids.TransformPlan(grid, grid.dims, True, 2, index=((0, 1, 39), range(3)))
 
 
+def _padded_fftn(stack, shape):
+    # Each row's full zero-padded FFT on the oversampled grid.
+    axes = tuple(range(shape.ndim))
+    return np.stack([np.fft.fftn(row.reshape(shape.dims), s=shape.oversampled_dims, axes=axes)
+                     .ravel() for row in stack])
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("shape", [GridShape((64, 64)), GridShape((17, 3, 4))], ids=str)
+def test_padded_forward_is_the_full_padded_fft(shape):
+    # The forward FFT pads in its output stack.  64x64 (a 127x127 grid)
+    # runs its rows on the pool; the 3-D grid pads three axes.  The second
+    # call, whose input a before hook fills, writes into the same out
+    # buffer, so it must zero the padding that the first call transformed.
+    plan = TransformPlan(shape, shape.oversampled_dims, False, 2)
+    assert not plan.dense
+    assert (len(plan.groups) > 1) == (shape.n_oversampled >= grids.PARALLEL_MIN_POINTS)
+    first, second = (_stack_input(dft_oversampled, shape, 2, seed=s) for s in (31, 32))
+    out = np.empty((2, shape.n_oversampled), dtype=np.complex128)
+    _assert_bits(dft_oversampled(first, shape, out=out, plan=plan), _padded_fftn(first, shape))
+    src = np.zeros_like(second)
+
+    def before(rows):
+        src[rows] = second[rows]
+
+    got = dft_oversampled(src, shape, before=before, out=out, plan=plan)
+    assert got is out
+    _assert_bits(got, _padded_fftn(second, shape))
+
+
+def test_fft_passes_never_pad_through_n(monkeypatch):
+    # numpy runs a call whose input is shorter than its n (the padding
+    # it would do itself) one line at a time, and a full-length call on its
+    # vectorized several-lines-at-once path.  So every FFT pass, forward
+    # and inverse, must hand numpy an input as long as n along its axis.
+    calls = []
+
+    def watch(fn):
+        def call(a, n=None, axis=-1, **kwargs):
+            calls.append((fn.__name__, a.shape[axis], a.shape[axis] if n is None else n))
+            return fn(a, n=n, axis=axis, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "fft", watch(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", watch(np.fft.ifft))
+    for shape in (GridShape((17, 17)), GridShape((64, 64)), GridShape((128, 128)),
+                  GridShape((17, 3, 4))):
+        for k in (1, 2):
+            stack = _stack_input(dft_oversampled, shape, k, seed=35)
+            y = dft_oversampled(stack, shape)
+            idft_oversampled(y, shape)
+    assert {name for name, _, _ in calls} == {"fft", "ifft"}
+    assert all(length == n for _, length, n in calls), [c for c in calls if c[1] != c[2]]
+
+
 def _stack_input(fn, shape, k, seed):
     length = shape.n_oversampled if fn is idft_oversampled else shape.n
     return random_complex(np.random.default_rng(seed), k * length).reshape(k, length)
