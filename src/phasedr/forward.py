@@ -37,7 +37,6 @@ from math import prod, sqrt
 import numpy as np
 
 from .grids import (  # dft_oversampled: bound here for perfbench's binding test
-    DENSE_MAX_EXTENT,
     GridShape,
     TransformPlan,
     _buffer,
@@ -320,9 +319,8 @@ class ExtendedOp:
 
     A~* transforms the lift U x = sqrt(L) h, which ODR iterates.  It lies
     flat on the compact block of the (L, *grid) image stack, zero elsewhere:
-    on a dense grid (grids.DENSE_MAX_EXTENT) the rows, columns, ... holding
-    a live pixel (an object pixel, or a padded pixel whose t lies in the
-    leading ntilde coordinates), on an FFT grid the whole stack.  The object
+    the rows, columns, ... holding a live pixel (an object pixel, or a
+    padded pixel whose t lies in the leading ntilde coordinates).  The object
     pixels are its leading (L, *dims) block, in raster order, reached
     through slice views; only the padded pixels keep an index array.
     """
@@ -342,10 +340,10 @@ class ExtendedOp:
     def layout(self) -> tuple[GridShape, tuple[tuple[int, ...], ...], tuple[slice, ...],
                               np.ndarray]:
         """The image grid; the compact block's index sets, per axis the
-        sorted grid points that hold a live pixel (all of them on an FFT
-        grid); the index of the (L, *dims) object block in the (L,
-        *len(index)) compact block; and the flat positions in the compact
-        block of the coordinates after x and m, the padded pixels' t."""
+        sorted grid points that hold a live pixel; the index of the (L,
+        *dims) object block in the (L, *len(index)) compact block; and the
+        flat positions in the compact block of the coordinates after x and
+        m, the padded pixels' t."""
         shape, grid, L = self.base.shape, self.base.grid, len(self.base.masks)
         dist = np.zeros(grid.n, dtype=np.int64)
         for i, m, size in zip(np.indices(grid.dims).reshape(grid.ndim, -1), shape.dims, grid.dims):
@@ -353,11 +351,8 @@ class ExtendedOp:
         padded = np.argsort(dist, kind="stable")[self.n :]  # the first n are the object
         tail = (padded[:, None] + grid.n * np.arange(L)).ravel()[: max(self.ntilde - L * self.n, 0)]
         points = np.unravel_index(tail % grid.n, grid.dims)
-        if max(grid.dims) <= DENSE_MAX_EXTENT:
-            index = tuple(tuple(np.union1d(np.arange(m), p).tolist())
-                          for m, p in zip(shape.dims, points))
-        else:
-            index = tuple(tuple(range(size)) for size in grid.dims)
+        index = tuple(tuple(np.union1d(np.arange(m), p).tolist())
+                      for m, p in zip(shape.dims, points))
         live = tuple(map(len, index))
         at = np.ravel_multi_index([np.searchsorted(ix, p) for ix, p in zip(index, points)], live)
         block = (slice(None), *(slice(0, m) for m in shape.dims))

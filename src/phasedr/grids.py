@@ -16,14 +16,16 @@ When every image extent is at most DENSE_MAX_EXTENT points (the 31-point
 axes of a 16x16 object and below), a pass is one product with a dense DFT
 matrix: the DFT of the set's points, zero elsewhere on the image axis, or
 the unnormalized inverse DFT read only at them.  Otherwise a pass is a
-numpy FFT, whose index sets must be leading ones.  A forward FFT copies
-its input into the leading block of the output stack and zero-pads each
-axis there before transforming it in place, so no numpy call gets an input
-shorter than its n: numpy transforms such a padded call one line at a
-time, a full-length one on its vectorized path.  Both kinds are pruned:
-they skip the all-zero padding rows and the outputs that are cut away.
-FFT passes give the same bits as the full padded FFTs; dense passes agree
-with them to roundoff.
+numpy FFT, run on the runs of consecutive points of the index sets (a
+leading set is one run; the ring around a support, two).  A forward FFT
+copies each cell of its input, a product of runs, to its place in the
+output stack and zeroes each axis's gaps there before transforming it in
+place, so no numpy call gets an input shorter than its n: numpy transforms
+such a padded call one line at a time, a full-length one on its vectorized
+path.  Both kinds are pruned: they skip the all-zero rows off the sets and
+the outputs that are cut away.  FFT passes give the same bits as the full
+FFTs of the block scattered into zeros; dense passes agree with them to
+roundoff.
 
 The four DFTs take a flat vector or a (k, n) stack of k vectors, so a
 measurement operator transforms all its patterns in one call.  Each pass
@@ -59,6 +61,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import product
 from math import prod, sqrt
 
 import numpy as np
@@ -197,20 +200,36 @@ def _times(mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(rows, mat, out=out)
 
 
-def _fft_in_place(lead: tuple, steps: list, rows: np.ndarray, out: np.ndarray) -> None:
+def _runs(ix) -> list[tuple[slice, slice]]:
+    """The maximal runs of consecutive points of the sorted index set ix,
+    as (block slice, image slice) pairs."""
+    cuts = [j for j in range(len(ix) + 1) if j in (0, len(ix)) or ix[j] != ix[j - 1] + 1]
+    return [(slice(a, b), slice(ix[a], ix[b - 1] + 1)) for a, b in zip(cuts, cuts[1:])]
+
+
+def _fft_in_place(cells, steps, rows: np.ndarray, out: np.ndarray) -> None:
     """The forward FFT passes of rows into out, padding in out itself.
 
-    rows is copied into out's leading block lead, and each step (axis,
-    view, slab), last axis first, zeroes the slab of out past the object
-    extent of its axis and transforms the view, cut to the object extents
-    of the axes before it, in place along that axis.  So numpy pads
-    nothing through n=, which would take it off its vectorized path (see
-    the module docstring)."""
-    out[lead] = rows
-    for axis, view, slab in steps:
-        out[slab] = 0.0
-        v = out[view]
-        np.fft.fft(v, axis=axis, out=v)
+    Each cell (block, image) of rows is copied to its place in out.  Then
+    each step (axis, views, gaps), last axis first, zeroes the gaps (runs,
+    as _runs gives them) of its views along its axis and transforms the
+    views, the lines on the runs of the axes before it, in place along that
+    axis.  So numpy pads nothing through n=, which would take it off its
+    vectorized path (see the module docstring)."""
+    for block, image in cells:
+        out[image] = rows[block]
+    for axis, views, gaps in steps:
+        for view, (_, gap) in product(views, gaps):
+            out[(*view, gap)] = 0.0
+        for view in views:
+            v = out[view]
+            np.fft.fft(v, axis=axis, out=v)
+
+
+def _read_cells(cells, scale: float, stack: np.ndarray, out: np.ndarray) -> None:
+    """Each cell (block, image) of stack, times scale, into its place in out."""
+    for block, image in cells:
+        np.multiply(stack[image], scale, out[block])
 
 
 class TransformPlan:
@@ -224,7 +243,8 @@ class TransformPlan:
     buffers are carved from `work`, a flat complex128 buffer, while it
     lasts: a dense plan takes the d - 1 intermediate passes, an inverse FFT
     plan one (k, *image) stack, and a forward FFT plan none, as it pads and
-    transforms in the caller's output stack.  A forward and an
+    transforms in the caller's output stack (see _fft_in_place and
+    _read_cells).  A forward and an
     inverse plan may share one work buffer, since a call's passes end
     before it returns; a plan serves one call at a time.  A plan holds no
     input or output.
@@ -232,8 +252,7 @@ class TransformPlan:
     index holds the object side's image points per axis, each a sorted
     tuple of ints or a range, range(M_j+1) when not given: a forward plan
     transforms the (k, *len(index)) block of those points, and an inverse
-    plan returns only that block.  An FFT plan takes only leading sets,
-    range(m).
+    plan returns only that block.
     """
 
     def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, k: int,
@@ -244,8 +263,6 @@ class TransformPlan:
         index = tuple(map(range, dims)) if index is None else tuple(index)
         if len(index) != d:
             raise ValueError(f"TransformPlan: {len(index)} index sets for {d} axes")
-        if max(image) > DENSE_MAX_EXTENT and any(ix[-1] != len(ix) - 1 for ix in index):
-            raise ValueError("TransformPlan: an FFT plan takes only leading index sets")
         dims = tuple(map(len, index))  # the object side's extents
         src_dims, dest_dims = (image, dims) if inverse else (dims, image)
         self.src_len, dest_len = prod(src_dims), prod(dest_dims)
@@ -267,7 +284,7 @@ class TransformPlan:
         # Each pass is (call, input, output), last axis first, and runs as
         # call(input, out=output); None stands for the call's input rows or
         # output rows.
-        passes, inp, cut = [], None, None
+        passes, inp = [], None
         self.dense = max(image) <= DENSE_MAX_EXTENT
         if self.dense:
             # The product along the last axis is rows @ M.T over (k, P, n);
@@ -292,29 +309,41 @@ class TransformPlan:
                 passes.append((call, inp, out))
                 ext[axis], inp = n_out, out
             self.dest_rows = shapes[1]
-        elif inverse:
-            # After the first pass each pass runs in place on the cut view
-            # the previous one left.
-            out = carve((k, *image))
-            for axis in range(d - 1, -1, -1):
-                passes.append((partial(np.fft.ifft, n=image[axis], axis=axis + 1), inp, out))
-                inp = out = out[(slice(None),) * (axis + 1) + (slice(0, dims[axis]),)]
-            cut = out
         else:
-            # One pass over the caller's output stack: see _fft_in_place.
-            lead = (slice(None), *(slice(0, m) for m in dims))
-            steps = [(axis + 1, lead[: axis + 1], (*lead[: axis + 1], slice(dims[axis], None)))
-                     for axis in range(d - 1, -1, -1)]
-            passes.append((partial(_fft_in_place, lead, steps), None, None))
+            # The block's cells, the products of the runs of its index
+            # sets, as (block, image) indexes of the (k, *dims) block and
+            # the (k, *image) stack; and per axis the image slices of its
+            # runs, whose products pick the lines a pass transforms.
+            runs = [_runs(ix) for ix in index]
+            cells = [tuple((slice(None), *half) for half in zip(*c)) for c in product(*runs)]
+            spans = [[i for _, i in r] for r in runs]
+            if inverse:
+                # The first pass reads the call's rows into the whole stack;
+                # each later one runs in place on the lines on the runs of
+                # the axes already transformed.  Then the cells are read out.
+                stack = carve((k, *image))
+                for axis in range(d - 1, -1, -1):
+                    for s in product(*spans[axis + 1 :]):
+                        view = stack[(slice(None),) * (axis + 2) + s]
+                        passes.append((partial(np.fft.ifft, axis=axis + 1),
+                                       None if axis == d - 1 else view, view))
+                passes.append((partial(_read_cells, cells, self.scale), stack, None))
+            else:
+                # One pass over the caller's output stack: see _fft_in_place.
+                # The gaps of an axis are the runs of the points off its set.
+                steps = [(axis + 1, [(slice(None), *s) for s in product(*spans[:axis])],
+                          _runs(np.setdiff1d(range(image[axis]), index[axis])))
+                         for axis in range(d - 1, -1, -1)]
+                passes.append((partial(_fft_in_place, cells, steps), None, None))
         if k > 1 and self.scale >= PARALLEL_MIN_POINTS:
             def part(a, i):
                 return None if a is None else a[i : i + 1]
 
             self.groups = [(slice(i, i + 1),
-                            [(call, part(a, i), part(o, i)) for call, a, o in passes],
-                            part(cut, i)) for i in range(k)]
+                            [(call, part(a, i), part(o, i)) for call, a, o in passes])
+                           for i in range(k)]
         else:
-            self.groups = [(slice(None), passes, cut)]
+            self.groups = [(slice(None), passes)]
 
     def run(self, src: np.ndarray, dest: np.ndarray, before=None, after=None,
             group=None) -> None:
@@ -327,13 +356,11 @@ class TransformPlan:
                 _run_tasks([partial(self.run, src, dest, before, after, g) for g in self.groups])
                 return
             group = self.groups[0]
-        rows, passes, cut = group
+        rows, passes = group
         if before is not None:
             before(rows)
         for call, a, o in passes:  # numpy.fft's out=, hence NumPy >= 2.0
             call(src[rows] if a is None else a, out=dest[rows] if o is None else o)
-        if cut is not None:
-            np.multiply(cut, self.scale, dest[rows])
         if after is not None:
             after(rows)
 
@@ -356,14 +383,14 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
                before=None, after=None, out=None, plan=None) -> np.ndarray:
     """The d-axis DFT between the object grid and the image grid, flat or stacked.
 
-    Forward: v is copied into the leading block of the output stack, and
+    Forward: v is copied to the plan's index sets in the output stack, and
     each axis, last first, is zero-padded there to its image extent and
     transformed in place.  Inverse: each axis, last first, is
-    inverse-transformed in place and cut to its object extent, then the
-    result is scaled by the image size, the adjoint's normalization.  A
-    dense plan's matrices hold the padding, the cut and that scale (the
-    inverse matrix is the unnormalized conjugate DFT), so its passes write
-    no cut views and no scaling pass follows them.
+    inverse-transformed in place on the lines that the axes after it keep,
+    then the block at the index sets is read out, scaled by the image size,
+    the adjoint's normalization.  A dense plan's matrices hold the padding,
+    the cut and that scale (the inverse matrix is the unnormalized conjugate
+    DFT), so its passes write no cut views and no scaling pass follows them.
 
     before(rows) fills those rows of v before they are transformed, and
     after(rows) runs once those rows of the result are written (see the

@@ -251,9 +251,10 @@ def test_extension_orthogonality_relations(variant, patterns, shape):
         assert np.linalg.norm(extended_a(ext, extended_astar(ext, z)) - z) < 1e-10
 
 
-# Dense grids, whose extensions transform only the compact block of their
-# live rows and columns: 16x16 (a 31x31 grid), a 1-D and a 3-D grid.  The
-# 17x16 grid has a 33-point axis, so it runs FFT passes on the whole grid.
+# Extensions transform only the compact block of their live rows and
+# columns.  Checked against the dense oracle on dense grids: 16x16 (a 31x31
+# grid), a 1-D and a 3-D grid.  The layout cases add 17x16, whose 33-point
+# axis runs FFT passes.
 PRUNED_CASES = [(VARIANT_ONE_AND_HALF, GridShape((16, 16))), (VARIANT_TWO_MASK, GridShape((12,))),
                 (VARIANT_TWO_MASK, GridShape((3, 4, 5)))]
 LAYOUT_CASES = PRUNED_CASES + [(VARIANT_ONE_AND_HALF, GridShape((17, 16)))]
@@ -310,10 +311,7 @@ def test_compact_layout_agrees_with_flat_layout(variant, shape):
         padded = flat_tail[(L - 1) * op.n :]
         assert np.array_equal(cells.ravel()[tail % size] + grid.n * (tail // size), padded)
         live = np.unravel_index(np.union1d(obj, padded % grid.n), grid.dims)
-        if max(grid.dims) <= grids.DENSE_MAX_EXTENT:
-            assert index == tuple(tuple(np.unique(p).tolist()) for p in live)
-        else:
-            assert index == tuple(tuple(range(g)) for g in grid.dims)
+        assert index == tuple(tuple(np.unique(p).tolist()) for p in live)
 
 
 def test_extend_op_range_errors():

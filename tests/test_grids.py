@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from phasedr import grids
+from phasedr.forward import extend_op, make_operator
 from phasedr.grids import (
     GridShape,
     TransformPlan,
@@ -302,35 +303,49 @@ def test_leading_index_sets_give_the_padded_matrices_bitwise():
     ((31, 31), ((0, 1, 2, 5, 28, 30), tuple(range(20)) + (27, 29))),
     ((23,), ((0, 3, 4, 22),)),
     ((5, 7, 9), ((0, 1, 4), tuple(range(7)), (0, 2, 8))),
-], ids=["31x31", "23", "5x7x9"])
-def test_dense_plans_on_index_sets_match_naive_dft(image, index):
+    # FFT plans: a ring set of two runs, one of four runs with lone
+    # points, and a 3-D grid whose short axes hold two lone points.
+    ((33, 33), (tuple(range(24)) + (30, 31, 32), tuple(range(33)))),
+    ((40, 32), ((0, 1, 2, 17, 30, 38, 39), tuple(range(20)) + (31,))),
+    ((34, 3, 5), ((0, 1, 33), (0, 2), (0, 1, 2, 3, 4))),
+], ids=["31x31", "23", "5x7x9", "33x33", "40x32", "34x3x5"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+def test_plans_on_index_sets_match_the_dft(image, index, pooled, monkeypatch):
     # A forward plan transforms the block of the index sets' points, zero
     # elsewhere on the image grid; an inverse plan returns only that block.
-    grid = GridShape(image)
-    phi = naive_dft_matrix(grid, oversampled=False)
+    # Dense plans agree with the naive DFT to roundoff.  FFT plans give the
+    # bits of fftn of the block scattered into zeros, and of ifftn
+    # gathered at the block and scaled by the image size.
+    if pooled:
+        monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
+    grid, axes = GridShape(image), tuple(range(1, len(image) + 1))
+    dense = max(image) <= grids.DENSE_MAX_EXTENT
+    phi = naive_dft_matrix(grid, oversampled=False) if dense else None
     cells = np.ravel_multi_index(np.ix_(*index), image).ravel()
+    live = tuple(map(len, index))
     rng = np.random.default_rng(13)
     for k in (1, 3):
         fwd, inv = (grids.TransformPlan(grid, image, inverse, k, index=index)
                     for inverse in (False, True))
-        assert fwd.dense and inv.dense
+        assert fwd.dense == inv.dense == dense
+        assert len(fwd.groups) == len(inv.groups) == (k if pooled else 1)
         x = random_complex(rng, k * cells.size).reshape(k, -1)
-        want = x @ phi[:, cells].T
-        assert np.abs(dft_plain(x, grid, plan=fwd) - want).max() <= 1e-12 * np.abs(want).max()
         y = random_complex(rng, k * grid.n).reshape(k, -1)
-        want = y @ phi.conj()[:, cells]
-        assert np.abs(idft_plain(y, grid, plan=inv) - want).max() <= 1e-12 * np.abs(want).max()
+        got_x, got_y = dft_plain(x, grid, plan=fwd), idft_plain(y, grid, plan=inv)
+        if dense:
+            want = x @ phi[:, cells].T
+            assert np.abs(got_x - want).max() <= 1e-12 * np.abs(want).max()
+            want = y @ phi.conj()[:, cells]
+            assert np.abs(got_y - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            block = np.zeros((k, *image), dtype=np.complex128)
+            block[(slice(None), *np.ix_(*index))] = x.reshape(k, *live)
+            _assert_bits(got_x, np.fft.fftn(block, axes=axes).reshape(k, -1))
+            full = np.fft.ifftn(y.reshape(k, *image), axes=axes)[(slice(None), *np.ix_(*index))]
+            _assert_bits(got_y, np.ascontiguousarray(full * grid.n).reshape(k, -1))
         # The full-grid input of an unpruned plan is refused.
         with pytest.raises(ValueError):
             dft_plain(random_complex(rng, k * grid.n).reshape(k, -1), grid, plan=fwd)
-
-
-def test_fft_plans_take_only_leading_index_sets():
-    grid = GridShape((40, 3))
-    plan = grids.TransformPlan(grid, grid.dims, True, 2, index=(range(40), range(3)))
-    assert not plan.dense
-    with pytest.raises(ValueError, match="leading index sets"):
-        grids.TransformPlan(grid, grid.dims, True, 2, index=((0, 1, 39), range(3)))
 
 
 def _padded_fftn(stack, shape):
@@ -388,6 +403,18 @@ def test_fft_passes_never_pad_through_n(monkeypatch):
             stack = _stack_input(dft_oversampled, shape, k, seed=35)
             y = dft_oversampled(stack, shape)
             idft_oversampled(y, shape)
+            # The compact block of ODR's extension at 4n, whose index sets
+            # are two runs: the support with its ring, and the ring's
+            # other side.
+            op = make_operator("one-and-half", shape, seed=3)
+            _, index, _, _ = extend_op(op, 4 * op.n).layout
+            assert 2 in {len(grids._runs(ix)) for ix in index}
+            image = shape.oversampled_dims
+            fwd, inv = (TransformPlan(op.grid, image, inverse, k, index=index)
+                        for inverse in (False, True))
+            block = random_complex(np.random.default_rng(36), k * prod(map(len, index)))
+            dft_plain(block.reshape(k, -1), op.grid, plan=fwd)
+            idft_plain(y, op.grid, plan=inv)
     assert {name for name, _, _ in calls} == {"fft", "ifft"}
     assert all(length == n for _, length, n in calls), [c for c in calls if c[1] != c[2]]
 

@@ -289,7 +289,8 @@ class TestOdrStepBits:
     # cut some) through their reflectors and writes into out; all give the
     # per-pattern block oracle's bits.  Mapped back by U^-1 it is the
     # x-domain step to roundoff: the two sum in different coordinates.
-    PADDED = pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4)], ids=str)
+    # (17, 16) and (17, 2, 3) have 33-point oversampled axes, so FFT passes.
+    PADDED = pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4), (17, 16), (17, 2, 3)], ids=str)
     VARIANT = pytest.mark.parametrize("variant",
                                       ["one-mask", "one-and-half", "two-mask", "multi"])
     SECTOR = pytest.mark.parametrize("sector", [NO_SECTOR, SectorSpec(0.25, 0.5)],

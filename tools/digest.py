@@ -1,8 +1,8 @@
 """Print one "case sha256" line per case: a digest of phasedr's outputs.
 
 The cases are run_solver solves (four mask layouts, four grids, FDR and
-ODR at three paddings, three starts, with and without a sector) and one
-pooled 64x64 FDR solve; A*, A, A~*, A~ and the extension's lift on the
+ODR at three paddings, three starts, with and without a sector) and
+pooled 64x64 FDR and ODR solves; A*, A, A~*, A~ and the extension's lift on the
 same layouts, grids and paddings; and lambda2_power reports at 6x6.
 Each line hashes the bytes of its outputs, so two checkouts print the
 same lines exactly when they give the same bits.  phasedr is imported
@@ -108,9 +108,12 @@ def _cases() -> dict:
             cases[f"ops/{variant}/{tag}"] = (_operators, variant, dims)
             for padding in PADDINGS:
                 cases[f"ext/{variant}/{tag}/{padding}"] = (_extension, variant, dims, padding)
-    # 64x64 runs on a 127x127 grid, where FDR's transforms split over the pool.
-    cases["solve/one-and-half/64x64/fdr/ri/free"] = (
-        _solve, "one-and-half", (64, 64), None, "ri", "free")
+    # 64x64 runs on a 127x127 grid, where the transforms split over the
+    # pool: FDR's on the whole stack, ODR's on the compact block at 4n.
+    for padding in (None, "4n"):
+        algorithm = f"odr-{padding}" if padding else "fdr"
+        cases[f"solve/one-and-half/64x64/{algorithm}/ri/free"] = (
+            _solve, "one-and-half", (64, 64), padding, "ri", "free")
     for variant in VARIANTS:
         cases[f"lambda2/{variant}/6x6"] = (_spectral, variant)
     return cases
