@@ -11,7 +11,6 @@ from .forward import (
     extend_op,
     extended_a,
     extended_astar,
-    extended_lift,
     make_mask,
     make_operator,
     synthesize_data,

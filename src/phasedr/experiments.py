@@ -178,12 +178,13 @@ class LocalRateResult(ExperimentResult):
 def run_local_rate(cfg: ExperimentConfig) -> LocalRateResult:
     """Near-solution error curves for FDR and ODR against the l_2 geometric line.
 
-    Both runs of a trial start near the solution (delta from the configured
-    init) from the same seed and differ only in the algorithm; ODR pads to
-    the configured ntilde, by default run_solver's min(4n, N).  Each trial
-    entry records that padding as `odr_ntilde`: at odr_ntilde = N (for
-    instance multi with L <= 4 patterns) ODR is the FDR recursion, so the
-    trial's odr rows repeat its fdr rows.  Emits rows
+    Both runs of a trial start near the solution, at one point (delta and
+    seed from the configured init): FDR at y0, ODR at A~ y0.  They differ
+    only in the algorithm; ODR pads to the configured ntilde, by default
+    run_solver's min(4n, N).  Each trial entry records that padding as
+    `odr_ntilde`: at odr_ntilde = N (for instance multi with L <= 4
+    patterns) ODR is the FDR recursion, so the trial's odr rows repeat its
+    fdr rows.  Emits rows
     (trial, algo, k, error, lambda2_ref) with lambda2_ref = l_2^(k-1), the
     FDR reference line, on the rows of both algorithms.  Below full padding
     ODR's local rate is the second eigenvalue modulus of its own Jacobian,
@@ -265,7 +266,7 @@ def run_noise_sweep(cfg: ExperimentConfig) -> NoiseSweepResult:
     NSR by the median across trials and fits a least-squares slope of
     median error against NSR over NSR <= 0.2.
     """
-    if any(nsr < 0 or nsr > 0.5 for nsr in cfg.nsr_grid):
+    if not all(0 <= nsr <= 0.5 for nsr in cfg.nsr_grid):  # nan fails it too
         raise ValueError("nsr grid must lie in [0, 0.5]")
     short, full = budgets = (cfg.solver.max_iters, 2 * cfg.solver.max_iters)
     out = NoiseSweepResult(budgets=budgets)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 
@@ -317,12 +317,14 @@ class ExtendedOp:
     (ties in raster order), each pixel's L patterns interleaved.  With one
     pattern this is the zero padding of HIO; multi has no padded pixels.
 
-    A~* transforms the lift U x = sqrt(L) h, which ODR iterates.  It lies
-    flat on the compact block of the (L, *grid) image stack, zero elsewhere:
-    the rows, columns, ... holding a live pixel (an object pixel, or a
-    padded pixel whose t lies in the leading ntilde coordinates).  The object
-    pixels are its leading (L, *dims) block, in raster order, reached
-    through slice views; only the padded pixels keep an index array.
+    No function here takes or returns these coordinates.  The operators act
+    on the lift U x = sqrt(L) h, which ODR iterates: extended_astar(h) is
+    A~* x and extended_a(y) is U A~ y.  The lift lies flat on the compact
+    block of the (L, *grid) image stack, zero elsewhere: the rows,
+    columns, ... holding a live pixel (an object pixel, or a padded pixel
+    whose t lies in the leading ntilde coordinates).  The object pixels are
+    its leading (L, *dims) block, in raster order, reached through slice
+    views; only the padded pixels keep an index array.
     """
 
     base: PropagationOp
@@ -405,15 +407,17 @@ def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
 
 
 def _verify_extension(ext: ExtendedOp) -> None:
-    """Check A~ A~* x = x and A A~*[0; t] = 0 on random vectors."""
+    """Check A~ A~* = I and A A~* = [I 0] on lifts h = U x in U's range,
+    which extended_a makes from random y: U A~ A~* x = h, and A A~* x is
+    the x of U^-1 h."""
     rng = np.random.default_rng(707)
     plan, base = ExtendedPlan(ext), OperatorPlan(ext.base)  # throwaway plans for the check
     for _ in range(3):
-        x = rng.standard_normal(ext.ntilde) + 1j * rng.standard_normal(ext.ntilde)
-        scale = _norm(x)
-        iso = _norm(extended_a(ext, extended_astar(ext, x, plan=plan), plan=plan) - x) / scale
-        x[: ext.n] = 0.0  # [0; t]
-        cross = _norm(apply_a(ext.base, extended_astar(ext, x, plan=plan), plan=base)) / scale
+        h = extended_a(ext, rng.standard_normal(ext.N) + 1j * rng.standard_normal(ext.N),
+                       plan=plan)
+        scale, x = _norm(h), plan.object_part(plan.objects(h)).ravel()
+        iso = _norm(extended_a(ext, extended_astar(ext, h, plan=plan), plan=plan) - h) / scale
+        cross = _norm(apply_a(ext.base, extended_astar(ext, h, plan=plan), plan=base) - x) / scale
         if not (iso < 1e-10 and cross < 1e-10):
             raise RuntimeError(
                 f"extension verification failed (isometry {iso:.3e}, cross {cross:.3e})"
@@ -468,33 +472,15 @@ def _reflect(h: np.ndarray, w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return h - (kappa * (np.conj(w) * h).sum(axis=0)) * w
 
 
-def extended_lift(ext: ExtendedOp, x) -> np.ndarray:
-    """U x = sqrt(L) h, the flat (L, K) block: mu_j x_j + sqrt(L) Q_j m_j
-    on object pixel j, sqrt(L) t on padded pixels (see ExtendedOp)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (ext.ntilde,):
-        raise ValueError(f"extended_lift: expected length {ext.ntilde}, got shape {x.shape}")
-    (_, index, block, tail), mu = ext.layout, ext.householder[0]
-    L, n, live = len(mu), ext.n, (len(mu), *map(len, index))
-    h = np.zeros(prod(live), dtype=np.complex128)
-    # sqrt(L) (m, t): the m_j pixel-major, then the padded pixels' t, zero past ntilde.
-    mt = np.zeros(max(ext.ntilde, L * n) - n, dtype=np.complex128)
-    np.multiply(sqrt(L), x[n:], out=mt[: ext.ntilde - n])
-    m = np.zeros(mu.shape, dtype=np.complex128)
-    m.reshape(L, n)[1:] = mt[: n * (L - 1)].reshape(n, L - 1).T
-    # sqrt(L) Q m + mu x: the x block is the masked image A* transforms.
-    np.add(_reflect(m, *ext.householder[1:]), mu * x[:n].reshape(mu.shape[1:]),
-           out=h.reshape(live)[block])
-    h[tail] = mt[n * (L - 1) :]
-    return h
-
-
-def extended_astar(ext: ExtendedOp, x, plan=None) -> np.ndarray:
-    """A~* x = A* x[:n] + A_perp* x[n:], length N: op.c times the stacked
-    transform of the lift of x.  plan is an ExtendedPlan of ext, whose y
-    the result is; without one the call makes its own."""
+def extended_astar(ext: ExtendedOp, h, plan=None) -> np.ndarray:
+    """c F h, length N, from one stacked transform call: A~* x for the lift
+    h = U x, a flat (L, K) block on U's range.  plan is an ExtendedPlan of
+    ext, whose y the result is; without one the call makes its own."""
     plan = _plan(plan, ExtendedPlan, ext)
-    h, y, c = extended_lift(ext, x), plan.y, ext.base.c
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape != (plan.g.size,):
+        raise ValueError(f"extended_astar: expected length {plan.g.size}, got shape {h.shape}")
+    y, c = plan.y, ext.base.c
 
     def scale(rows):
         y[rows] *= c
@@ -504,19 +490,18 @@ def extended_astar(ext: ExtendedOp, x, plan=None) -> np.ndarray:
 
 
 def extended_a(ext: ExtendedOp, y, plan=None) -> np.ndarray:
-    """A~ y = [A y ; A_perp y], length ntilde: one stacked transform call
-    to the block, into the plan's g, and the coordinates read off it.  plan
+    """U A~ y = L c P_U F^-1 y, a new flat (L, K) block: the lift of A~ y.
+    One stacked transform call to the block, into the plan's g, whose after
+    hook zeroes g off U's range; then the rest of P_U and the scale.  plan
     is an ExtendedPlan of ext; without one the call makes its own."""
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
     plan = _plan(plan, ExtendedPlan, ext)
-    (_, w, kappa), grid, L, n = ext.householder, plan.grid, plan.L, ext.n
-    h = plan.objects(idft_plain(y.reshape(L, grid.n), grid, out=plan.g, plan=plan.inverse))
-    # [c mu^H h ; Q^H h pixel-major ; the padded pixels' t], the last two over sqrt(grid.n)
-    return np.concatenate([ext.base.c * (np.conj(plan.mu) * h).sum(axis=0).ravel(),
-                           _reflect(h, w, kappa)[1:].reshape(L - 1, n).T.ravel() / sqrt(grid.n),
-                           plan.g.ravel()[ext.layout[3]] / sqrt(grid.n)])[: ext.ntilde]
+    idft_plain(y.reshape(plan.L, plan.grid.n), plan.grid, after=plan.restrict, out=plan.g,
+               plan=plan.inverse)
+    plan.project_cut()
+    return (plan.L * ext.base.c) * plan.g.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -537,7 +522,7 @@ def synthesize_data(op: PropagationOp, x0, nsr: float = 0.0, noise_seed: int = 0
     Both norms are summed without BLAS (grids._norm), so the noise does not
     depend on the BLAS thread count.
     """
-    if nsr < 0:
+    if not nsr >= 0:  # nan fails it too
         raise ValueError("nsr must be >= 0")
     b = np.abs(apply_astar(op, x0))
     if nsr > 0:

@@ -4,16 +4,18 @@ Fourier-domain DR (FDR) iterates y in C^N,
 
     y+ = y + A*[A(2 b.w - y)]_X - b.w,     w = y/|y|,
 
-object-domain DR (ODR) iterates x in C^ntilde through an isometric
-extension A~* of A*,
+object-domain DR (ODR) is DR on the object side of an isometric
+extension A~* of A*, for x in C^ntilde,
 
     x+ = x + [A~(2 b.w) - x]_X - A~(b.w),  w = A~*x / |A~*x|,
 
 where [.]_X truncates to the object coordinates and applies the sector
 constraint when one is active.  At ntilde = N, A~* is unitary and ODR is
 FDR in the coordinates x = A~ y, so run_solver runs it as FDR; below N
-it iterates the lift h = U x (forward.ExtendedOp).  Every division by a
-magnitude uses the convention w = 1 where the magnitude vanishes.
+it iterates the lift h = U x (forward.ExtendedOp) and never forms x.
+Both start from one point: FDR at y0, ODR at x = A~ y0, held as its lift
+U A~ y0.  Every division by a magnitude uses the convention w = 1 where
+the magnitude vanishes.
 
 A step costs one transform pair, 2L transforms for L patterns, made as
 two stacked transform calls (dense DFT-matrix products on grids of up to
@@ -60,7 +62,7 @@ from .forward import (
     apply_a,
     apply_astar,
     extend_op,
-    extended_lift,
+    extended_a,
 )
 from .grids import _buffer, _dot, _floats, _norm, _run_tasks, _unit, dft_plain, idft_plain
 
@@ -309,6 +311,8 @@ class InitSpec:
     def __post_init__(self) -> None:
         if self.kind not in (INIT_RANDOM, INIT_CONSTANT, INIT_NEAR):
             raise ValueError(f"unknown init kind {self.kind!r}")
+        if not (isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,7 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # nan fails it too
             raise ValueError("tol must be > 0")
 
 
@@ -384,24 +388,20 @@ def estimate_rate(errors) -> float:
     return float((tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1)))
 
 
-def _initial_iterate(init: InitSpec, op: PropagationOp, ext: ExtendedOp | None, x0):
-    """The first iterate: a start object lifted by A* (FDR) or zero-padded
-    to C^ntilde (ODR).  The near start perturbs the lifted x0 in iterate
-    space."""
-    def lift(v):
-        return apply_astar(op, v) if ext is None else np.pad(v, (0, ext.ntilde - op.n))
-
+def _initial_iterate(init: InitSpec, op: PropagationOp, x0):
+    """FDR's first iterate y0 in C^N, A* of the start object; the near start
+    adds a perturbation of norm delta in C^N to A* x0.  ODR starts at the
+    lift U A~ y0 of the same point (see run_solver)."""
     if init.kind == INIT_NEAR:
         if x0 is None:
             raise ValueError("NearSolution initialization needs the true object")
         rng = np.random.default_rng(init.seed)
-        base = lift(x0)
-        pert = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
-        return base + init.delta * pert / _norm(pert)
+        pert = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+        return apply_astar(op, x0) + init.delta * pert / _norm(pert)
     if init.kind == INIT_RANDOM:
         rng = np.random.default_rng(init.seed)
-        return lift(rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n))
-    return lift(np.ones(op.n, dtype=np.complex128))  # constant: all-ones object
+        return apply_astar(op, rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n))
+    return apply_astar(op, np.ones(op.n, dtype=np.complex128))  # constant: all-ones object
 
 
 def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResult:
@@ -412,8 +412,10 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     FDR recursion and runs as FDR, bit for bit.  Any other ntilde outside
     [n, N] raises ValueError, as does an all-zero x0.  The result records
     the resolved ntilde.
-    ODR iterates the lift h = U x of its start (see odr_step); U is sqrt(L)
-    times an isometry, so the step residual reads the same on h as on x.
+    FDR starts at y0 (see _initial_iterate) and ODR at the lift
+    h = U A~ y0 = forward.extended_a(ext, y0), so the two first estimates
+    agree to roundoff.  ODR iterates h (see odr_step); U is sqrt(L) times
+    an isometry, so the step residual reads the same on h as on x.
 
     Stops when (with ground truth) the relative aligned error or the
     relative iterate change drops to cfg.tol, at cfg.max_iters, or at a
@@ -443,13 +445,13 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     # fdr_step or odr_step sees every step.
     target, step = (op, fdr_step) if ext is None else (ext, odr_step)
 
-    iterate = _initial_iterate(cfg.init, op, ext, x0)
+    iterate = _initial_iterate(cfg.init, op, x0)
     plan = StepPlan(target, b)
     # The object estimate: A y (FDR), the x coordinates of U^-1 h (ODR).
     if ext is None:
         plan.estimate = apply_a(op, iterate, plan=plan.ops)
     else:
-        iterate, ops = extended_lift(ext, iterate), plan.ops
+        iterate, ops = extended_a(ext, iterate, plan=plan.ops), plan.ops  # h = U A~ y0
         plan.estimate = ops.object_part(ops.objects(iterate)).reshape(op.n)
     diff = np.empty(op.n, dtype=np.complex128)  # align_phase's alpha x - x0
 

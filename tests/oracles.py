@@ -282,37 +282,60 @@ def per_pattern_odr_step(x, ext, b, sector=NO_SECTOR) -> np.ndarray:
     return x + project_object_set(2.0 * z - x, ext.n, sector) - z
 
 
-def per_pattern_block_odr_step(h, ext, b, sector=NO_SECTOR) -> np.ndarray:
-    """One ODR update of a lifted block h = U x, h - g + P_X(2g - h) with
-    g = P_U(L c F^-1(b . phase(F h))), one flat DFT per pattern row and
-    temporaries for every term.  U's range is rebuilt from the definition:
-    the live set S of the (L, grid.n) stack on the block's cells, and on
-    each object pixel whose m block is cut, the reflector coordinates that
-    m keeps."""
+def _project_range(ext, g) -> np.ndarray:
+    """P_U g for an (L, K) block g, with U's range rebuilt from the
+    definition: the live set S of the (L, grid.n) stack on the block's
+    cells, and on each object pixel whose m block is cut, the reflector
+    coordinates that m keeps."""
     op = ext.base
     L, n, grid = len(op.masks), op.n, op.grid
-    (_, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
+    (_, obj, tail), (_, w, kappa) = _flat_layout(ext), _flat_householder(ext)
     live = np.zeros((L, grid.n))
     live[:, obj] = 1.0
     live.ravel()[tail] = 1.0  # the m coordinates on object pixels, the t on padded ones
-    mask = _to_block(ext, live).reshape(L, -1)
-    cells = np.ravel_multi_index(np.ix_(*ext.layout[1]), grid.dims).ravel()
-    objpos = np.array([np.flatnonzero(cells == j)[0] for j in obj])
-    forward, inverse = _compact_plan(ext, inverse=False)[2], _compact_plan(ext, inverse=True)[2]
-    h = np.reshape(h, (L, -1))
-    y = np.concatenate([dft_plain(row, grid, plan=forward) for row in h])
-    p = proj_p2(y, L * op.c * b).reshape(L, -1)
-    g = np.stack([idft_plain(row, grid, plan=inverse) for row in p]) * mask
+    g = g * _to_block(ext, live).reshape(L, -1)
     # m_j's i-th coordinate is n + j (L - 1) + i; those past ntilde are cut.
     kept = np.array([sum(n + j * (L - 1) + i < ext.ntilde for i in range(L - 1))
                      for j in range(n)], dtype=np.int64)
     cut = np.flatnonzero(kept < L - 1)
     if cut.size:
-        wc, kc = w[:, cut], kappa[cut]
-        v = g[:, objpos[cut]]
+        wc, kc, pos = w[:, cut], kappa[cut], _object_positions(ext)[cut]
+        v = g[:, pos]
         v = v - (kc * np.sum(np.conj(wc) * v, axis=0)) * wc
         v = v * (np.arange(L)[:, None] <= kept[cut]).astype(np.float64)
-        g[:, objpos[cut]] = v - (kc * np.sum(np.conj(wc) * v, axis=0)) * wc
+        g[:, pos] = v - (kc * np.sum(np.conj(wc) * v, axis=0)) * wc
+    return g
+
+
+def _object_positions(ext) -> np.ndarray:
+    """The position in a block row of each object pixel, in raster order."""
+    cells = np.ravel_multi_index(np.ix_(*ext.layout[1]), ext.base.grid.dims).ravel()
+    return np.array([np.flatnonzero(cells == j)[0] for j in _flat_layout(ext)[1]])
+
+
+def per_pattern_lifted_a(ext, y) -> np.ndarray:
+    """U A~ y = L c P_U F^-1 y, the flat (L, K) block: one flat inverse
+    plain DFT per pattern onto the compact block, P_U from the definition
+    (_project_range), then the scale."""
+    grid, L = ext.base.grid, len(ext.base.masks)
+    inverse = _compact_plan(ext, inverse=True)[2]
+    g = np.stack([idft_plain(row, grid, plan=inverse) for row in np.reshape(y, (L, grid.n))])
+    return (L * ext.base.c * _project_range(ext, g)).ravel()
+
+
+def per_pattern_block_odr_step(h, ext, b, sector=NO_SECTOR) -> np.ndarray:
+    """One ODR update of a lifted block h = U x, h - g + P_X(2g - h) with
+    g = P_U(L c F^-1(b . phase(F h))), one flat DFT per pattern row and
+    temporaries for every term; P_U as in _project_range."""
+    op = ext.base
+    L, grid = len(op.masks), op.grid
+    mu = _flat_householder(ext)[0]
+    objpos = _object_positions(ext)
+    forward, inverse = _compact_plan(ext, inverse=False)[2], _compact_plan(ext, inverse=True)[2]
+    h = np.reshape(h, (L, -1))
+    y = np.concatenate([dft_plain(row, grid, plan=forward) for row in h])
+    p = proj_p2(y, L * op.c * b).reshape(L, -1)
+    g = _project_range(ext, np.stack([idft_plain(row, grid, plan=inverse) for row in p]))
     xs = sector_project(np.sum(np.conj(mu) / L * (2.0 * g[:, objpos] - h[:, objpos]), axis=0),
                         sector)
     out = h - g

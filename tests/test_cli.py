@@ -32,12 +32,18 @@ def test_bad_shape_is_config_error():
     assert main(["spectral-cert", "--shape", "axb"]) == 2
 
 
+def test_nan_near_delta_is_config_error():
+    assert main(["local-rate", "--shape", "4x4", "--init", "near:nan"]) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["global", "--trials", "0"],
     ["global", "--tol", "0"],
     ["global", "--margin", "-1"],
     ["noise-sweep", "--nsr", "0.7"],
-], ids=["no-trials", "zero-tol", "negative-margin", "nsr-above-half"])
+    ["noise-sweep", "--trials", "1", "--max-iters", "10", "--nsr", "nan,0.1"],
+    ["global", "--tol", "nan"],
+], ids=["no-trials", "zero-tol", "negative-margin", "nsr-above-half", "nan-nsr", "nan-tol"])
 def test_runner_config_error_exits_2(argv, capsys):
     # A ValueError from a runner's configuration is a config error, not a crash.
     assert main([*argv, "--shape", "4x4"]) == 2

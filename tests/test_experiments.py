@@ -252,9 +252,10 @@ class TestNoiseSweep:
         assert max(iters) > 380 and min(iters) < 380
         assert run_noise_sweep(cfg).rows == rows
 
-    def test_nsr_grid_validated(self):
-        cfg = _cfg("noise-sweep", nsr_grid=(0.0, 0.9))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("nsr", [0.9, -0.1, float("nan")])
+    def test_nsr_grid_validated(self, nsr):
+        cfg = _cfg("noise-sweep", nsr_grid=(0.0, nsr))
+        with pytest.raises(ValueError, match="nsr grid"):
             run_noise_sweep(cfg)
 
     def test_budget_doubling_stability(self):
@@ -316,7 +317,7 @@ from phasedr.solvers import InitSpec, _initial_iterate
 cfg = ExperimentConfig(experiment="global",
                        image=ImageSpec(kind="rpp", shape=GridShape((128, 128))))
 x0, op = make_instance(cfg, 0)
-start = _initial_iterate(InitSpec(kind="near", seed=1), op, None, x0)
+start = _initial_iterate(InitSpec(kind="near", seed=1), op, x0)
 print(x0.tobytes().hex())
 print(start.tobytes().hex())
 """

@@ -19,7 +19,6 @@ from phasedr.forward import (
     extend_op,
     extended_a,
     extended_astar,
-    extended_lift,
     make_mask,
     make_operator,
     synthesize_data,
@@ -35,9 +34,9 @@ from oracles import (
     naive_dft_matrix,
     per_pattern_a,
     per_pattern_astar,
-    per_pattern_extended_a,
     per_pattern_extended_astar,
     per_pattern_lift,
+    per_pattern_lifted_a,
     per_pattern_unlift,
     proj_p2,
     project_object_set,
@@ -183,14 +182,17 @@ def test_length_mismatch_errors():
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("dims", [(3, 3), (40, 40), (2, 3, 4)], ids=["3x3", "40x40", "2x3x4"])
 def test_extend_op_trivial(variant, dims):
-    # At ntilde = n the extension is A* itself: its two maps give A*'s and
-    # A's bits, on a dense grid, an FFT grid (40x40) and a 3-D grid.
+    # At ntilde = n the extension is A* itself, on a dense grid, an FFT
+    # grid (40x40) and a 3-D grid: A~* of the lift mu x gives A*'s bits,
+    # and U A~ y is the lift of A y, to roundoff.
     op = _op(variant, GridShape(dims))
     ext = extend_op(op, op.n)
     rng = np.random.default_rng(2)
     x, y = random_complex(rng, op.n), random_complex(rng, op.N)
-    assert extended_astar(ext, x).tobytes() == apply_astar(op, x).tobytes()
-    assert extended_a(ext, y).tobytes() == apply_a(op, y).tobytes()
+    assert extended_astar(ext, per_pattern_lift(ext, x)).tobytes() == apply_astar(op, x).tobytes()
+    want = apply_a(op, y)
+    assert np.linalg.norm(per_pattern_unlift(ext, extended_a(ext, y)) - want) <= (
+        1e-12 * np.linalg.norm(want))
 
 
 def test_extend_one_mask_full_is_unitary():
@@ -227,9 +229,10 @@ def test_extension_gram_matrix(variant, patterns, shape):
         assert np.abs(dense.conj().T @ dense - np.eye(ntilde)).max() < 1e-10
         assert np.abs(dense[:, : op.n] - dense_astar(op)).max() < 1e-10
         x = random_complex(rng, ntilde)
-        assert np.linalg.norm(extended_astar(ext, x) - dense @ x) < 1e-10
+        assert np.linalg.norm(extended_astar(ext, per_pattern_lift(ext, x)) - dense @ x) < 1e-10
         y = random_complex(rng, op.N)
-        assert np.linalg.norm(extended_a(ext, y) - dense.conj().T @ y) < 1e-10
+        assert np.linalg.norm(per_pattern_unlift(ext, extended_a(ext, y))
+                              - dense.conj().T @ y) < 1e-10
 
 
 @EXT_CASES
@@ -241,14 +244,16 @@ def test_extension_orthogonality_relations(variant, patterns, shape):
         # A A_perp* = 0
         t = random_complex(rng, ntilde)
         t[: op.n] = 0.0
-        assert np.linalg.norm(apply_a(op, extended_astar(ext, t))) < 1e-10
+        assert np.linalg.norm(apply_a(op, extended_astar(ext, per_pattern_lift(ext, t)))) < 1e-10
         # A~ A* x = [x; 0]: A A* = I and A_perp A* = 0
         x = random_complex(rng, op.n)
         padded = np.pad(x, (0, ntilde - op.n))
-        assert np.linalg.norm(extended_a(ext, apply_astar(op, x)) - padded) < 1e-10
+        got = per_pattern_unlift(ext, extended_a(ext, apply_astar(op, x)))
+        assert np.linalg.norm(got - padded) < 1e-10
         # A~ A~* = I on C^ntilde
         z = random_complex(rng, ntilde)
-        assert np.linalg.norm(extended_a(ext, extended_astar(ext, z)) - z) < 1e-10
+        got = per_pattern_unlift(ext, extended_a(ext, extended_astar(ext, per_pattern_lift(ext, z))))
+        assert np.linalg.norm(got - z) < 1e-10
 
 
 # Extensions transform only the compact block of their live rows and
@@ -285,10 +290,11 @@ def test_pruned_extension_matches_dense_oracle(variant, shape):
     for ntilde in _ntildes(op):
         ext, D = extend_op(op, ntilde), dense[:, :ntilde]
         x, y = random_complex(rng, ntilde), random_complex(rng, op.N)
-        assert close(extended_astar(ext, x), D @ x)
-        assert close(extended_a(ext, y), D.conj().T @ y)
+        h = per_pattern_lift(ext, x)
+        assert close(extended_astar(ext, h), D @ x)
+        assert close(per_pattern_unlift(ext, extended_a(ext, y)), D.conj().T @ y)
         z = D.conj().T @ proj_p2(D @ x, b)
-        assert close(per_pattern_unlift(ext, odr_step(extended_lift(ext, x), ext, b)),
+        assert close(per_pattern_unlift(ext, odr_step(h, ext, b)),
                      x + project_object_set(2.0 * z - x, op.n, NO_SECTOR) - z)
     if shape.dims == (16, 16):
         # At 4n the live pixels fill rows 0..18, 28..30 and columns 0..19, 27..30.
@@ -331,7 +337,7 @@ def test_extend_op_determinism():
     for u, v in zip(a.layout[3:] + a.householder, b.layout[3:] + b.householder):
         assert np.array_equal(u, v)
     rng = np.random.default_rng(9)
-    x = random_complex(rng, ntilde)
+    x = per_pattern_lift(a, random_complex(rng, ntilde))
     y = random_complex(rng, op.N)
     assert np.array_equal(extended_astar(a, x), extended_astar(b, x))
     assert np.array_equal(extended_a(a, y), extended_a(b, y))
@@ -443,10 +449,9 @@ def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, thread
 
     ext = extend_op(op, min(4 * op.n, op.N))
     xt = random_complex(rng, ext.ntilde)
-    assert np.array_equal(_bits(extended_lift(ext, xt)), _bits(per_pattern_lift(ext, xt)))
-    assert np.array_equal(_bits(extended_astar(ext, xt)),
+    assert np.array_equal(_bits(extended_astar(ext, per_pattern_lift(ext, xt))),
                           _bits(per_pattern_extended_astar(ext, xt)))
-    assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_extended_a(ext, y)))
+    assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_lifted_a(ext, y)))
 
 
 @pytest.mark.parametrize("shape", [GridShape((20, 18)), GridShape((64, 64))], ids=str)
@@ -464,13 +469,14 @@ def test_astar_after_a_on_one_plan_matches_a_fresh_plan(shape):
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda op, ext: extended_lift(ext, np.zeros(ext.ntilde + 1, complex)), "extended_lift"),
-    (lambda op, ext: extended_astar(ext, np.zeros(ext.ntilde - 1, complex)), "extended_lift"),
+    # extended_astar takes a lift, not the ntilde coordinates it lifts
+    (lambda op, ext: extended_astar(ext, np.zeros(ext.ntilde, complex)), "extended_astar"),
     (lambda op, ext: extended_a(ext, np.zeros(op.N - 1, complex)), "extended_a"),
     (lambda op, ext: make_operator(VARIANT_MULTI, op.shape, patterns=1), "2 patterns"),
     (lambda op, ext: synthesize_data(op, np.ones(op.n), nsr=-0.1), "nsr"),
-], ids=["lift-length", "extended-astar-length", "extended-a-length", "multi-one-pattern",
-        "negative-nsr"])
+    (lambda op, ext: synthesize_data(op, np.ones(op.n), nsr=np.nan), "nsr"),
+], ids=["extended-astar-length", "extended-a-length", "multi-one-pattern", "negative-nsr",
+        "nan-nsr"])
 def test_argument_errors(call, match):
     op = _op(VARIANT_ONE_AND_HALF, GridShape((2, 2)))
     with pytest.raises(ValueError, match=match):

@@ -13,7 +13,6 @@ from phasedr.forward import (
     extend_op,
     extended_a,
     extended_astar,
-    extended_lift,
     make_operator,
     synthesize_data,
 )
@@ -317,7 +316,7 @@ class TestOdrStepBits:
         if threaded:
             monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
         for ext, b, x in self._cases(dims, variant):
-            h = extended_lift(ext, x)
+            h = per_pattern_lift(ext, x)
             want = per_pattern_block_odr_step(h, ext, b, sector)
             assert np.array_equal(_bits(odr_step(h, ext, b, sector)), _bits(want)), ext.ntilde
             buf = np.full(h.size, np.nan, dtype=complex)
@@ -346,7 +345,7 @@ class TestOdrStepBits:
             ext = extend_op(op, ntilde)
             plan = StepPlan(ext, b)
             plan.estimate = old = np.zeros(n, dtype=complex)
-            h = odr_step(extended_lift(ext, random_complex(rng, ntilde)), ext, b, sector,
+            h = odr_step(per_pattern_lift(ext, random_complex(rng, ntilde)), ext, b, sector,
                          plan=plan)
             want = per_pattern_unlift(ext, h)[:n]
             assert plan.estimate is not old and not old.any()
@@ -360,7 +359,7 @@ def _step_case(algorithm, variant="one-and-half", dims=(4, 4)):
     if algorithm == "fdr":
         return fdr_step, op, b, random_complex(rng, op.N)
     ext = extend_op(op, {"odr": min(4 * op.n, op.N), "odr-N-1": op.N - 1}[algorithm])
-    return odr_step, ext, b, extended_lift(ext, random_complex(rng, ext.ntilde))
+    return odr_step, ext, b, per_pattern_lift(ext, random_complex(rng, ext.ntilde))
 
 
 class TestStepBuffers:
@@ -469,12 +468,12 @@ class TestStepResidual:
         ext = extend_op(op, res.ntilde) if algorithm == "odr" else None
         plan = StepPlan(op if ext is None else ext, b)
         assert plan.pooled == (algorithm == "fdr" and dims == (64, 64))
-        y = _initial_iterate(cfg.init, op, ext, x0)
+        y = _initial_iterate(cfg.init, op, x0)
         if ext is None:
             step, target, plan.estimate = fdr_step, op, apply_a(op, y)
         else:  # ODR reads each estimate off h+, so it never reads this one
-            step, target, plan.estimate = odr_step, ext, y[:op.n]
-            y = extended_lift(ext, y)
+            step, target, plan.estimate = odr_step, ext, np.zeros(op.n, dtype=complex)
+            y = extended_a(ext, y, plan=plan.ops)
         spare = None
         for _, _, step_res in res.history[1:]:
             nxt = step(y, target, b, out=spare, plan=plan)
@@ -495,21 +494,20 @@ class TestOdrStep:
         rng = np.random.default_rng(16)
         for _ in range(5):
             y = random_complex(rng, op.N)
-            h = odr_step(extended_lift(ext, extended_a(ext, y)), ext, b)
-            lhs = extended_astar(ext, per_pattern_unlift(ext, h))
+            lhs = extended_astar(ext, odr_step(extended_a(ext, y), ext, b))
             assert np.linalg.norm(lhs - fdr_step(y, op, b)) < 1e-10
 
     def test_solution_embedding_is_fixed_point(self):
         op, x0, b = _instance()
         for ntilde in [op.n, op.n + 5, op.N]:
             ext = extend_op(op, ntilde)
-            h = extended_lift(ext, np.pad(x0, (0, ntilde - op.n)))  # U A~ (A* x0)
+            h = extended_a(ext, apply_astar(op, x0))  # U A~ (A* x0)
             assert np.linalg.norm(odr_step(h, ext, b) - h) < 1e-10
 
     def test_nonfinite_rejected(self):
         op, _, b = _instance()
         ext = extend_op(op, 4 * op.n)
-        h = extended_lift(ext, random_complex(np.random.default_rng(15), ext.ntilde))
+        h = per_pattern_lift(ext, random_complex(np.random.default_rng(15), ext.ntilde))
         for bad in (np.nan, np.inf):
             h[3] = bad
             with pytest.raises(FloatingPointError):
@@ -527,7 +525,7 @@ class TestOdrStep:
         trunc = np.zeros_like(x)
         trunc[: op.n] = inner[: op.n]
         expected = x + trunc - z
-        got = per_pattern_unlift(ext, odr_step(extended_lift(ext, x), ext, b))
+        got = per_pattern_unlift(ext, odr_step(per_pattern_lift(ext, x), ext, b))
         assert np.linalg.norm(got - expected) < 1e-10
 
     def test_fdr_independent_of_extension(self):
@@ -539,9 +537,9 @@ class TestOdrStep:
         for ntilde in [op.n, op.n + 3, (op.n + op.N) // 2, op.N]:
             ext = extend_op(op, ntilde)
             w = b * phase_factor(y)
+            z = per_pattern_unlift(ext, extended_a(ext, 2.0 * w - y))
             via_ext = y + extended_astar(
-                ext, project_object_set(extended_a(ext, 2.0 * w - y), op.n, NO_SECTOR)
-            ) - w
+                ext, per_pattern_lift(ext, project_object_set(z, op.n, NO_SECTOR))) - w
             assert np.linalg.norm(via_ext - reference) < 1e-10
 
 
@@ -598,8 +596,13 @@ class TestRunSolver:
         (lambda: SolverConfig(algorithm="hio"), "unknown algorithm"),
         (lambda: SolverConfig(tol=0.0), "tol"),
         (lambda: SolverConfig(tol=-1e-9), "tol"),
+        (lambda: SolverConfig(tol=np.nan), "tol"),
         (lambda: InitSpec(kind="random"), "unknown init kind"),
-    ], ids=["unknown-algorithm", "zero-tol", "negative-tol", "unknown-init"])
+        (lambda: InitSpec(kind="near", delta=np.nan), "delta"),
+        (lambda: InitSpec(kind="near", delta=np.inf), "delta"),
+        (lambda: InitSpec(kind="near", delta=-1e-3), "delta"),
+    ], ids=["unknown-algorithm", "zero-tol", "negative-tol", "nan-tol", "unknown-init",
+            "nan-delta", "infinite-delta", "negative-delta"])
     def test_config_validation(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
@@ -797,6 +800,19 @@ class TestIterationChoice:
         odr = run_solver(replace(cfg, algorithm="odr", ntilde=op.N), op, b, x0)
         assert fdr.iterations == 40
         assert _same_run(odr, fdr)
+
+    @pytest.mark.parametrize("kind", ["ri", "ci", "near"])
+    @pytest.mark.parametrize("variant", ["one-mask", "one-and-half", "two-mask", "multi"])
+    def test_odr_and_fdr_start_from_one_point(self, variant, kind):
+        # ODR starts at A~ y0 for FDR's start y0, so the first object
+        # estimates agree to roundoff at every padding.
+        op, x0, b = _instance(variant, dims=(4, 4))
+        n, N = op.n, op.N
+        cfg = SolverConfig(max_iters=1, init=InitSpec(kind=kind, seed=6, delta=1e-2))
+        want = run_solver(cfg, op, b, x0).x_hat
+        for ntilde in sorted({n + 3, (n + N) // 2 + 1, N - 1, N}):
+            got = run_solver(replace(cfg, algorithm="odr", ntilde=ntilde), op, b, x0).x_hat
+            assert _norm(got - want) <= 1e-12 * _norm(want), ntilde
 
     def test_fdr_ignores_ntilde(self):
         op, x0, b = _instance()
