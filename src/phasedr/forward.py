@@ -20,11 +20,13 @@ for multi); for the extension they are the compact block of its lift
 (ExtendedOp).  What an application sets up is a plan holding the two
 grids.TransformPlans of that form, made on first use and sharing one
 work stack, and the buffers around them: an OperatorPlan adds the mask
-phasors and the (L, n) pattern stack, an ExtendedPlan the buffers on both
-sides of the lifted block, the object block's mask phasors and the
-projection onto U's range.  A solver makes one per solve and hands it to
-every call; a one-shot call makes a throwaway plan.  A plan keeps no
-reference to a module's function, so a wrapper installed on one
+phasors, the (L, n) pattern stack and an (L, grid.n) image buffer, an
+ExtendedPlan the buffers on both sides of the lifted block, the object
+block's mask phasors and the projection onto U's range.  Each also holds
+transform plans bound to its own buffers (grids.TransformPlan.bind),
+which a DR step's transforms run on.  A solver makes one per solve and
+hands it to every call; a one-shot call makes a throwaway plan.  A plan
+keeps no reference to a module's function, so a wrapper installed on one
 (perfbench's tracer) still sees every call.
 """
 
@@ -213,7 +215,11 @@ class OperatorPlan(_TransformPair):
     and the mask phasors and their conjugates (the identity mask's stay
     broadcasts), paired with the rows of the (L, n) stack that holds A*'s
     masked input and A's unmasked images.  The parts one direction needs
-    are made on its first call."""
+    are made on its first call.  `images` is an (L, grid.n) buffer of the
+    plan's own and `flat` its length-N view: a call given flat as A*'s out
+    or A's y runs the transform plans `bound` to it and the stack (see
+    grids.TransformPlan.bind), so it neither checks nor reshapes them.  A
+    DR step hands A and A* its reflection and A* x there."""
 
     def __init__(self, op: PropagationOp) -> None:
         super().__init__(op, op, tuple(map(range, op.shape.dims)))
@@ -221,7 +227,15 @@ class OperatorPlan(_TransformPair):
         self.x_shape, self.y_shape = (op.n,), (op.N,)
         self.patterns = (self.L, self.grid.n)  # the pattern view of a length-N vector
         self.stack = np.empty((self.L, op.n), dtype=np.complex128)
+        self.images = np.empty(self.patterns, dtype=np.complex128)
+        self.flat = self.images.reshape(-1)
         self.masking = [(row, m.values) for row, m in zip(self.stack, op.masks)]
+
+    @cached_property
+    def bound(self) -> tuple[TransformPlan, TransformPlan]:
+        """The forward plan bound to the stack and images, and the inverse
+        bound to images and the stack."""
+        return self.forward.bind(self.stack, self.images), self.inverse.bind(self.images, self.stack)
 
     @cached_property
     def unmasking(self) -> list:
@@ -254,9 +268,13 @@ def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.nda
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != plan.x_shape:
         raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
-    out = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
-        out, plan.y_shape, "apply_astar: out", x)
-    images, masking, c = out.reshape(plan.patterns), plan.masking, plan.c
+    if out is plan.flat:  # checked when the plan made it
+        images, transform = plan.images, plan.bound[0]
+    else:
+        out = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
+            out, plan.y_shape, "apply_astar: out", x)
+        images, transform = out.reshape(plan.patterns), plan.forward
+    masking, c = plan.masking, plan.c
 
     def mask(rows):
         for row, mu in masking[rows]:
@@ -267,7 +285,7 @@ def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.nda
         if after is not None:
             after(rows)
 
-    dft_plain(plan.stack, op.grid, before=mask, after=scale, out=images, plan=plan.forward)
+    dft_plain(plan.stack, op.grid, before=mask, after=scale, out=images, plan=transform)
     return out
 
 
@@ -281,20 +299,23 @@ def apply_a(op: PropagationOp, y, before=None, plan=None) -> np.ndarray:
     summed in pattern order onto zeros.  plan is an OperatorPlan of op;
     without one the call makes its own."""
     plan = _plan(plan, OperatorPlan, op)
-    if before is not None:
+    if y is plan.flat:  # checked when the plan made it
+        images, transform = plan.images, plan.bound[1]
+    elif before is not None:
         _buffer(y, plan.y_shape, "apply_a: the buffer its before hook fills")
+        images, transform = y.reshape(plan.patterns), plan.inverse
     else:
         y = np.asarray(y, dtype=np.complex128)
         if y.shape != plan.y_shape:
             raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
+        images, transform = y.reshape(plan.patterns), plan.inverse
     unmasking = plan.unmasking
 
     def unmask(rows):
         for image, conj in unmasking[rows]:
             np.multiply(conj, image, out=image)
 
-    idft_plain(y.reshape(plan.patterns), op.grid, before=before, after=unmask, out=plan.stack,
-               plan=plan.inverse)
+    idft_plain(images, op.grid, before=before, after=unmask, out=plan.stack, plan=transform)
     return plan.c * np.add.reduce(plan.stack, axis=0, initial=0)
 
 
@@ -409,27 +430,36 @@ def extend_op(op: PropagationOp, ntilde: int) -> ExtendedOp:
 def _verify_extension(ext: ExtendedOp) -> None:
     """Check A~ A~* = I and A A~* = [I 0] on lifts h = U x in U's range,
     which extended_a makes from random y: U A~ A~* x = h, and A A~* x is
-    the x of U^-1 h."""
+    the x of U^-1 h.  Those hold on the whole block too, so also check that
+    U's range has dimension ntilde: P_U acts on each image point's L
+    pattern values, so its trace is the sum of the (l, l) entries of P_U
+    applied to the L unit blocks E_l, ones in pattern row l."""
     rng = np.random.default_rng(707)
     plan, base = ExtendedPlan(ext), OperatorPlan(ext.base)  # throwaway plans for the check
+    trace = 0.0
+    for row in range(plan.L):
+        plan.g[...] = (np.arange(plan.L) == row)[:, None]  # E_row
+        plan.restrict(slice(None))
+        plan.project_cut()
+        trace += plan.g[row].real.sum()
     for _ in range(3):
         h = extended_a(ext, rng.standard_normal(ext.N) + 1j * rng.standard_normal(ext.N),
                        plan=plan)
         scale, x = _norm(h), plan.object_part(plan.objects(h)).ravel()
         iso = _norm(extended_a(ext, extended_astar(ext, h, plan=plan), plan=plan) - h) / scale
         cross = _norm(apply_a(ext.base, extended_astar(ext, h, plan=plan), plan=base) - x) / scale
-        if not (iso < 1e-10 and cross < 1e-10):
-            raise RuntimeError(
-                f"extension verification failed (isometry {iso:.3e}, cross {cross:.3e})"
-            )
+        if not (iso < 1e-10 and cross < 1e-10 and abs(trace - ext.ntilde) <= 1e-9 * ext.ntilde):
+            raise RuntimeError(f"extension verification failed (isometry {iso:.3e}, cross "
+                               f"{cross:.3e}, trace of P_U {trace:.6g} for ntilde {ext.ntilde})")
 
 
 class ExtendedPlan(_TransformPair):
     """What A~*, A~ and the ODR step set up on one extension, made once and
     reused by every call given it: the transform plans on the compact
-    block's index sets; A~*'s result y; A~'s block g; the object block's mu
-    and conj(mu) / L, and scratch; and U's range (ExtendedOp.lift_range),
-    onto which restrict and project_cut project g."""
+    block's index sets, and the inverse `bound` to y and g, which every
+    ODR step runs; A~*'s result y; A~'s block g and its object block view;
+    the object block's mu and conj(mu) / L, and scratch; and U's range
+    (ExtendedOp.lift_range), onto which restrict and project_cut project g."""
 
     def __init__(self, ext: ExtendedOp) -> None:
         _, index, self.block, _ = ext.layout
@@ -442,6 +472,12 @@ class ExtendedPlan(_TransformPair):
         self.prods = np.empty(mu.shape, dtype=np.complex128)
         self.sums = np.empty(mu.shape[1:], dtype=np.complex128)
         self.mask, self.cut = ext.lift_range
+        self.g_objects = self.objects(self.g)
+
+    @cached_property
+    def bound(self) -> TransformPlan:
+        """The inverse plan bound to y and g (see grids.TransformPlan.bind)."""
+        return self.inverse.bind(self.y, self.g)
 
     def objects(self, h: np.ndarray) -> np.ndarray:
         """The (L, *dims) object block view of a block h."""

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import os
 import threading
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import product
@@ -258,7 +259,7 @@ class TransformPlan:
     def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, k: int,
                  work=None, index=None) -> None:
         dims, d = shape.dims, shape.ndim
-        self.key, self.k = (dims, image, inverse), k
+        self.key, self.k, self.pair = (dims, image, inverse), k, None
         self.scale = prod(image)
         index = tuple(map(range, dims)) if index is None else tuple(index)
         if len(index) != d:
@@ -345,12 +346,37 @@ class TransformPlan:
         else:
             self.groups = [(slice(None), passes)]
 
-    def run(self, src: np.ndarray, dest: np.ndarray, before=None, after=None,
-            group=None) -> None:
+    def bind(self, v, out) -> "TransformPlan":
+        """A copy of this plan bound to the input v and the output out, both
+        checked as a call checks them (see _transform): its passes read and
+        write their views in place of the call's rows, so a call on v and
+        out runs them as they are, with no check and no reshape."""
+        bound = copy(self)
+        out, src, dest = self._views(v, out, "bind")
+        bound.groups = [(rows, [(call, src[rows] if a is None else a,
+                                 dest[rows] if o is None else o) for call, a, o in passes])
+                        for rows, passes in self.groups]
+        bound.pair = (v, out)
+        return bound
+
+    def _views(self, v, out, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """out, made when None and else checked to fit v (see _transform),
+        and the views of v and out shaped src_rows and dest_rows."""
+        out_shape = self.out_shapes.get(v.shape)
+        if out_shape is None:
+            raise ValueError(f"{what}: expected flat length {self.src_len} or a "
+                             f"({self.k}, {self.src_len}) stack, got shape {v.shape}")
+        # out may be v itself, so _buffer gets no inputs to check overlap with
+        out = np.empty(out_shape, dtype=np.complex128) if out is None else _buffer(
+            out, out_shape, f"{what}: out")
+        return out, v.reshape(self.src_rows), out.reshape(self.dest_rows)
+
+    def run(self, src, dest, before=None, after=None, group=None) -> None:
         """Transform the stack src, shaped src_rows, into the stack dest,
         shaped dest_rows, with the row hooks before and after (see
         _transform): all groups of rows, or only `group`, a task of the
-        pool."""
+        pool.  A bound plan's passes hold their views: src and dest go
+        unread."""
         if group is None:
             if len(self.groups) > 1:
                 _run_tasks([partial(self.run, src, dest, before, after, g) for g in self.groups])
@@ -399,21 +425,22 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
     result's shape, and returned.  out may be v itself (the plain
     transforms), as numpy.fft, like every numpy ufunc, reads an input that
     overlaps its output as if it did not.  plan, a TransformPlan of this
-    transform and stack, replaces the set-up a call otherwise makes.
+    transform and stack, replaces the set-up a call otherwise makes; a plan
+    bound to v and out (TransformPlan.bind) also skips their checks and
+    reshapes, and takes no other arrays.
     """
-    v = np.asarray(v, dtype=np.complex128)
     if plan is None:
+        v = np.asarray(v, dtype=np.complex128)
         plan = TransformPlan(shape, image, inverse, v.shape[0] if v.ndim == 2 else 1)
     elif plan.key != (shape.dims, image, inverse):
         raise ValueError(f"{what}: the plan is for another transform")
-    out_shape = plan.out_shapes.get(v.shape)
-    if out_shape is None:
-        raise ValueError(f"{what}: expected flat length {plan.src_len} or a "
-                         f"({plan.k}, {plan.src_len}) stack, got shape {v.shape}")
-    # out may be v itself, so _buffer gets no inputs to check overlap with
-    out = np.empty(out_shape, dtype=np.complex128) if out is None else _buffer(
-        out, out_shape, f"{what}: out")
-    plan.run(v.reshape(plan.src_rows), out.reshape(plan.dest_rows), before, after)
+    if plan.pair is None:
+        out, src, dest = plan._views(np.asarray(v, dtype=np.complex128), out, what)
+        plan.run(src, dest, before, after)
+    elif plan.pair[0] is v and plan.pair[1] is out:
+        plan.run(None, None, before, after)
+    else:
+        raise ValueError(f"{what}: the plan is bound to other arrays")
     return out
 
 

@@ -34,15 +34,22 @@ The two steps share one contract, step(v, target, b, sector, out, plan)
 the algorithm.  It prepares the step once per solve as a StepPlan: the
 plan of forward for its operator (an OperatorPlan for FDR, an
 ExtendedPlan, which also projects onto U's range, for ODR; the two hold
-transform plans of one form), the pattern view of b, the magnitude and
-P2 y buffers, and a scratch buffer.  Each step then works in those buffers and the buffer of
-the iterate before last, leaves its change x+ - x in the scratch and,
-when the plan's estimate is set, replaces it with the object estimate of
-x+: FDR updates A y, since AA* = I gives A y+ from quantities the step
-has already computed, and ODR reads the x coordinates off U^-1 h+.
-Where FDR's steps run on the pool, the two norms of the step residual
-||x+ - x|| / ||x|| run there too, side by side (see StepPlan).  A step
-called without a plan, as in fdr_step(y, op, b), makes a throwaway one.
+transform plans of one form, and the ones bound to their own buffers),
+the pattern view of b, the magnitude buffer, ODR's hook, and for each of
+the solve's two iterate buffers as input, with the other as output, the
+views and hooks a step takes of them.  So a step makes no closure, no
+view and no check that the plan already made.  Each step works in the
+plan's buffers and the buffer of the iterate before last, leaves its
+change x+ - x in the plan's scratch and, when the plan's estimate is
+set, replaces it with the object estimate of x+: FDR updates A y, since
+AA* = I gives A y+ from quantities the step has already computed, and
+ODR reads the x coordinates off U^-1 h+.  run_solver sets up its
+measurement once per solve too: align_phase's alignment on x0 and its
+diff buffer, and the float views of the scratch and the two iterate
+buffers, on which the step residual's norms sum.  Where FDR's steps run
+on the pool, the two norms of the step residual ||x+ - x|| / ||x|| run
+there too, side by side (see StepPlan).  A step called without a plan,
+as in fdr_step(y, op, b), makes a throwaway one.
 """
 
 from __future__ import annotations
@@ -134,14 +141,21 @@ class StepPlan:
     vector b sets up, made once per solve and reused by every step given it:
     the operator plan (see forward), the (L, grid.n) pattern view of b
     (ODR's scaled by L c), a float buffer of that shape for the
-    magnitudes |y| and, for FDR, the buffer w = P2 y.  `scratch` is an
-    iterate-length view of a buffer the step is done with (w, or ODR's g):
-    after a step it holds the step change x+ - x, which FDR writes per
-    pattern in its update hook.  `estimate`, None unless its user sets it,
-    is the object estimate of the iterate: when set, each step replaces it
-    with a new array, the estimate of x+ (it never writes into the old one,
-    which the caller may still hold).  FDR needs the old one for the new,
-    ODR reads the new one off x+.
+    magnitudes |y|, and ODR's hook `project`.  `scratch` is an
+    iterate-length view of a buffer the step is done with (the operator
+    plan's `flat`, or ODR's g): after a step it holds the step change
+    x+ - x, which FDR writes per pattern in its update hook.  `estimate`,
+    None unless its user sets it, is the object estimate of the iterate:
+    when set, each step replaces it with a new array, the estimate of x+
+    (it never writes into the old one, which the caller may still hold).
+    FDR needs the old one for the new, ODR reads the new one off x+.
+    `bind(v, out)` gives what a step from the iterate v into out takes of
+    them: FDR's two hooks on their pattern views, or ODR's forward
+    transform plan bound to v's block and the object block views of v and
+    out.  It is made, with out's checks, on the pair's first step and kept
+    for the last two pairs, so over a solve, whose two iterate buffers swap
+    roles every step, a step makes no closure, view or check of them after
+    the second.
     `pooled` says whether the step writes x+ and its change on the pool:
     FDR does when its transforms split the patterns across it
     (grids.PARALLEL_MIN_POINTS), and the solver then sums its two residual
@@ -152,6 +166,7 @@ class StepPlan:
     def __init__(self, op, b) -> None:
         self.target = (op, b)
         self.estimate = None
+        self.pairs = []
         base = op.base if isinstance(op, ExtendedOp) else op
         shape = (len(base.masks), base.grid.n)
         self.bs = np.asarray(b).reshape(shape)
@@ -163,9 +178,56 @@ class StepPlan:
             self.pooled = False
         else:
             self.ops = OperatorPlan(op)
-            self.w = np.empty(shape, dtype=np.complex128)
-            self.scratch = self.w.reshape(-1)
+            self.scratch = self.ops.flat
             self.pooled = len(self.ops.inverse.groups) > 1
+
+    def bind(self, v, out) -> tuple:
+        """(v, out, ...), for the C-contiguous iterate v: see the class."""
+        for pair in self.pairs:
+            if pair[0] is v and pair[1] is out:
+                return pair
+        if isinstance(self.ops, ExtendedPlan):
+            _buffer(out, v.shape, "odr_step: out", v)
+            block = v.reshape(self.ops.g.shape)
+            views = (block, self.ops.forward.bind(block, self.ops.y), self.ops.objects(v),
+                     self.ops.objects(out))
+        else:
+            _buffer(out, self.ops.y_shape, "fdr_step: out", v)
+            views = self._fdr_hooks(v.reshape(self.bs.shape), out.reshape(self.bs.shape))
+        self.pairs = [(v, out, *views), *self.pairs[:1]]
+        return self.pairs[0]
+
+    def _fdr_hooks(self, ys, rs) -> tuple:
+        """FDR's hooks on the pattern views of y and r: before A, r = P2 y
+        and w = 2 P2 y - y, w the operator plan's images; after A*, which
+        leaves A* x in w, r = y + A* x - P2 y = y+ and w = y+ - y."""
+        w, bs, mag = self.ops.images, self.bs, self.mag
+
+        def reflect(rows):
+            yr, wr, rr = ys[rows], w[rows], rs[rows]
+            mr = np.abs(yr, out=mag[rows])
+            # A non-finite entry makes |y| non-finite; only an overflowing |y|
+            # of a finite y needs the full test.  Tested before any divide.
+            if not isfinite(mr.max()) and not np.isfinite(yr).all():
+                raise FloatingPointError("fdr_step: non-finite iterate")
+            _unit(yr, mr, rr)
+            np.multiply(bs[rows], rr, out=rr)
+            np.multiply(2.0, rr, out=wr)
+            np.subtract(wr, yr, out=wr)
+
+        def update(rows):
+            yr, rr, wr = ys[rows], rs[rows], w[rows]
+            np.add(yr, wr, out=wr)
+            np.subtract(wr, rr, out=rr)
+            np.subtract(rr, yr, out=wr)  # the step change, once w is read
+
+        return reflect, update
+
+    def project(self, rows) -> None:
+        """ODR's hook: b . phase(y) on those rows of A~*'s result y."""
+        yr = self.ops.y[rows]
+        _unit(yr, np.abs(yr, out=self.mag[rows]), yr)
+        np.multiply(self.bs[rows], yr, out=yr)
 
 
 def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
@@ -183,38 +245,20 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
 
     Everything but the pattern sum inside A is per pattern, so it runs in
     the transforms' hooks, next to each pattern's transform: the finiteness
-    check and the reflection 2 P2 y - y before A; after A*, the update and
-    the step change y+ - y, written into w, the plan's scratch.
+    check and the reflection before A; after A*, the update and the step
+    change y+ - y, written into the plan's scratch.  A and A* run on the
+    operator plan's own buffer (forward.OperatorPlan), so they check and
+    reshape nothing.
     """
-    y = np.asarray(y, dtype=np.complex128)
+    y = np.ascontiguousarray(y, dtype=np.complex128)
     plan = _plan(plan, StepPlan, op, b)
-    r = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
-        out, plan.ops.y_shape, "fdr_step: out", y, plan.estimate)
-    # r holds 2 P2 y - y, then A* x, then y+.
-    w, bs, mag = plan.w, plan.bs, plan.mag
-    ys, rs = y.reshape(bs.shape), r.reshape(bs.shape)
-
-    def reflect(rows):
-        yr, wr, rr = ys[rows], w[rows], rs[rows]
-        mr = np.abs(yr, out=mag[rows])
-        # A non-finite entry makes |y| non-finite; only an overflowing |y|
-        # of a finite y needs the full test.  Tested before any divide.
-        if not isfinite(mr.max()) and not np.isfinite(yr).all():
-            raise FloatingPointError("fdr_step: non-finite iterate")
-        _unit(yr, mr, wr)
-        np.multiply(bs[rows], wr, out=wr)
-        np.multiply(2.0, wr, out=rr)
-        np.subtract(rr, yr, out=rr)
-
-    def update(rows):
-        yr, rr, wr = ys[rows], rs[rows], w[rows]
-        np.add(yr, rr, out=rr)
-        np.subtract(rr, wr, out=rr)
-        np.subtract(rr, yr, out=wr)  # the step change, once w is read
-
-    z = apply_a(op, r, before=reflect, plan=plan.ops)
+    r = np.empty(op.N, dtype=np.complex128) if out is None else out
+    _, _, reflect, update = plan.bind(y, r)
+    if plan.estimate is not None and np.may_share_memory(r, plan.estimate):
+        raise ValueError("fdr_step: out must not overlap the call's inputs")
+    z = apply_a(op, plan.scratch, before=reflect, plan=plan.ops)
     x = sector_project(z, sector)
-    apply_astar(op, x, after=update, out=r, plan=plan.ops)
+    apply_astar(op, x, after=update, out=plan.scratch, plan=plan.ops)
     if plan.estimate is not None:
         # x + 0.5 * (estimate - z), in one new buffer
         half = np.subtract(plan.estimate, z)
@@ -239,46 +283,60 @@ def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     scratch, and when plan.estimate is set, the step replaces it with a
     new array, the x coordinates of U^-1 h+.
     """
-    h = np.asarray(h, dtype=np.complex128)
+    h = np.ascontiguousarray(h, dtype=np.complex128)
     if not np.isfinite(h).all():
         raise FloatingPointError("odr_step: non-finite iterate")
     plan = _plan(plan, StepPlan, ext, b)
-    ops = plan.ops
-    y, g, bs, mag = ops.y, ops.g, plan.bs, plan.mag
-    r = np.empty_like(h) if out is None else _buffer(out, h.shape, "odr_step: out", h)
-
-    def project(rows):
-        yr = y[rows]
-        _unit(yr, np.abs(yr, out=mag[rows]), yr)
-        np.multiply(bs[rows], yr, out=yr)
-
-    dft_plain(h.reshape(g.shape), ops.grid, out=y, plan=ops.forward)
-    idft_plain(y, ops.grid, before=project, after=ops.restrict, out=g, plan=ops.inverse)
+    ops, g = plan.ops, plan.scratch
+    r = np.empty_like(h) if out is None else out
+    _, _, block, forward, hx, rx = plan.bind(h, r)
+    dft_plain(block, ops.grid, out=ops.y, plan=forward)
+    idft_plain(ops.y, ops.grid, before=plan.project, after=ops.restrict, out=ops.g,
+               plan=ops.bound)
     ops.project_cut()
     # r holds h - g, then h+ = h - g + mu [sum conj(mu) (2g - h) / L]_X.
-    p = np.multiply(2.0, ops.objects(g), out=ops.prods)
-    np.subtract(p, ops.objects(h), out=p)
+    p = np.multiply(2.0, ops.g_objects, out=ops.prods)
+    np.subtract(p, hx, out=p)
     x = sector_project(ops.object_part(p, out=ops.sums), sector)
-    np.subtract(h, g.reshape(-1), out=r)
+    np.subtract(h, g, out=r)
     np.multiply(ops.mu, x, out=p)
-    ro = ops.objects(r)
-    np.add(ro, p, out=ro)
-    np.subtract(r, h, out=g.reshape(-1))  # the step change, once g is read
+    np.add(rx, p, out=rx)
+    np.subtract(r, h, out=g)  # the step change, once g is read
     if plan.estimate is not None:
-        plan.estimate = ops.object_part(ops.objects(r)).reshape(ext.n)
+        plan.estimate = ops.object_part(rx).reshape(ext.n)
     return r
 
 
-def _norms(u, v, pooled: bool) -> tuple[float, float]:
-    """(_norm(u), _norm(v)), bit for bit.  When pooled, their two sums of
-    squares run side by side as pool tasks, each the one einsum over a
-    whole float view that _norm makes, so no bit depends on the thread."""
+def _norms(fu, fv, pooled: bool) -> tuple[float, float]:
+    """The norms of the two vectors whose float views (grids._floats) are
+    fu and fv, bit for bit _norm's.  When pooled, their two sums of squares
+    run side by side as pool tasks, each the one einsum over a whole float
+    view that _norm makes, so no bit depends on the thread."""
     if not pooled:
-        return _norm(u), _norm(v)
+        return sqrt(_dot(fu, fu)), sqrt(_dot(fv, fv))
     sums = np.empty(2)
     _run_tasks([partial(np.einsum, "i,i->", f, f, out=sums[i, ...])
-                for i, f in enumerate((_floats(u), _floats(v)))])
+                for i, f in enumerate((fu, fv))])
     return sqrt(sums[0]), sqrt(sums[1])
+
+
+def _alignment(x0: np.ndarray, diff: np.ndarray):
+    """align_phase's set-up on one x0 and one C-contiguous buffer diff for
+    alpha x - x0, the float views of x0, of its even and odd parts and of
+    diff, bound to the function of x that it returns.  run_solver makes
+    one per solve, align_phase one per call."""
+    f0, fd = _floats(x0), _floats(diff)
+    re0, im0 = f0[0::2], f0[1::2]
+
+    def align(x: np.ndarray) -> tuple[complex, float]:
+        f = _floats(x)
+        z = complex(_dot(f, f0), _dot(f[0::2], im0) - _dot(f[1::2], re0))
+        alpha = z / abs(z) if z != 0 else 1.0 + 0.0j
+        np.multiply(alpha, x, out=diff)
+        np.subtract(diff, x0, out=diff)
+        return complex(alpha), sqrt(_dot(fd, fd))
+
+    return align
 
 
 def align_phase(x, x0, out=None) -> tuple[complex, float]:
@@ -292,12 +350,9 @@ def align_phase(x, x0, out=None) -> tuple[complex, float]:
     x0 = np.asarray(x0, dtype=np.complex128)
     if x.shape != x0.shape:
         raise ValueError("align_phase: length mismatch")
-    f, f0 = _floats(x), _floats(x0)
-    z = complex(_dot(f, f0), _dot(f[0::2], f0[1::2]) - _dot(f[1::2], f0[0::2]))
-    alpha = z / abs(z) if z != 0 else 1.0 + 0.0j
-    diff = np.empty_like(x) if out is None else _buffer(out, x.shape, "align_phase: out", x, x0)
-    np.multiply(alpha, x, out=diff)
-    return complex(alpha), _norm(np.subtract(diff, x0, out=diff))
+    diff = np.empty(x.shape, dtype=np.complex128) if out is None else _buffer(
+        out, x.shape, "align_phase: out", x, x0)
+    return _alignment(x0, diff)(x)
 
 
 @dataclass(frozen=True)
@@ -453,18 +508,21 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     else:
         iterate, ops = extended_a(ext, iterate, plan=plan.ops), plan.ops  # h = U A~ y0
         plan.estimate = ops.object_part(ops.objects(iterate)).reshape(op.n)
-    diff = np.empty(op.n, dtype=np.complex128)  # align_phase's alpha x - x0
+    # Each step is written into the buffer of the iterate before last, and
+    # leaves its change in the plan's scratch, so no iterate-length buffer
+    # is allocated per step (glibc would otherwise trim its heap and fault
+    # the pages back in every step).  The measurement is set up once: the
+    # alignment on x0, and the float views of the scratch and of the two
+    # iterate buffers, which swap roles every step.
+    align = None if x0 is None else _alignment(x0, np.empty(op.n, dtype=np.complex128))
+    spare = np.empty_like(iterate)
+    scratch, floats = _floats(plan.scratch), [_floats(iterate), _floats(spare)]
 
     history: list[tuple[int, float, float]] = []
     tol, max_iters = cfg.tol, cfg.max_iters
     k = 1
     step_res = float("nan")
     finite = np.all(np.isfinite(iterate))
-    # Each step is written into the buffer of the iterate before last, and
-    # leaves its change in the plan's scratch, so no iterate-length buffer
-    # is allocated per step (glibc would otherwise trim its heap and fault
-    # the pages back in every step).
-    spare = None
 
     while True:
         if not finite:
@@ -473,7 +531,7 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             rel = aligned / norm_x0
             break
         x_hat = sector_project(plan.estimate, cfg.sector)
-        aligned = align_phase(x_hat, x0, out=diff)[1] if x0 is not None else float("nan")
+        aligned = align(x_hat)[1] if align is not None else float("nan")
         rel = aligned / norm_x0
         history.append((k, rel, step_res))
         # rel is nan without ground truth and step_res nan at k = 1, so
@@ -482,12 +540,13 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
             break
 
         nxt = step(iterate, target, b, cfg.sector, out=spare, plan=plan)
-        change, denom = _norms(plan.scratch, iterate, plan.pooled)  # scratch: nxt - iterate
+        change, denom = _norms(scratch, floats[0], plan.pooled)  # scratch: nxt - iterate
         # nxt is finite when its change from the finite iterate is; only an
         # overflowing change needs the full check.
         finite = isfinite(change) or np.all(np.isfinite(nxt))
         step_res = change / denom if denom > 0 else float("inf")
         iterate, spare = nxt, iterate
+        floats.reverse()
         k += 1
 
     return RecoveryResult(

@@ -16,3 +16,11 @@ def test_case_run_twice_prints_the_same_line():
     assert re.fullmatch(re.escape(name) + r" [0-9a-f]{64}", first)
     assert digest.line(name) == first
 
+
+
+def test_differing_names_changed_added_and_removed_cases():
+    before = ["a 01", "b 02", "c 03"]
+    after = ["a 01", "b 0f", "d 04"]
+    assert digest.differing(before, after) == ["b", "c", "d"]
+    assert digest.differing(before, list(reversed(before))) == []
+    assert digest.differing([], []) == []

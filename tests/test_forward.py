@@ -328,6 +328,20 @@ def test_extend_op_range_errors():
         extend_op(op, op.N + 1)
 
 
+def test_extend_op_rejects_a_missing_range_projection(monkeypatch):
+    # Without P_U, A~ A~* = I and A A~* = [I 0] still hold on the whole
+    # compact block; the trace of P_U, ntilde, is what shows it missing.
+    op = _op(VARIANT_ONE_AND_HALF, GridShape((8, 8)))
+    ntildes = (op.n + 3, 4 * op.n, op.N - 1)
+    for ntilde in ntildes:
+        extend_op(op, ntilde)
+    monkeypatch.setattr(forward.ExtendedPlan, "restrict", lambda self, rows: None)
+    monkeypatch.setattr(forward.ExtendedPlan, "project_cut", lambda self: None)
+    for ntilde in ntildes:
+        with pytest.raises(RuntimeError, match="trace of P_U"):
+            extend_op(op, ntilde)
+
+
 def test_extend_op_determinism():
     # The extension is canonical: two builds are identical.
     op = _op(VARIANT_ONE_AND_HALF, GridShape((3, 3)), seed=5)
@@ -458,14 +472,20 @@ def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, thread
 def test_astar_after_a_on_one_plan_matches_a_fresh_plan(shape):
     # A's inverse passes overwrite the plan's work stack; A*'s forward
     # passes, which pad in their output, must not read anything left there.
+    # The same holds, with the same bits, on the plan's own image buffer,
+    # which A* and A run through the transforms bound to it.
     op = _op(VARIANT_ONE_AND_HALF, shape, seed=7)
     rng = np.random.default_rng(32)
     x, y = random_complex(rng, op.n), random_complex(rng, op.N)
     plan = forward.OperatorPlan(op)
+    want_astar, want_a = apply_astar(op, x, plan=forward.OperatorPlan(op)), apply_a(op, y)
     for _ in range(2):
         apply_a(op, y, plan=plan)
-        got = apply_astar(op, x, plan=plan)
-        assert np.array_equal(_bits(got), _bits(apply_astar(op, x, plan=forward.OperatorPlan(op))))
+        assert np.array_equal(_bits(apply_astar(op, x, plan=plan)), _bits(want_astar))
+        assert apply_astar(op, x, out=plan.flat, plan=plan) is plan.flat
+        assert np.array_equal(_bits(plan.flat), _bits(want_astar))
+        plan.flat[:] = y
+        assert np.array_equal(_bits(apply_a(op, plan.flat, plan=plan)), _bits(want_a))
 
 
 @pytest.mark.parametrize("call, match", [

@@ -343,6 +343,15 @@ def test_plans_on_index_sets_match_the_dft(image, index, pooled, monkeypatch):
             _assert_bits(got_x, np.fft.fftn(block, axes=axes).reshape(k, -1))
             full = np.fft.ifftn(y.reshape(k, *image), axes=axes)[(slice(None), *np.ix_(*index))]
             _assert_bits(got_y, np.ascontiguousarray(full * grid.n).reshape(k, -1))
+        # A plan bound to an input and an output gives the same bits and
+        # takes no other arrays.
+        for call, plan, v, got in ((dft_plain, fwd, x, got_x), (idft_plain, inv, y, got_y)):
+            out = np.empty_like(got)
+            bound = plan.bind(v, out)
+            assert call(v, grid, out=out, plan=bound) is out
+            _assert_bits(out, got)
+            with pytest.raises(ValueError, match="bound to other arrays"):
+                call(v.copy(), grid, out=out, plan=bound)
         # The full-grid input of an unpruned plan is refused.
         with pytest.raises(ValueError):
             dft_plain(random_complex(rng, k * grid.n).reshape(k, -1), grid, plan=fwd)

@@ -442,6 +442,7 @@ class TestPlanReuse:
 
         for _ in range(3):
             one_step()
+        bound = [id(pair) for pair in plan.pairs]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -450,13 +451,17 @@ class TestPlanReuse:
         finally:
             tracemalloc.stop()
         assert peak < 16 * N, f"a steady {algorithm} step peaked at {peak} bytes, N = {N}"
+        # Both directions between the two buffers stay bound: nothing new.
+        assert [id(pair) for pair in plan.pairs] == bound and len(bound) == 2
 
 
 class TestStepResidual:
     # A planned step leaves x+ - x in the plan's scratch, and run_solver's
     # step residual is the flat sum _norm(x+ - x) / _norm(x), whether its
     # two norms run side by side on the pool (FDR at 64x64, on a 127x127
-    # grid) or one after the other (4x4, and ODR).
+    # grid) or one after the other (4x4, and ODR).  Its error column is
+    # the public align_phase's error on each estimate over _norm(x0): the
+    # alignment the solver sets up once per solve sums as that one does.
     @pytest.mark.parametrize("dims", [(4, 4), (64, 64)], ids=str)
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
     def test_history_is_the_flat_sum_of_chained_steps(self, algorithm, dims):
@@ -474,12 +479,16 @@ class TestStepResidual:
         else:  # ODR reads each estimate off h+, so it never reads this one
             step, target, plan.estimate = odr_step, ext, np.zeros(op.n, dtype=complex)
             y = extended_a(ext, y, plan=plan.ops)
+        first = plan.estimate if ext is None else plan.ops.object_part(
+            plan.ops.objects(y)).reshape(op.n)
+        assert res.history[0][1] == align_phase(first, x0)[1] / _norm(x0)
         spare = None
-        for _, _, step_res in res.history[1:]:
+        for _, rel, step_res in res.history[1:]:
             nxt = step(y, target, b, out=spare, plan=plan)
             change = nxt - y
             assert np.array_equal(_bits(plan.scratch), _bits(change))
             assert step_res == _norm(change) / _norm(y)
+            assert rel == align_phase(plan.estimate, x0)[1] / _norm(x0)
             y, spare = nxt, y
         # No sector: the result's x_hat is the last step's estimate.
         assert np.array_equal(_bits(plan.estimate), _bits(res.x_hat))

@@ -8,27 +8,32 @@ y, and A~* of that block); and lambda2_power reports at 6x6.
 Each line hashes the bytes of its outputs, so two checkouts print the
 same lines exactly when they give the same bits.  phasedr is imported
 from the src/ of the checkout this file is in.  To check that a change
-keeps every output, run the file in a checkout of the parent commit and
-in the change, and diff the two outputs:
+keeps every output, run, from the change's checkout,
 
-    python parent/tools/digest.py > before.txt
-    python change/tools/digest.py > after.txt
-    diff before.txt after.txt
+    python tools/digest.py --against REV
 
-About 8 s on 2 vCPUs (Xeon, numpy 2.4.6).
+It makes a temporary git worktree of the revision REV, runs this file's
+cases on that worktree's src/ and on this checkout's, each in a
+subprocess, and prints the names of the cases whose lines differ; it
+exits 1 when any do and 0 when none do.  Without --against it prints the
+lines.  About 8 s per checkout on 2 vCPUs (Xeon, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import subprocess
 import sys
+import tempfile
 from dataclasses import astuple
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from phasedr.forward import (
     apply_a,
@@ -130,10 +135,53 @@ def line(name: str) -> str:
     return f"{name} {h.hexdigest()}"
 
 
-def main() -> None:
+def differing(before: list[str], after: list[str]) -> list[str]:
+    """The names of the cases whose lines differ between two digests, or
+    that only one of them has, in the order they first appear."""
+    old, new = (dict(entry.rsplit(" ", 1) for entry in lines) for lines in (before, after))
+    return [name for name in {**old, **new} if old.get(name) != new.get(name)]
+
+
+def digest_of(src: Path) -> list[str]:
+    """This file's lines, printed by a subprocess that imports phasedr from
+    src first: the file's own src/ then comes first on sys.path, but the
+    package's modules load from the package already imported."""
+    code = (f"import sys, runpy; sys.path.insert(0, {str(src)!r}); import phasedr; "
+            f"runpy.run_path({__file__!r}, run_name='__main__')")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return run.stdout.splitlines()
+
+
+def against(rev: str) -> int:
+    """Print the cases whose lines differ between the revision rev and this
+    checkout; 1 when any do, else 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), rev], check=True)
+        try:
+            before = digest_of(tree / "src")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+    names = differing(before, digest_of(ROOT / "src"))
+    for name in names:
+        print(name)
+    return 1 if names else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="print the cases that differ between git revision REV and this checkout")
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against)
     for name in CASES:
         print(line(name), flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
