@@ -17,16 +17,18 @@ pattern images on the image grid: the plain DFT of that grid, with the
 object side cut to per-axis index sets.  For A* and A the sets are the
 object's leading points (the zero-padded oversampled DFT, or the plain DFT
 for multi); for the extension they are the compact block of its lift
-(ExtendedOp).  What an application sets up is a plan holding the two
-grids.TransformPlans of that form, made on first use and sharing one
-work stack, and the buffers around them: an OperatorPlan adds the mask
-phasors, the (L, n) pattern stack and an (L, grid.n) image buffer, an
-ExtendedPlan the buffers on both sides of the lifted block, the object
-block's mask phasors and the projection onto U's range.  Each also holds
-transform plans bound to its own buffers (grids.TransformPlan.bind),
-which a DR step's transforms run on.  A solver makes one per solve and
-hands it to every call; a one-shot call makes a throwaway plan.  A plan
-keeps no reference to a module's function, so a wrapper installed on one
+(ExtendedOp).  What an application sets up is a plan holding its own
+buffers on both sides, the (L, *len(index)) block and the (L, grid.n)
+pattern images, and the two grids.TransformPlans of that form made for
+them, forward from the block to the images and inverse back, each made
+on first use and both sharing one work stack.  An OperatorPlan adds the
+(L, n) mask phasors and their conjugates, an ExtendedPlan the object
+block's mask phasors and the projection onto U's range.  A call given
+another argument copies it into the plan's buffer, and a result asked
+for elsewhere is copied out of it.  A solver makes one plan per solve
+and hands it to every call, and a DR step runs its transforms on the
+plan's buffers; a one-shot call makes a throwaway plan.  A plan keeps no
+reference to a module's function, so a wrapper installed on one
 (perfbench's tracer) still sees every call.
 """
 
@@ -179,70 +181,60 @@ def _verify_isometry(op: PropagationOp) -> None:
     plan = OperatorPlan(op)  # one throwaway plan for the whole check
     for _ in range(3):
         x = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-        err = _norm(apply_a(op, apply_astar(op, x, plan=plan), plan=plan) - x) / _norm(x)
+        y = apply_astar(op, x, out=plan.flat, plan=plan)
+        err = _norm(apply_a(op, y, plan=plan) - x) / _norm(x)
         if not err < 1e-10:
             raise RuntimeError(f"operator normalization failed: |AA*x - x|/|x| = {err:.3e}")
 
 
 class _TransformPair:
-    """The DFT plans between the (L, *len(index)) block of base's image grid
-    at the per-axis index sets index and the (L, grid.n) pattern images,
-    forward and inverse, each made on its first use.  Their pass buffers
+    """The DFT plans between block, the (L, *len(index)) block of base's
+    image grid at the per-axis index sets index, and images, its (L,
+    grid.n) pattern images: forward from block to images and inverse back,
+    each made for those two buffers on its first use.  Their pass buffers
     come from one N-length work stack: the given one, else one that the
     inverse makes.  A forward FFT plan needs none, as it pads in its output,
     so a one-shot A* allocates no pass buffer on an FFT grid and only its
     d - 1 intermediate passes on a dense one.  target is what the plan was
     made for, the operator or extension, which _plan checks."""
 
-    def __init__(self, target, base: PropagationOp, index, work=None) -> None:
+    def __init__(self, target, base: PropagationOp, index, block, images, work=None) -> None:
         self.target, self.grid, self.index, self.L = (target,), base.grid, index, len(base.masks)
-        self.work = work
+        self.ends, self.work = (block, images), work
 
     @cached_property
     def forward(self) -> TransformPlan:
-        return TransformPlan(self.grid, self.grid.dims, False, self.L, self.work, self.index)
+        return TransformPlan(self.grid, self.grid.dims, False, *self.ends, self.work, self.index)
 
     @cached_property
     def inverse(self) -> TransformPlan:
         if self.work is None:
             self.work = np.empty(self.L * self.grid.n, dtype=np.complex128)
-        return TransformPlan(self.grid, self.grid.dims, True, self.L, self.work, self.index)
+        return TransformPlan(self.grid, self.grid.dims, True, *self.ends[::-1], self.work,
+                             self.index)
 
 
 class OperatorPlan(_TransformPair):
     """What A* and A set up on one operator, made once and reused by every
-    call given it: the transform plans on the object's leading index sets,
-    and the mask phasors and their conjugates (the identity mask's stay
-    broadcasts), paired with the rows of the (L, n) stack that holds A*'s
-    masked input and A's unmasked images.  The parts one direction needs
-    are made on its first call.  `images` is an (L, grid.n) buffer of the
-    plan's own and `flat` its length-N view: a call given flat as A*'s out
-    or A's y runs the transform plans `bound` to it and the stack (see
-    grids.TransformPlan.bind), so it neither checks nor reshapes them.  A
-    DR step hands A and A* its reflection and A* x there."""
+    call given it: the (L, n) stack that holds A*'s masked input and A's
+    unmasked images; `flat`, a length-N buffer, and `images`, its (L,
+    grid.n) pattern view, which hold A*'s result and A's argument; the
+    transform plans between the stack and images (see _TransformPair); and
+    the (L, n) mask phasors `mus` and their conjugates, made on A's first
+    call.  A call given flat as A*'s out or A's y copies nothing.  A DR
+    step hands A and A* its reflection and A* x there."""
 
     def __init__(self, op: PropagationOp) -> None:
-        super().__init__(op, op, tuple(map(range, op.shape.dims)))
-        self.masks, self.c = op.masks, op.c
-        self.x_shape, self.y_shape = (op.n,), (op.N,)
-        self.patterns = (self.L, self.grid.n)  # the pattern view of a length-N vector
-        self.stack = np.empty((self.L, op.n), dtype=np.complex128)
-        self.images = np.empty(self.patterns, dtype=np.complex128)
-        self.flat = self.images.reshape(-1)
-        self.masking = [(row, m.values) for row, m in zip(self.stack, op.masks)]
+        self.stack = np.empty((len(op.masks), op.n), dtype=np.complex128)
+        self.flat = np.empty(op.N, dtype=np.complex128)
+        self.images = self.flat.reshape(len(op.masks), op.grid.n)
+        super().__init__(op, op, tuple(map(range, op.shape.dims)), self.stack, self.images)
+        self.c, self.x_shape, self.y_shape = op.c, (op.n,), (op.N,)
+        self.mus = np.stack([m.values for m in op.masks])
 
     @cached_property
-    def bound(self) -> tuple[TransformPlan, TransformPlan]:
-        """The forward plan bound to the stack and images, and the inverse
-        bound to images and the stack."""
-        return self.forward.bind(self.stack, self.images), self.inverse.bind(self.images, self.stack)
-
-    @cached_property
-    def unmasking(self) -> list:
-        # The identity mask's conjugate is the scalar 1 - 0j, which a
-        # multiply broadcasts as it would n copies of it.
-        return [(row, np.conj(mu[0]) if m.kind == MASK_IDENTITY else np.conj(mu))
-                for (row, mu), m in zip(self.masking, self.masks)]
+    def conj_mus(self) -> np.ndarray:
+        return np.conj(self.mus)
 
 
 def _plan(plan, cls, *target):
@@ -259,64 +251,60 @@ def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.nda
     """A* x: stacked masked DFTs, length N, from one stacked transform call.
 
     The masking and the scaling by op.c run in the transform's hooks.
-    after(rows), when given, then runs on those rows of the (L, grid.n)
-    pattern view of the result, on the pool for large grids (see grids).
-    The result is written into out when given, a C-contiguous length-N
-    complex128 buffer apart from x, and returned.  plan is an OperatorPlan
-    of op; without one the call makes its own."""
+    after(rows), when given, then runs on those rows of the plan's pattern
+    images, on the pool for large grids (see grids).  The result is written
+    into out when given, a C-contiguous length-N complex128 buffer apart
+    from x, and returned: the plan's flat itself, or a copy of it.  plan is
+    an OperatorPlan of op; without one the call makes its own."""
+    own = plan is None
     plan = _plan(plan, OperatorPlan, op)
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != plan.x_shape:
         raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
-    if out is plan.flat:  # checked when the plan made it
-        images, transform = plan.images, plan.bound[0]
-    else:
-        out = np.empty(op.N, dtype=np.complex128) if out is None else _buffer(
-            out, plan.y_shape, "apply_astar: out", x)
-        images, transform = out.reshape(plan.patterns), plan.forward
-    masking, c = plan.masking, plan.c
+    if out is not None and out is not plan.flat:
+        _buffer(out, plan.y_shape, "apply_astar: out", x)
+    stack, images, mus, c = plan.stack, plan.images, plan.mus, plan.c
 
     def mask(rows):
-        for row, mu in masking[rows]:
-            np.multiply(mu, x, out=row)
+        np.multiply(mus[rows], x, out=stack[rows])
 
     def scale(rows):
         images[rows] *= c
         if after is not None:
             after(rows)
 
-    dft_plain(plan.stack, op.grid, before=mask, after=scale, out=images, plan=transform)
+    dft_plain(stack, op.grid, before=mask, after=scale, out=images, plan=plan.forward)
+    if out is None:
+        return plan.flat if own else plan.flat.copy()
+    if out is not plan.flat:
+        np.copyto(out, plan.flat)
     return out
 
 
 def apply_a(op: PropagationOp, y, before=None, plan=None) -> np.ndarray:
     """A y: adjoint of apply_astar, length n, from one stacked transform call.
 
-    before(rows), when given, first fills those rows of the (L, grid.n)
-    pattern view of y, which must then be a C-contiguous complex128 buffer,
-    on the pool for large grids (see grids).  The conjugate-mask multiply
-    runs in the transform's after hook; the masked pattern images are then
-    summed in pattern order onto zeros.  plan is an OperatorPlan of op;
-    without one the call makes its own."""
+    y is copied into the plan's flat unless it is that buffer.  before(rows),
+    when given, first fills those rows of the plan's pattern images, on the
+    pool for large grids (see grids); y must then be plan.flat.  The
+    conjugate-mask multiply runs in the transform's after hook; the masked
+    pattern images are then summed in pattern order onto zeros.  plan is an
+    OperatorPlan of op; without one the call makes its own."""
     plan = _plan(plan, OperatorPlan, op)
-    if y is plan.flat:  # checked when the plan made it
-        images, transform = plan.images, plan.bound[1]
-    elif before is not None:
-        _buffer(y, plan.y_shape, "apply_a: the buffer its before hook fills")
-        images, transform = y.reshape(plan.patterns), plan.inverse
-    else:
+    if y is not plan.flat:
+        if before is not None:
+            raise ValueError("apply_a: a before hook fills the plan's flat, which y must be")
         y = np.asarray(y, dtype=np.complex128)
         if y.shape != plan.y_shape:
             raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
-        images, transform = y.reshape(plan.patterns), plan.inverse
-    unmasking = plan.unmasking
+        np.copyto(plan.flat, y)
+    stack, conj_mus = plan.stack, plan.conj_mus
 
     def unmask(rows):
-        for image, conj in unmasking[rows]:
-            np.multiply(conj, image, out=image)
+        np.multiply(conj_mus[rows], stack[rows], out=stack[rows])
 
-    idft_plain(images, op.grid, before=before, after=unmask, out=plan.stack, plan=transform)
-    return plan.c * np.add.reduce(plan.stack, axis=0, initial=0)
+    idft_plain(plan.images, op.grid, before=before, after=unmask, out=stack, plan=plan.inverse)
+    return plan.c * np.add.reduce(stack, axis=0, initial=0)
 
 
 @dataclass(frozen=True)
@@ -455,29 +443,27 @@ def _verify_extension(ext: ExtendedOp) -> None:
 
 class ExtendedPlan(_TransformPair):
     """What A~*, A~ and the ODR step set up on one extension, made once and
-    reused by every call given it: the transform plans on the compact
-    block's index sets, and the inverse `bound` to y and g, which every
-    ODR step runs; A~*'s result y; A~'s block g and its object block view;
-    the object block's mu and conj(mu) / L, and scratch; and U's range
-    (ExtendedOp.lift_range), onto which restrict and project_cut project g."""
+    reused by every call given it: A~'s block g, in which A~* takes its
+    argument, and its object block view; the (L, grid.n) images y, A~*'s
+    result and A~'s argument; the transform plans between them on the
+    compact block's index sets (see _TransformPair), whose inverse every
+    ODR step runs; the object block's mu and conj(mu) / L, and scratch;
+    and U's range (ExtendedOp.lift_range), onto which restrict and
+    project_cut project g."""
 
     def __init__(self, ext: ExtendedOp) -> None:
         _, index, self.block, _ = ext.layout
-        super().__init__(ext, ext.base, index, np.empty(ext.N, dtype=np.complex128))
+        self.live = (len(ext.base.masks), *map(len, index))
+        self.y = np.empty((self.live[0], ext.base.grid.n), dtype=np.complex128)
+        self.g = np.empty((self.live[0], prod(self.live[1:])), dtype=np.complex128)
+        super().__init__(ext, ext.base, index, self.g, self.y,
+                         np.empty(ext.N, dtype=np.complex128))
         mu = ext.householder[0]
-        self.live = (self.L, *map(len, index))
-        self.y = np.empty((self.L, self.grid.n), dtype=np.complex128)
-        self.g = np.empty((self.L, prod(self.live[1:])), dtype=np.complex128)
         self.mu, self.conj_mu = mu, np.conj(mu) / self.L
         self.prods = np.empty(mu.shape, dtype=np.complex128)
         self.sums = np.empty(mu.shape[1:], dtype=np.complex128)
         self.mask, self.cut = ext.lift_range
         self.g_objects = self.objects(self.g)
-
-    @cached_property
-    def bound(self) -> TransformPlan:
-        """The inverse plan bound to y and g (see grids.TransformPlan.bind)."""
-        return self.inverse.bind(self.y, self.g)
 
     def objects(self, h: np.ndarray) -> np.ndarray:
         """The (L, *dims) object block view of a block h."""
@@ -510,32 +496,34 @@ def _reflect(h: np.ndarray, w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
 
 def extended_astar(ext: ExtendedOp, h, plan=None) -> np.ndarray:
     """c F h, length N, from one stacked transform call: A~* x for the lift
-    h = U x, a flat (L, K) block on U's range.  plan is an ExtendedPlan of
-    ext, whose y the result is; without one the call makes its own."""
+    h = U x, a flat (L, K) block on U's range, copied into the plan's g.
+    plan is an ExtendedPlan of ext, whose y the result is; without one the
+    call makes its own."""
     plan = _plan(plan, ExtendedPlan, ext)
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (plan.g.size,):
         raise ValueError(f"extended_astar: expected length {plan.g.size}, got shape {h.shape}")
+    np.copyto(plan.g, h.reshape(plan.g.shape))
     y, c = plan.y, ext.base.c
 
     def scale(rows):
         y[rows] *= c
 
-    return dft_plain(h.reshape(plan.g.shape), plan.grid, after=scale, out=y,
-                     plan=plan.forward).reshape(ext.N)
+    return dft_plain(plan.g, plan.grid, after=scale, out=y, plan=plan.forward).reshape(ext.N)
 
 
 def extended_a(ext: ExtendedOp, y, plan=None) -> np.ndarray:
     """U A~ y = L c P_U F^-1 y, a new flat (L, K) block: the lift of A~ y.
-    One stacked transform call to the block, into the plan's g, whose after
-    hook zeroes g off U's range; then the rest of P_U and the scale.  plan
-    is an ExtendedPlan of ext; without one the call makes its own."""
+    y is copied into the plan's y; one stacked transform call takes it to
+    the block, into the plan's g, whose after hook zeroes g off U's range;
+    then the rest of P_U and the scale.  plan is an ExtendedPlan of ext;
+    without one the call makes its own."""
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (ext.N,):
         raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
     plan = _plan(plan, ExtendedPlan, ext)
-    idft_plain(y.reshape(plan.L, plan.grid.n), plan.grid, after=plan.restrict, out=plan.g,
-               plan=plan.inverse)
+    np.copyto(plan.y, y.reshape(plan.y.shape))
+    idft_plain(plan.y, plan.grid, after=plan.restrict, out=plan.g, plan=plan.inverse)
     plan.project_cut()
     return (plan.L * ext.base.c) * plan.g.reshape(-1)
 

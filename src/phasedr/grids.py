@@ -45,21 +45,21 @@ next to its transform; below PARALLEL_MIN_POINTS they run once, over all
 rows, around the stacked call.  A call writes its result into a caller's
 out buffer when given one.
 
-What a call sets up before its passes (the geometry, the pass buffers and
-the views the passes write, the split of the rows into tasks, and the
-passes as calls: products with dense matrices, or FFTs) is a
-TransformPlan.  A caller that transforms stacks of one shape many
-times, as a solve does, makes the plan once and hands it to every call; a
-call without one makes a throwaway plan, so both run one code path.  The
-dense matrices are built once per shape and shared read-only by every
-plan.
+What a call sets up before its passes (the geometry, the pass buffers,
+the views of its input, its output and those buffers that the passes read
+and write, the split of the rows into tasks, and the passes as calls:
+products with dense matrices, or FFTs) is a TransformPlan, made for that
+input and output.  A caller that transforms the same buffers many times,
+as a solve does, makes the plan once and hands it to every call on them;
+a call without one makes a throwaway plan on its own arrays, so both run
+one code path.  The dense matrices are built once per shape and shared
+read-only by every plan.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import product
@@ -235,20 +235,24 @@ def _read_cells(cells, scale: float, stack: np.ndarray, out: np.ndarray) -> None
 
 class TransformPlan:
     """The set-up of one DFT between an object grid and an image grid, made
-    once for a (k, n) stack and reused by every call given it.
+    for one input and one output and run on them by every call given it.
 
-    It holds the geometry, its passes (dense products when `dense`, see
-    DENSE_MAX_EXTENT, else FFTs), each a call with the pass buffers or cut
-    views it reads and writes, and the split of the rows into tasks,
-    decided by PARALLEL_MIN_POINTS when the plan is made.  The pass
-    buffers are carved from `work`, a flat complex128 buffer, while it
-    lasts: a dense plan takes the d - 1 intermediate passes, an inverse FFT
-    plan one (k, *image) stack, and a forward FFT plan none, as it pads and
-    transforms in the caller's output stack (see _fft_in_place and
-    _read_cells).  A forward and an
-    inverse plan may share one work buffer, since a call's passes end
-    before it returns; a plan serves one call at a time.  A plan holds no
-    input or output.
+    src, the input, is a C-contiguous complex128 flat vector or a stack of k
+    of them, (k, length); dest, the output, a C-contiguous complex128 buffer
+    of the result's shape, made when not given; both are checked when the
+    plan is made and held as `src` and `dest`.  dest may be src itself (the
+    plain transforms), as numpy.fft, like every numpy ufunc, reads an input
+    that overlaps its output as if it did not.  The plan holds the geometry,
+    its passes (dense products when `dense`, see DENSE_MAX_EXTENT, else
+    FFTs), each a call with the views of src, dest and the pass buffers that
+    it reads and writes, and the split of the rows into tasks, decided by
+    PARALLEL_MIN_POINTS when the plan is made.  The pass buffers are carved
+    from `work`, a flat complex128 buffer, while it lasts: a dense plan
+    takes the d - 1 intermediate passes, an inverse FFT plan one (k, *image)
+    stack, and a forward FFT plan none, as it pads and transforms in dest
+    (see _fft_in_place and _read_cells).  Plans may share one work buffer,
+    since a call's passes end before it returns; a plan serves one call at a
+    time.
 
     index holds the object side's image points per axis, each a sorted
     tuple of ints or a range, range(M_j+1) when not given: a forward plan
@@ -256,22 +260,25 @@ class TransformPlan:
     plan returns only that block.
     """
 
-    def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, k: int,
-                 work=None, index=None) -> None:
+    def __init__(self, shape: GridShape, image: tuple[int, ...], inverse: bool, src,
+                 dest=None, work=None, index=None) -> None:
         dims, d = shape.dims, shape.ndim
-        self.key, self.k, self.pair = (dims, image, inverse), k, None
+        self.key, what = (dims, image, inverse), _name(dims, image, inverse)
         self.scale = prod(image)
         index = tuple(map(range, dims)) if index is None else tuple(index)
         if len(index) != d:
             raise ValueError(f"TransformPlan: {len(index)} index sets for {d} axes")
         dims = tuple(map(len, index))  # the object side's extents
         src_dims, dest_dims = (image, dims) if inverse else (dims, image)
-        self.src_len, dest_len = prod(src_dims), prod(dest_dims)
-        self.src_rows, self.dest_rows = (k, *src_dims), (k, *dest_dims)
-        # input shape -> output shape: a (k, n) stack, or one flat vector
-        self.out_shapes = {(k, self.src_len): (k, dest_len)}
-        if k == 1:
-            self.out_shapes[(self.src_len,)] = (dest_len,)
+        src_len, k = prod(src_dims), len(src) if np.ndim(src) == 2 else 1
+        if np.shape(src) not in ((src_len,), (k, src_len)):
+            raise ValueError(f"{what}: expected flat length {src_len} or a (k, {src_len}) "
+                             f"stack, got shape {np.shape(src)}")
+        self.src = _buffer(src, np.shape(src), f"{what}: the input")
+        dest_shape = (*src.shape[:-1], prod(dest_dims))
+        # dest may be src itself, so _buffer gets no inputs to check overlap with
+        self.dest = np.empty(dest_shape, dtype=np.complex128) if dest is None else _buffer(
+            dest, dest_shape, f"{what}: out")
         at = 0
 
         def carve(shape_j):  # a pass buffer, from work while it lasts
@@ -283,16 +290,15 @@ class TransformPlan:
             return np.empty(shape_j, dtype=np.complex128)
 
         # Each pass is (call, input, output), last axis first, and runs as
-        # call(input, out=output); None stands for the call's input rows or
-        # output rows.
-        passes, inp = [], None
+        # call(input, out=output).
+        passes = []
         self.dense = max(image) <= DENSE_MAX_EXTENT
         if self.dense:
             # The product along the last axis is rows @ M.T over (k, P, n);
             # along any other it is M @ rows over (k, P, n, Q), P and Q the
-            # points before and after the axis.  The first pass's input and
-            # the last pass's output are the call's rows in those shapes.
-            ext = list(src_dims)
+            # points before and after the axis.  The first pass reads src
+            # and the last writes dest in those shapes.
+            ext, inp = list(src_dims), self.src
             for axis in range(d - 1, -1, -1):
                 n_in, n_out = ext[axis], dest_dims[axis]
                 mat = _dft_matrix(image[axis], index[axis], inverse)
@@ -301,15 +307,10 @@ class TransformPlan:
                     shapes = [(k, before_axis, n) for n in (n_in, n_out)]
                 else:
                     shapes = [(k, before_axis, n, after_axis) for n in (n_in, n_out)]
-                if inp is None:
-                    self.src_rows = shapes[0]
-                else:
-                    inp = inp.reshape(shapes[0])
-                out = carve(shapes[1]) if axis else None
+                out = carve(shapes[1]) if axis else self.dest.reshape(shapes[1])
                 call = partial(_times, mat.T) if axis == d - 1 else partial(np.matmul, mat)
-                passes.append((call, inp, out))
+                passes.append((call, inp.reshape(shapes[0]), out))
                 ext[axis], inp = n_out, out
-            self.dest_rows = shapes[1]
         else:
             # The block's cells, the products of the runs of its index
             # sets, as (block, image) indexes of the (k, *dims) block and
@@ -318,77 +319,55 @@ class TransformPlan:
             runs = [_runs(ix) for ix in index]
             cells = [tuple((slice(None), *half) for half in zip(*c)) for c in product(*runs)]
             spans = [[i for _, i in r] for r in runs]
+            src_rows, dest_rows = (self.src.reshape(k, *src_dims),
+                                   self.dest.reshape(k, *dest_dims))
             if inverse:
-                # The first pass reads the call's rows into the whole stack;
-                # each later one runs in place on the lines on the runs of
-                # the axes already transformed.  Then the cells are read out.
+                # The first pass reads src into the whole stack; each later
+                # one runs in place on the lines on the runs of the axes
+                # already transformed.  Then the cells are read out to dest.
                 stack = carve((k, *image))
                 for axis in range(d - 1, -1, -1):
                     for s in product(*spans[axis + 1 :]):
                         view = stack[(slice(None),) * (axis + 2) + s]
                         passes.append((partial(np.fft.ifft, axis=axis + 1),
-                                       None if axis == d - 1 else view, view))
-                passes.append((partial(_read_cells, cells, self.scale), stack, None))
+                                       src_rows if axis == d - 1 else view, view))
+                passes.append((partial(_read_cells, cells, self.scale), stack, dest_rows))
             else:
-                # One pass over the caller's output stack: see _fft_in_place.
-                # The gaps of an axis are the runs of the points off its set.
+                # One pass over dest: see _fft_in_place.  The gaps of an
+                # axis are the runs of the points off its set.
                 steps = [(axis + 1, [(slice(None), *s) for s in product(*spans[:axis])],
                           _runs(np.setdiff1d(range(image[axis]), index[axis])))
                          for axis in range(d - 1, -1, -1)]
-                passes.append((partial(_fft_in_place, cells, steps), None, None))
+                passes.append((partial(_fft_in_place, cells, steps), src_rows, dest_rows))
         if k > 1 and self.scale >= PARALLEL_MIN_POINTS:
-            def part(a, i):
-                return None if a is None else a[i : i + 1]
-
-            self.groups = [(slice(i, i + 1),
-                            [(call, part(a, i), part(o, i)) for call, a, o in passes])
-                           for i in range(k)]
+            self.groups = [(slice(i, i + 1), [(call, a[i : i + 1], o[i : i + 1])
+                                              for call, a, o in passes]) for i in range(k)]
         else:
             self.groups = [(slice(None), passes)]
 
-    def bind(self, v, out) -> "TransformPlan":
-        """A copy of this plan bound to the input v and the output out, both
-        checked as a call checks them (see _transform): its passes read and
-        write their views in place of the call's rows, so a call on v and
-        out runs them as they are, with no check and no reshape."""
-        bound = copy(self)
-        out, src, dest = self._views(v, out, "bind")
-        bound.groups = [(rows, [(call, src[rows] if a is None else a,
-                                 dest[rows] if o is None else o) for call, a, o in passes])
-                        for rows, passes in self.groups]
-        bound.pair = (v, out)
-        return bound
-
-    def _views(self, v, out, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """out, made when None and else checked to fit v (see _transform),
-        and the views of v and out shaped src_rows and dest_rows."""
-        out_shape = self.out_shapes.get(v.shape)
-        if out_shape is None:
-            raise ValueError(f"{what}: expected flat length {self.src_len} or a "
-                             f"({self.k}, {self.src_len}) stack, got shape {v.shape}")
-        # out may be v itself, so _buffer gets no inputs to check overlap with
-        out = np.empty(out_shape, dtype=np.complex128) if out is None else _buffer(
-            out, out_shape, f"{what}: out")
-        return out, v.reshape(self.src_rows), out.reshape(self.dest_rows)
-
-    def run(self, src, dest, before=None, after=None, group=None) -> None:
-        """Transform the stack src, shaped src_rows, into the stack dest,
-        shaped dest_rows, with the row hooks before and after (see
+    def run(self, before=None, after=None, group=None) -> np.ndarray:
+        """Transform src into dest, with the row hooks before and after (see
         _transform): all groups of rows, or only `group`, a task of the
-        pool.  A bound plan's passes hold their views: src and dest go
-        unread."""
+        pool.  Returns dest."""
         if group is None:
             if len(self.groups) > 1:
-                _run_tasks([partial(self.run, src, dest, before, after, g) for g in self.groups])
-                return
+                _run_tasks([partial(self.run, before, after, g) for g in self.groups])
+                return self.dest
             group = self.groups[0]
         rows, passes = group
         if before is not None:
             before(rows)
         for call, a, o in passes:  # numpy.fft's out=, hence NumPy >= 2.0
-            call(src[rows] if a is None else a, out=dest[rows] if o is None else o)
+            call(a, out=o)
         if after is not None:
             after(rows)
+        return self.dest
+
+
+def _name(dims: tuple[int, ...], image: tuple[int, ...], inverse: bool) -> str:
+    """The DFT entry point that runs the transform (dims, image, inverse),
+    which error messages name."""
+    return ("idft_" if inverse else "dft_") + ("plain" if image == dims else "oversampled")
 
 
 def _buffer(buf, shape: tuple[int, ...], what: str, *inputs) -> np.ndarray:
@@ -405,8 +384,8 @@ def _buffer(buf, shape: tuple[int, ...], what: str, *inputs) -> np.ndarray:
     return buf
 
 
-def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what: str,
-               before=None, after=None, out=None, plan=None) -> np.ndarray:
+def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, before=None,
+               after=None, out=None, plan=None) -> np.ndarray:
     """The d-axis DFT between the object grid and the image grid, flat or stacked.
 
     Forward: v is copied to the plan's index sets in the output stack, and
@@ -422,26 +401,19 @@ def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, what:
     after(rows) runs once those rows of the result are written (see the
     module docstring); rows is a slice of the stack's rows.  The result is
     written into out when given, a C-contiguous complex128 buffer of the
-    result's shape, and returned.  out may be v itself (the plain
-    transforms), as numpy.fft, like every numpy ufunc, reads an input that
-    overlaps its output as if it did not.  plan, a TransformPlan of this
-    transform and stack, replaces the set-up a call otherwise makes; a plan
-    bound to v and out (TransformPlan.bind) also skips their checks and
-    reshapes, and takes no other arrays.
+    result's shape that may be v itself, and returned.  A call runs a
+    TransformPlan made for v and out (see there): plan, one of this
+    transform made for exactly these arrays, or else a throwaway one it
+    makes, so both run one code path.
     """
     if plan is None:
-        v = np.asarray(v, dtype=np.complex128)
-        plan = TransformPlan(shape, image, inverse, v.shape[0] if v.ndim == 2 else 1)
+        plan = TransformPlan(shape, image, inverse, np.ascontiguousarray(v, dtype=np.complex128),
+                             out)
     elif plan.key != (shape.dims, image, inverse):
-        raise ValueError(f"{what}: the plan is for another transform")
-    if plan.pair is None:
-        out, src, dest = plan._views(np.asarray(v, dtype=np.complex128), out, what)
-        plan.run(src, dest, before, after)
-    elif plan.pair[0] is v and plan.pair[1] is out:
-        plan.run(None, None, before, after)
-    else:
-        raise ValueError(f"{what}: the plan is bound to other arrays")
-    return out
+        raise ValueError(f"{_name(shape.dims, image, inverse)}: the plan is for another transform")
+    elif v is not plan.src or out is not plan.dest:
+        raise ValueError(f"{_name(shape.dims, image, inverse)}: the plan is made for other arrays")
+    return plan.run(before, after)
 
 
 def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None,
@@ -463,8 +435,7 @@ def dft_oversampled(x, shape: GridShape, before=None, after=None, out=None,
     pass is a product with the (2M_j+1) x (M_j+1) DFT matrix, which agrees
     with the padded FFT to roundoff.
     """
-    return _transform(x, shape, shape.oversampled_dims, False, "dft_oversampled",
-                      before, after, out, plan)
+    return _transform(x, shape, shape.oversampled_dims, False, before, after, out, plan)
 
 
 def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None,
@@ -479,8 +450,7 @@ def idft_oversampled(y, shape: GridShape, before=None, after=None, out=None,
     scaling; at or below it each pass is a product with the (M_j+1) x
     (2M_j+1) unnormalized inverse DFT matrix, equal to that to roundoff.
     """
-    return _transform(y, shape, shape.oversampled_dims, True, "idft_oversampled",
-                      before, after, out, plan)
+    return _transform(y, shape, shape.oversampled_dims, True, before, after, out, plan)
 
 
 def dft_plain(x, shape: GridShape, before=None, after=None, out=None,
@@ -492,14 +462,14 @@ def dft_plain(x, shape: GridShape, before=None, after=None, out=None,
     their image grid, with a plan whose sets are the object's leading
     points (A*) or an extension's compact block.  Either way its Gram
     matrix is shape.n * I."""
-    return _transform(x, shape, shape.dims, False, "dft_plain", before, after, out, plan)
+    return _transform(x, shape, shape.dims, False, before, after, out, plan)
 
 
 def idft_plain(y, shape: GridShape, before=None, after=None, out=None,
                plan=None) -> np.ndarray:
     """Adjoint of :func:`dft_plain`, flat or stacked: the unnormalized
     inverse DFT, read on the same object side (the plan's index sets)."""
-    return _transform(y, shape, shape.dims, True, "idft_plain", before, after, out, plan)
+    return _transform(y, shape, shape.dims, True, before, after, out, plan)
 
 
 def realify(v) -> np.ndarray:

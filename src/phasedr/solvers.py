@@ -33,9 +33,9 @@ The two steps share one contract, step(v, target, b, sector, out, plan)
 -> v+, so run_solver picks one per solve and its loop does not branch on
 the algorithm.  It prepares the step once per solve as a StepPlan: the
 plan of forward for its operator (an OperatorPlan for FDR, an
-ExtendedPlan, which also projects onto U's range, for ODR; the two hold
-transform plans of one form, and the ones bound to their own buffers),
-the pattern view of b, the magnitude buffer, ODR's hook, and for each of
+ExtendedPlan, which also projects onto U's range, for ODR; each holds
+its own buffers and the transform plans made for them), the pattern
+view of b, the magnitude buffer, ODR's hook, and for each of
 the solve's two iterate buffers as input, with the other as output, the
 views and hooks a step takes of them.  So a step makes no closure, no
 view and no check that the plan already made.  Each step works in the
@@ -71,7 +71,8 @@ from .forward import (
     extend_op,
     extended_a,
 )
-from .grids import _buffer, _dot, _floats, _norm, _run_tasks, _unit, dft_plain, idft_plain
+from .grids import (TransformPlan, _buffer, _dot, _floats, _norm, _run_tasks, _unit,
+                    dft_plain, idft_plain)
 
 ALGO_FDR = "fdr"
 ALGO_ODR = "odr"
@@ -151,11 +152,11 @@ class StepPlan:
     FDR needs the old one for the new, ODR reads the new one off x+.
     `bind(v, out)` gives what a step from the iterate v into out takes of
     them: FDR's two hooks on their pattern views, or ODR's forward
-    transform plan bound to v's block and the object block views of v and
-    out.  It is made, with out's checks, on the pair's first step and kept
-    for the last two pairs, so over a solve, whose two iterate buffers swap
-    roles every step, a step makes no closure, view or check of them after
-    the second.
+    transform plan made for v's block and the operator plan's y (sharing
+    its work stack), and the object block views of v and out.  It is made,
+    with out's checks, on the pair's first step and kept for the last two
+    pairs, so over a solve, whose two iterate buffers swap roles every
+    step, a step makes no closure, view or check of them after the second.
     `pooled` says whether the step writes x+ and its change on the pool:
     FDR does when its transforms split the patterns across it
     (grids.PARALLEL_MIN_POINTS), and the solver then sums its two residual
@@ -169,6 +170,8 @@ class StepPlan:
         self.pairs = []
         base = op.base if isinstance(op, ExtendedOp) else op
         shape = (len(base.masks), base.grid.n)
+        if np.size(b) != base.N:
+            raise ValueError(f"b must hold op.N = {base.N} magnitudes, got {np.size(b)}")
         self.bs = np.asarray(b).reshape(shape)
         self.mag = np.empty(shape)
         if isinstance(op, ExtendedOp):
@@ -186,13 +189,14 @@ class StepPlan:
         for pair in self.pairs:
             if pair[0] is v and pair[1] is out:
                 return pair
-        if isinstance(self.ops, ExtendedPlan):
+        ops = self.ops
+        if isinstance(ops, ExtendedPlan):
             _buffer(out, v.shape, "odr_step: out", v)
-            block = v.reshape(self.ops.g.shape)
-            views = (block, self.ops.forward.bind(block, self.ops.y), self.ops.objects(v),
-                     self.ops.objects(out))
+            forward = TransformPlan(ops.grid, ops.grid.dims, False, v.reshape(ops.g.shape), ops.y,
+                                    ops.work, ops.index)
+            views = (forward, ops.objects(v), ops.objects(out))
         else:
-            _buffer(out, self.ops.y_shape, "fdr_step: out", v)
+            _buffer(out, ops.y_shape, "fdr_step: out", v)
             views = self._fdr_hooks(v.reshape(self.bs.shape), out.reshape(self.bs.shape))
         self.pairs = [(v, out, *views), *self.pairs[:1]]
         return self.pairs[0]
@@ -247,8 +251,8 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     the transforms' hooks, next to each pattern's transform: the finiteness
     check and the reflection before A; after A*, the update and the step
     change y+ - y, written into the plan's scratch.  A and A* run on the
-    operator plan's own buffer (forward.OperatorPlan), so they check and
-    reshape nothing.
+    operator plan's own buffer (forward.OperatorPlan), so neither copies
+    its argument or its result.
     """
     y = np.ascontiguousarray(y, dtype=np.complex128)
     plan = _plan(plan, StepPlan, op, b)
@@ -289,10 +293,10 @@ def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     plan = _plan(plan, StepPlan, ext, b)
     ops, g = plan.ops, plan.scratch
     r = np.empty_like(h) if out is None else out
-    _, _, block, forward, hx, rx = plan.bind(h, r)
-    dft_plain(block, ops.grid, out=ops.y, plan=forward)
+    _, _, forward, hx, rx = plan.bind(h, r)
+    dft_plain(forward.src, ops.grid, out=ops.y, plan=forward)
     idft_plain(ops.y, ops.grid, before=plan.project, after=ops.restrict, out=ops.g,
-               plan=ops.bound)
+               plan=ops.inverse)
     ops.project_cut()
     # r holds h - g, then h+ = h - g + mu [sum conj(mu) (2g - h) / L]_X.
     p = np.multiply(2.0, ops.g_objects, out=ops.prods)
@@ -465,8 +469,9 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     FDR runs on all N coordinates and ignores cfg.ntilde.  ODR runs on
     cfg.ntilde coordinates, min(4n, N) when unset; at ntilde = N it is the
     FDR recursion and runs as FDR, bit for bit.  Any other ntilde outside
-    [n, N] raises ValueError, as does an all-zero x0.  The result records
-    the resolved ntilde.
+    [n, N] raises ValueError, as do an x0 that is not a length-n vector or
+    is all zero and a b without N values.  The result records the resolved
+    ntilde.
     FDR starts at y0 (see _initial_iterate) and ODR at the lift
     h = U A~ y0 = forward.extended_a(ext, y0), so the two first estimates
     agree to roundoff.  ODR iterates h (see odr_step); U is sqrt(L) times
@@ -487,6 +492,8 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     """
     b = np.asarray(b, dtype=np.float64)
     x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
+    if x0 is not None and x0.shape != (op.n,):
+        raise ValueError(f"run_solver: x0 must be a length-{op.n} vector, got shape {x0.shape}")
     norm_x0 = _norm(x0) if x0 is not None else float("nan")
     if norm_x0 == 0:
         raise ValueError("run_solver: x0 must be nonzero (the error is relative to its norm)")

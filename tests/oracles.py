@@ -188,20 +188,27 @@ def _flat_householder(ext):
     return mu.reshape(len(mu), -1), w.reshape(len(w), -1), kappa.ravel()
 
 
-def _compact_plan(ext, inverse: bool):
-    """(cells, shape, plan): the index and shape of the compact block in a
-    (grid.dims) image, and the one-pattern plain transform plan to or from
-    it on the layout's index sets, the per-pattern kernel of the extended
-    operators."""
+def _compact_cells(ext):
+    """(cells, shape): the index and shape of the compact block in a
+    (grid.dims) image."""
+    index = ext.layout[1]
+    return np.ix_(*index), tuple(map(len, index))
+
+
+def _compact_dft(ext, v, inverse: bool) -> np.ndarray:
+    """The one-pattern plain DFT of the flat v to (or from) the compact
+    block on the layout's index sets, the per-pattern kernel of the
+    extended operators, run by a plan made for v."""
     grid, index = ext.layout[:2]
-    return (np.ix_(*index), tuple(map(len, index)),
-            TransformPlan(grid, grid.dims, inverse, 1, index=index))
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    plan = TransformPlan(grid, grid.dims, inverse, v, index=index)
+    return (idft_plain if inverse else dft_plain)(v, grid, out=plan.dest, plan=plan)
 
 
 def _to_block(ext, images) -> np.ndarray:
     """The flat (L, K) compact block of an (L, grid.n) image stack."""
     grid = ext.base.grid
-    cells = _compact_plan(ext, inverse=False)[0]
+    cells = _compact_cells(ext)[0]
     return np.stack([image.reshape(grid.dims)[cells].ravel() for image in images]).ravel()
 
 
@@ -209,7 +216,7 @@ def _from_block(ext, h) -> np.ndarray:
     """The (L, grid.n) image stack that is the flat (L, K) compact block h
     on its cells and zero elsewhere."""
     grid, L = ext.base.grid, len(ext.base.masks)
-    cells, shape, _ = _compact_plan(ext, inverse=False)
+    cells, shape = _compact_cells(ext)
     images = np.zeros((L, *grid.dims), dtype=np.complex128)
     for image, block in zip(images, np.reshape(h, (L, -1))):
         image[cells] = block.reshape(shape)
@@ -244,9 +251,8 @@ def per_pattern_unlift(ext, h) -> np.ndarray:
 def per_pattern_extended_astar(ext, x) -> np.ndarray:
     """A~* x with one flat plain DFT per pattern image, each image's compact
     block of the lift transformed alone."""
-    grid, L = ext.base.grid, len(ext.base.masks)
-    plan = _compact_plan(ext, inverse=False)[2]
-    out = np.concatenate([dft_plain(block, grid, plan=plan)
+    L = len(ext.base.masks)
+    out = np.concatenate([_compact_dft(ext, block, inverse=False)
                           for block in per_pattern_lift(ext, x).reshape(L, -1)])
     out *= ext.base.c
     return out
@@ -256,10 +262,10 @@ def per_pattern_extended_a(ext, y) -> np.ndarray:
     """A~ y with one flat inverse plain DFT per pattern block, computed on
     the compact block alone and read out by gathers on index arrays."""
     (grid, obj, tail), (mu, w, kappa) = _flat_layout(ext), _flat_householder(ext)
-    cells, shape, plan = _compact_plan(ext, inverse=True)
+    cells, shape = _compact_cells(ext)
     images = np.zeros((len(mu), *grid.dims), dtype=np.complex128)
     for image, block in zip(images, y.reshape(len(mu), grid.n)):
-        image[cells] = idft_plain(block, grid, plan=plan).reshape(shape)
+        image[cells] = _compact_dft(ext, block, inverse=True).reshape(shape)
     images = images.reshape(len(mu), grid.n)
     h = images[:, obj]
     head = ext.base.c * np.sum(np.conj(mu) * h, axis=0)
@@ -318,8 +324,7 @@ def per_pattern_lifted_a(ext, y) -> np.ndarray:
     plain DFT per pattern onto the compact block, P_U from the definition
     (_project_range), then the scale."""
     grid, L = ext.base.grid, len(ext.base.masks)
-    inverse = _compact_plan(ext, inverse=True)[2]
-    g = np.stack([idft_plain(row, grid, plan=inverse) for row in np.reshape(y, (L, grid.n))])
+    g = np.stack([_compact_dft(ext, row, inverse=True) for row in np.reshape(y, (L, grid.n))])
     return (L * ext.base.c * _project_range(ext, g)).ravel()
 
 
@@ -328,14 +333,13 @@ def per_pattern_block_odr_step(h, ext, b, sector=NO_SECTOR) -> np.ndarray:
     g = P_U(L c F^-1(b . phase(F h))), one flat DFT per pattern row and
     temporaries for every term; P_U as in _project_range."""
     op = ext.base
-    L, grid = len(op.masks), op.grid
+    L = len(op.masks)
     mu = _flat_householder(ext)[0]
     objpos = _object_positions(ext)
-    forward, inverse = _compact_plan(ext, inverse=False)[2], _compact_plan(ext, inverse=True)[2]
     h = np.reshape(h, (L, -1))
-    y = np.concatenate([dft_plain(row, grid, plan=forward) for row in h])
+    y = np.concatenate([_compact_dft(ext, row, inverse=False) for row in h])
     p = proj_p2(y, L * op.c * b).reshape(L, -1)
-    g = _project_range(ext, np.stack([idft_plain(row, grid, plan=inverse) for row in p]))
+    g = _project_range(ext, np.stack([_compact_dft(ext, row, inverse=True) for row in p]))
     xs = sector_project(np.sum(np.conj(mu) / L * (2.0 * g[:, objpos] - h[:, objpos]), axis=0),
                         sector)
     out = h - g

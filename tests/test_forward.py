@@ -468,24 +468,54 @@ def test_stacked_operators_match_per_pattern_loop_bitwise(variant, shape, thread
     assert np.array_equal(_bits(extended_a(ext, y)), _bits(per_pattern_lifted_a(ext, y)))
 
 
-@pytest.mark.parametrize("shape", [GridShape((20, 18)), GridShape((64, 64))], ids=str)
+# Dense 8x8, FFT 20x18 and pooled 64x64 grids.
+@pytest.mark.parametrize("shape", [GridShape((8, 8)), GridShape((20, 18)), GridShape((64, 64))],
+                         ids=str)
 def test_astar_after_a_on_one_plan_matches_a_fresh_plan(shape):
     # A's inverse passes overwrite the plan's work stack; A*'s forward
     # passes, which pad in their output, must not read anything left there.
-    # The same holds, with the same bits, on the plan's own image buffer,
-    # which A* and A run through the transforms bound to it.
+    # A held plan runs its transforms on its own buffers: it copies a
+    # foreign argument in and a result asked for elsewhere out, and a call
+    # given the plan's flat copies nothing, all with a fresh plan's bits.
     op = _op(VARIANT_ONE_AND_HALF, shape, seed=7)
     rng = np.random.default_rng(32)
     x, y = random_complex(rng, op.n), random_complex(rng, op.N)
+    y_in = y.copy()
     plan = forward.OperatorPlan(op)
-    want_astar, want_a = apply_astar(op, x, plan=forward.OperatorPlan(op)), apply_a(op, y)
+    assert plan.forward.dense == (shape.n == 64)
+    assert (len(plan.inverse.groups) > 1) == (shape.n == 64 * 64)
+    want_astar, want_a = apply_astar(op, x), apply_a(op, y)
     for _ in range(2):
         apply_a(op, y, plan=plan)
-        assert np.array_equal(_bits(apply_astar(op, x, plan=plan)), _bits(want_astar))
+        got = apply_astar(op, x, plan=plan)
+        assert got is not plan.flat and got.flags.owndata
+        assert np.array_equal(_bits(got), _bits(want_astar))
+        out = np.empty(op.N, dtype=complex)
+        assert apply_astar(op, x, out=out, plan=plan) is out
+        assert np.array_equal(_bits(out), _bits(want_astar))
         assert apply_astar(op, x, out=plan.flat, plan=plan) is plan.flat
         assert np.array_equal(_bits(plan.flat), _bits(want_astar))
+        assert np.array_equal(_bits(apply_a(op, y, plan=plan)), _bits(want_a))
         plan.flat[:] = y
         assert np.array_equal(_bits(apply_a(op, plan.flat, plan=plan)), _bits(want_a))
+    assert np.array_equal(_bits(y), _bits(y_in))
+    # A before hook fills the plan's flat, so it comes only with that buffer.
+    with pytest.raises(ValueError, match="before hook"):
+        apply_a(op, y, before=lambda rows: None, plan=plan)
+
+    ext = extend_op(op, 4 * op.n)
+    want_h = extended_a(ext, y)
+    want_y = extended_astar(ext, want_h)
+    want_back = extended_a(ext, want_y)
+    ext_plan = forward.ExtendedPlan(ext)
+    for _ in range(2):
+        h = extended_a(ext, y, plan=ext_plan)
+        assert np.array_equal(_bits(h), _bits(want_h))
+        got = extended_astar(ext, h, plan=ext_plan)
+        assert np.array_equal(_bits(got), _bits(want_y))
+        # A~ of A~*'s result, which is the plan's y
+        assert np.array_equal(_bits(extended_a(ext, got, plan=ext_plan)), _bits(want_back))
+    assert np.array_equal(_bits(y), _bits(y_in))
 
 
 @pytest.mark.parametrize("call, match", [

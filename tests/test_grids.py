@@ -128,21 +128,44 @@ def test_dft_shape_errors():
         idft_oversampled(np.zeros(4, dtype=complex), s)
 
 
+def _forward_plan(s, **kwargs):
+    # A forward oversampled plan made for a zero input of its length.
+    return TransformPlan(s, s.oversampled_dims, False, np.zeros(s.n, complex), **kwargs)
+
+
+def _on_own_arrays(call, plan, s):
+    # call run with plan on the arrays it was made for.
+    return call(plan.src, s, out=plan.dest, plan=plan)
+
+
 @pytest.mark.parametrize("call, match", [
-    (lambda s: TransformPlan(s, s.oversampled_dims, False, 1, index=(range(2),)), "index sets"),
-    (lambda s: dft_plain(np.zeros(s.n, complex), s,
-                         plan=TransformPlan(s, s.oversampled_dims, False, 1)), "another transform"),
-    (lambda s: idft_oversampled(np.zeros(s.n_oversampled, complex), s,
-                                plan=TransformPlan(s, s.oversampled_dims, False, 1)),
-     "another transform"),
+    (lambda s: _forward_plan(s, index=(range(2),)), "index sets"),
+    (lambda s: _on_own_arrays(dft_plain, _forward_plan(s), s), "another transform"),
+    (lambda s: _on_own_arrays(idft_oversampled, _forward_plan(s), s), "another transform"),
+    (lambda s: TransformPlan(s, s.oversampled_dims, False, np.zeros(2 * s.n, complex)[::2]),
+     "input must be"),
+    (lambda s: TransformPlan(s, s.oversampled_dims, False, np.zeros(s.n)), "input must be"),
+    (lambda s: TransformPlan(s, s.oversampled_dims, False, np.zeros((2, s.n), complex),
+                             np.empty(s.n_oversampled, complex)), "out must be"),
     (lambda s: dft_plain(np.zeros(s.n, complex), s, out=np.empty(2 * s.n, complex)[::2]),
      "out must be"),
     (lambda s: dft_plain(np.zeros(s.n, complex), s, out=np.empty(s.n)), "out must be"),
 ], ids=["index-set-count", "plan-of-another-size", "plan-of-another-direction",
-        "strided-out", "float-out"])
+        "strided-input", "float-input", "plan-out-of-another-shape", "strided-out",
+        "float-out"])
 def test_transform_and_embed_argument_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call(GridShape((2, 3)))
+
+
+def test_a_plan_takes_only_the_arrays_it_was_made_for():
+    s = GridShape((2, 3))
+    plan = _forward_plan(s)
+    assert _on_own_arrays(dft_oversampled, plan, s) is plan.dest
+    for v, out in ((plan.src.copy(), plan.dest), (plan.src, np.empty_like(plan.dest)),
+                   (plan.src, None)):
+        with pytest.raises(ValueError, match="made for other arrays"):
+            dft_oversampled(v, s, out=out, plan=plan)
 
 
 def test_realify_definition():
@@ -234,7 +257,8 @@ def _runs_dense(fn, shape) -> bool:
     oversampled = fn in (dft_oversampled, idft_oversampled)
     image = shape.oversampled_dims if oversampled else shape.dims
     inverse = fn in (idft_oversampled, idft_plain)
-    return grids.TransformPlan(shape, image, inverse, 1).dense
+    src = np.zeros(prod(image) if inverse else shape.n, dtype=np.complex128)
+    return grids.TransformPlan(shape, image, inverse, src).dense
 
 
 @pytest.mark.parametrize("fn", DFTS, ids=lambda f: f.__name__)
@@ -273,7 +297,9 @@ def test_transforms_above_the_dense_bound_are_the_padded_fft():
 
 def test_dense_matrices_are_shared_read_only():
     shape = GridShape((16, 16))
-    plans = [grids.TransformPlan(shape, shape.oversampled_dims, True, k) for k in (1, 2)]
+    plans = [grids.TransformPlan(shape, shape.oversampled_dims, True, y)
+             for y in (np.zeros(shape.n_oversampled, complex),
+                       np.zeros((2, shape.n_oversampled), complex))]
     # Each plan's second pass, along the first axis, is a product with the
     # matrix itself.
     m1, m2 = (plan.groups[0][1][1][0].args[0] for plan in plans)
@@ -325,13 +351,15 @@ def test_plans_on_index_sets_match_the_dft(image, index, pooled, monkeypatch):
     live = tuple(map(len, index))
     rng = np.random.default_rng(13)
     for k in (1, 3):
-        fwd, inv = (grids.TransformPlan(grid, image, inverse, k, index=index)
-                    for inverse in (False, True))
-        assert fwd.dense == inv.dense == dense
-        assert len(fwd.groups) == len(inv.groups) == (k if pooled else 1)
         x = random_complex(rng, k * cells.size).reshape(k, -1)
         y = random_complex(rng, k * grid.n).reshape(k, -1)
-        got_x, got_y = dft_plain(x, grid, plan=fwd), idft_plain(y, grid, plan=inv)
+        fwd, inv = (grids.TransformPlan(grid, image, inverse, v, index=index)
+                    for inverse, v in ((False, x), (True, y)))
+        assert fwd.dense == inv.dense == dense
+        assert len(fwd.groups) == len(inv.groups) == (k if pooled else 1)
+        got_x = dft_plain(x, grid, out=fwd.dest, plan=fwd)
+        got_y = idft_plain(y, grid, out=inv.dest, plan=inv)
+        assert got_x is fwd.dest and got_y is inv.dest
         if dense:
             want = x @ phi[:, cells].T
             assert np.abs(got_x - want).max() <= 1e-12 * np.abs(want).max()
@@ -343,18 +371,18 @@ def test_plans_on_index_sets_match_the_dft(image, index, pooled, monkeypatch):
             _assert_bits(got_x, np.fft.fftn(block, axes=axes).reshape(k, -1))
             full = np.fft.ifftn(y.reshape(k, *image), axes=axes)[(slice(None), *np.ix_(*index))]
             _assert_bits(got_y, np.ascontiguousarray(full * grid.n).reshape(k, -1))
-        # A plan bound to an input and an output gives the same bits and
-        # takes no other arrays.
-        for call, plan, v, got in ((dft_plain, fwd, x, got_x), (idft_plain, inv, y, got_y)):
+        # A plan made for an input and a given output gives the same bits
+        # as the one-shot call and takes no other arrays.
+        for call, inverse, v, got in ((dft_plain, False, x, got_x), (idft_plain, True, y, got_y)):
             out = np.empty_like(got)
-            bound = plan.bind(v, out)
-            assert call(v, grid, out=out, plan=bound) is out
+            plan = grids.TransformPlan(grid, image, inverse, v, out, index=index)
+            assert plan.dest is out and call(v, grid, out=out, plan=plan) is out
             _assert_bits(out, got)
-            with pytest.raises(ValueError, match="bound to other arrays"):
-                call(v.copy(), grid, out=out, plan=bound)
-        # The full-grid input of an unpruned plan is refused.
-        with pytest.raises(ValueError):
-            dft_plain(random_complex(rng, k * grid.n).reshape(k, -1), grid, plan=fwd)
+            with pytest.raises(ValueError, match="made for other arrays"):
+                call(v.copy(), grid, out=out, plan=plan)
+        # A forward plan made for the full grid, not the block, is refused.
+        with pytest.raises(ValueError, match="expected flat length"):
+            grids.TransformPlan(grid, image, False, y, index=index)
 
 
 def _padded_fftn(stack, shape):
@@ -375,13 +403,13 @@ def test_padded_forward_is_the_full_padded_fft(shape):
     # runs its rows on the pool; the 3-D grid pads three axes.  The second
     # call, whose input a before hook fills, writes into the same out
     # buffer, so it must zero the padding that the first call transformed.
-    plan = TransformPlan(shape, shape.oversampled_dims, False, 2)
+    first, second = (_stack_input(dft_oversampled, shape, 2, seed=s) for s in (31, 32))
+    src, out = first.copy(), np.empty((2, shape.n_oversampled), dtype=np.complex128)
+    plan = TransformPlan(shape, shape.oversampled_dims, False, src, out)
     assert not plan.dense
     assert (len(plan.groups) > 1) == (shape.n_oversampled >= grids.PARALLEL_MIN_POINTS)
-    first, second = (_stack_input(dft_oversampled, shape, 2, seed=s) for s in (31, 32))
-    out = np.empty((2, shape.n_oversampled), dtype=np.complex128)
-    _assert_bits(dft_oversampled(first, shape, out=out, plan=plan), _padded_fftn(first, shape))
-    src = np.zeros_like(second)
+    _assert_bits(dft_oversampled(src, shape, out=out, plan=plan), _padded_fftn(first, shape))
+    src[...] = 0.0
 
     def before(rows):
         src[rows] = second[rows]
@@ -418,12 +446,11 @@ def test_fft_passes_never_pad_through_n(monkeypatch):
             op = make_operator("one-and-half", shape, seed=3)
             _, index, _, _ = extend_op(op, 4 * op.n).layout
             assert 2 in {len(grids._runs(ix)) for ix in index}
-            image = shape.oversampled_dims
-            fwd, inv = (TransformPlan(op.grid, image, inverse, k, index=index)
-                        for inverse in (False, True))
             block = random_complex(np.random.default_rng(36), k * prod(map(len, index)))
-            dft_plain(block.reshape(k, -1), op.grid, plan=fwd)
-            idft_plain(y, op.grid, plan=inv)
+            for call, inverse, v in ((dft_plain, False, block.reshape(k, -1)),
+                                     (idft_plain, True, y)):
+                plan = TransformPlan(op.grid, op.grid.dims, inverse, v, index=index)
+                call(v, op.grid, out=plan.dest, plan=plan)
     assert {name for name, _, _ in calls} == {"fft", "ifft"}
     assert all(length == n for _, length, n in calls), [c for c in calls if c[1] != c[2]]
 

@@ -648,6 +648,22 @@ class TestRunSolver:
         with pytest.raises(ValueError, match="x0 must be nonzero"):
             run_solver(cfg, op, b, np.zeros(op.n))
 
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    @pytest.mark.parametrize("case", ["short-x0", "2d-x0", "short-b", "long-b"])
+    def test_misshapen_input_raises(self, algorithm, case):
+        # x0 must be a length-n vector and b hold N values, also when a
+        # step is called directly; the error names the argument.
+        op, x0, b = _instance()
+        x0, b, name = {"short-x0": (x0[:-1], b, "x0"), "2d-x0": (x0.reshape(3, 3), b, "x0"),
+                       "short-b": (x0, b[:-1], "b"), "long-b": (x0, np.append(b, 1.0), "b")}[case]
+        cfg = SolverConfig(algorithm=algorithm, max_iters=5)
+        with pytest.raises(ValueError, match=rf"\b{name} must"):
+            run_solver(cfg, op, b, x0)
+        if name == "b":
+            step, target, _, v = _step_case(algorithm, dims=(3, 3))
+            with pytest.raises(ValueError, match=r"\bb must"):
+                step(v, target, b)
+
     def test_recovered_magnitudes_match_data(self):
         op, x0, _ = _instance("one-and-half", dims=(4, 4), mask_seed=6, x_seed=7)
         x0 = x0 / np.linalg.norm(x0)

@@ -5,15 +5,25 @@ docstring.  A code line is any other line that holds something besides
 whitespace and a comment.  Run from the repository root:
 
     python tools/src_lines.py [directory]
+    python tools/src_lines.py --against REV [directory]
+
+With --against, it makes a temporary git worktree of the revision REV, as
+tools/digest.py --against does, counts that worktree's src/phasedr and
+the directory (src/phasedr when not given), and prints both counts and
+the difference per module.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
-import sys
+import subprocess
+import tempfile
 import tokenize
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def count(source: str) -> tuple[int, int]:
@@ -34,16 +44,60 @@ def count(source: str) -> tuple[int, int]:
     return len(code - doc), len(doc)
 
 
-def main(root: str = "src/phasedr") -> None:
-    total = [0, 0]
-    print(f"{'module':<16}{'code':>6}{'doc':>6}")
-    for path in sorted(Path(root).glob("*.py")):
-        c, d = count(path.read_text())
-        total[0] += c
-        total[1] += d
-        print(f"{path.name:<16}{c:>6}{d:>6}")
-    print(f"{'total':<16}{total[0]:>6}{total[1]:>6}")
+def counts(root) -> dict[str, tuple[int, int]]:
+    """{module file name: (code lines, docstring lines)} of the modules in root."""
+    return {path.name: count(path.read_text()) for path in sorted(Path(root).glob("*.py"))}
+
+
+def _total(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sums of the code and of the docstring lines of pairs."""
+    return sum(c for c, _ in pairs), sum(d for _, d in pairs)
+
+
+def table(modules: dict[str, tuple[int, int]]) -> list[str]:
+    """The lines of the table of one count, with a total row."""
+    rows = [*modules.items(), ("total", _total(list(modules.values())))]
+    return [f"{'module':<16}{'code':>6}{'doc':>6}",
+            *(f"{name:<16}{c:>6}{d:>6}" for name, (c, d) in rows)]
+
+
+def comparison(before: dict[str, tuple[int, int]],
+               after: dict[str, tuple[int, int]]) -> list[str]:
+    """The lines of the table of two counts: per module, and in a total
+    row, the code and docstring lines before and after and their signed
+    difference.  A module in only one of them counts 0 lines in the other."""
+    names = sorted(before.keys() | after.keys())
+    rows = [(name, before.get(name, (0, 0)), after.get(name, (0, 0))) for name in names]
+    rows.append(("total", _total([b for _, b, _ in rows]), _total([a for _, _, a in rows])))
+    return [f"{'':<16}{'code lines':>21}{'docstring lines':>21}",
+            f"{'module':<16}" + f"{'before':>7}{'after':>7}{'diff':>7}" * 2,
+            *(f"{name:<16}{b[0]:>7}{a[0]:>7}{a[0] - b[0]:>+7}{b[1]:>7}{a[1]:>7}{a[1] - b[1]:>+7}"
+              for name, b, a in rows)]
+
+
+def against(rev: str) -> dict[str, tuple[int, int]]:
+    """The counts of src/phasedr at the git revision rev, read in a
+    temporary worktree that is removed again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), rev], check=True)
+        try:
+            return counts(tree / "src" / "phasedr")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("directory", nargs="?", default="src/phasedr")
+    parser.add_argument("--against", metavar="REV",
+                        help="also count src/phasedr at git revision REV and print the difference")
+    args = parser.parse_args(argv)
+    here = counts(args.directory)
+    print("\n".join(comparison(against(args.against), here) if args.against else table(here)))
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()
