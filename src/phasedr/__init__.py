@@ -36,14 +36,11 @@ from .solvers import (
     fdr_step,
     odr_step,
     run_solver,
-    sector_project,
 )
 from .spectral import (
     GapDiagnostic,
     LinearizationPoint,
     SpectralReport,
-    apply_B,
-    apply_Bstar,
     apply_Sloc,
     apply_realB,
     apply_realB_T,

@@ -45,6 +45,7 @@ from .grids import (  # dft_oversampled: bound here for perfbench's binding test
     TransformPlan,
     _buffer,
     _norm,
+    _vector,
     dft_oversampled,
     dft_plain,
     idft_plain,
@@ -229,7 +230,7 @@ class OperatorPlan(_TransformPair):
         self.flat = np.empty(op.N, dtype=np.complex128)
         self.images = self.flat.reshape(len(op.masks), op.grid.n)
         super().__init__(op, op, tuple(map(range, op.shape.dims)), self.stack, self.images)
-        self.c, self.x_shape, self.y_shape = op.c, (op.n,), (op.N,)
+        self.c, self.y_shape = op.c, (op.N,)
         self.mus = np.stack([m.values for m in op.masks])
 
     @cached_property
@@ -258,9 +259,7 @@ def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.nda
     an OperatorPlan of op; without one the call makes its own."""
     own = plan is None
     plan = _plan(plan, OperatorPlan, op)
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != plan.x_shape:
-        raise ValueError(f"apply_astar: expected length {op.n}, got shape {x.shape}")
+    x = _vector(x, np.complex128, op.n, "apply_astar")
     if out is not None and out is not plan.flat:
         _buffer(out, plan.y_shape, "apply_astar: out", x)
     stack, images, mus, c = plan.stack, plan.images, plan.mus, plan.c
@@ -294,10 +293,7 @@ def apply_a(op: PropagationOp, y, before=None, plan=None) -> np.ndarray:
     if y is not plan.flat:
         if before is not None:
             raise ValueError("apply_a: a before hook fills the plan's flat, which y must be")
-        y = np.asarray(y, dtype=np.complex128)
-        if y.shape != plan.y_shape:
-            raise ValueError(f"apply_a: expected length {op.N}, got shape {y.shape}")
-        np.copyto(plan.flat, y)
+        np.copyto(plan.flat, _vector(y, np.complex128, op.N, "apply_a"))
     stack, conj_mus = plan.stack, plan.conj_mus
 
     def unmask(rows):
@@ -500,9 +496,7 @@ def extended_astar(ext: ExtendedOp, h, plan=None) -> np.ndarray:
     plan is an ExtendedPlan of ext, whose y the result is; without one the
     call makes its own."""
     plan = _plan(plan, ExtendedPlan, ext)
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (plan.g.size,):
-        raise ValueError(f"extended_astar: expected length {plan.g.size}, got shape {h.shape}")
+    h = _vector(h, np.complex128, plan.g.size, "extended_astar")
     np.copyto(plan.g, h.reshape(plan.g.shape))
     y, c = plan.y, ext.base.c
 
@@ -518,9 +512,7 @@ def extended_a(ext: ExtendedOp, y, plan=None) -> np.ndarray:
     the block, into the plan's g, whose after hook zeroes g off U's range;
     then the rest of P_U and the scale.  plan is an ExtendedPlan of ext;
     without one the call makes its own."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (ext.N,):
-        raise ValueError(f"extended_a: expected length {ext.N}, got shape {y.shape}")
+    y = _vector(y, np.complex128, ext.N, "extended_a")
     plan = _plan(plan, ExtendedPlan, ext)
     np.copyto(plan.y, y.reshape(plan.y.shape))
     idft_plain(plan.y, plan.grid, after=plan.restrict, out=plan.g, plan=plan.inverse)

@@ -384,6 +384,15 @@ def _buffer(buf, shape: tuple[int, ...], what: str, *inputs) -> np.ndarray:
     return buf
 
 
+def _vector(v, dtype, length: int, fn: str) -> np.ndarray:
+    """v as a flat dtype array of this length; else a ValueError that names
+    fn, the public function that was given v."""
+    v = np.asarray(v, dtype=dtype)
+    if v.shape != (length,):
+        raise ValueError(f"{fn}: expected length {length}, got shape {v.shape}")
+    return v
+
+
 def _transform(v, shape: GridShape, image: tuple[int, ...], inverse: bool, before=None,
                after=None, out=None, plan=None) -> np.ndarray:
     """The d-axis DFT between the object grid and the image grid, flat or stacked.

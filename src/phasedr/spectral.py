@@ -8,14 +8,16 @@ v = conj(w0) . (y - y0), to the real-linear Jacobian
 whose dynamics are governed by the singular values 1 = l_1 >= ... >= l_2n = 0
 of the real 2n x N form of B.  The second singular value l_2 is the local
 contraction rate of the iteration; l_2 < 1 is the spectral gap that makes
-the convergence geometric.  This module provides matrix-free applications
-of B and S_loc, a dense SVD oracle for desk-scale checks, and a deflated
-Lanczos iteration that estimates l_2 at scale.  That iteration applies the
-Gram map once per step and forms the top Ritz pair of its tridiagonal only
-every RITZ_EVERY steps (and at a restart or its last step); it stops only on
-an explicit residual, and its report counts every Gram matvec, those of the
-explicit checks included.  No sum whose order a threaded BLAS could change
-runs on BLAS, so its report is the same for every BLAS thread count.
+the convergence geometric.  This module provides the real form of B and
+its transpose, S_loc and the gap functional, each one pass of A and/or A*
+through one OperatorPlan; a dense SVD oracle for desk-scale checks; and a
+deflated Lanczos iteration that estimates l_2 at scale.  That iteration
+applies the Gram map once per step and forms the top Ritz pair of its
+tridiagonal only every RITZ_EVERY steps (and at a restart or its last
+step); it stops only on an explicit residual, and its report counts every
+Gram matvec, those of the explicit checks included.  No sum whose order a
+threaded BLAS could change runs on BLAS, so its report is the same for
+every BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import OperatorPlan, PropagationOp, apply_a, apply_astar
-from .grids import _dot, _norm, phase_factor, realify, unrealify
+from .grids import _dot, _norm, _vector, phase_factor, realify, unrealify
 
 
 @dataclass(frozen=True)
@@ -46,49 +48,45 @@ def linearize_at_solution(op: PropagationOp, x0) -> LinearizationPoint:
     return LinearizationPoint(y=y0, b=np.abs(y0), omega=phase_factor(y0))
 
 
-def apply_B(pt: LinearizationPoint, op: PropagationOp, v, plan=None) -> np.ndarray:
-    """B v = A(omega . v): C^N -> C^n.  plan, here and in the three
-    functions below, is an OperatorPlan of op, as for apply_a; without one
-    the call makes its own."""
-    return apply_a(op, pt.omega * np.asarray(v, dtype=np.complex128), plan=plan)
-
-
-def apply_Bstar(pt: LinearizationPoint, op: PropagationOp, u, plan=None) -> np.ndarray:
-    """B* u = conj(omega) . (A* u): C^n -> C^N; B B* = I."""
-    return np.conj(pt.omega) * apply_astar(op, u, plan=plan)
-
-
 def apply_realB(pt: LinearizationPoint, op: PropagationOp, r, plan=None) -> np.ndarray:
-    """Real form [Re B; Im B] applied to a real vector: R^N -> R^{2n}."""
-    r = np.asarray(r, dtype=np.float64)
-    return realify(apply_B(pt, op, r.astype(np.complex128), plan))
+    """Real form [Re B; Im B] of B = A diag(omega) applied to a real vector:
+    R^N -> R^{2n}.  omega . r is formed in the plan's flat, which A reads
+    in place, one float product per part, so no complex copy of r is made;
+    r may be the plan's own buffer, as apply_realB_T returns it.  plan,
+    here and in apply_realB_T, is an OperatorPlan of op, as for apply_a;
+    without one the call makes its own."""
+    r = _vector(r, np.float64, op.N, "apply_realB")
+    plan = plan or OperatorPlan(op)
+    np.multiply(pt.omega.imag, r, out=plan.flat.imag)  # before .real, which r may be
+    np.multiply(pt.omega.real, r, out=plan.flat.real)
+    return realify(apply_a(op, plan.flat, plan=plan))
 
 
 def apply_realB_T(pt: LinearizationPoint, op: PropagationOp, u, plan=None) -> np.ndarray:
-    """Transpose of the real form: R^{2n} -> R^N, computed as Re(B* w), w = G^{-1}(u)."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.size != 2 * op.n:
-        raise ValueError(f"apply_realB_T: expected length {2 * op.n}, got {u.size}")
-    return np.real(apply_Bstar(pt, op, unrealify(u), plan))
+    """Transpose of the real form: R^{2n} -> R^N, Re(B* w) for w = G^{-1}(u),
+    with B* w = conj(omega) . A* w.  A* w and the product stay in the plan's
+    flat, so the result is a real view of that buffer, which the next call
+    on the plan overwrites."""
+    u = _vector(u, np.float64, 2 * op.n, "apply_realB_T")
+    plan = plan or OperatorPlan(op)
+    y = apply_astar(op, unrealify(u), out=plan.flat, plan=plan)
+    return np.multiply(np.conjugate(y, out=y), pt.omega, out=y).real  # Re of conj(B* w)
 
 
 def apply_Sloc(pt: LinearizationPoint, op: PropagationOp, v) -> np.ndarray:
     """Jacobian of the DR map at the solution in the rotated frame (a real-linear map).
 
-        S_loc v = (I - B*B) Re(v) + i B*B Im(v),
+        S_loc v = (I - B*B) Re(v) + i B*B Im(v) = Re(v) - B*B conj(v),
 
-    which assumes |y| = b at pt.
+    which assumes |y| = b at pt.  The two forms agree because B*B is
+    complex-linear: B*B conj(v) = B*B Re(v) - i B*B Im(v).  So S_loc takes
+    one A and one A*, on one plan.
     """
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != pt.y.shape:
-        raise ValueError("apply_Sloc: length mismatch")
-
-    def bstar_b(z):
-        return apply_Bstar(pt, op, apply_B(pt, op, z))
-
-    re = np.real(v).astype(np.complex128)
-    im = np.imag(v).astype(np.complex128)
-    return re - bstar_b(re) + 1j * bstar_b(im)
+    v = _vector(v, np.complex128, op.N, "apply_Sloc")
+    plan = OperatorPlan(op)
+    w = np.multiply(pt.omega, np.conjugate(v, out=plan.flat), out=plan.flat)
+    y = apply_astar(op, apply_a(op, w, plan=plan), out=plan.flat, plan=plan)
+    return np.real(v) - np.conj(pt.omega) * y
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,13 @@ class SpectralReport:
     of the last Ritz pair formed, which lambda2_power forms every
     RITZ_EVERY steps and at its last step, and `spectral-cert` exits 3.
     `next_ritz` is the square root of the second Ritz value of the Lanczos
-    basis at the last Ritz pair (nan with fewer than two basis vectors).  By Cauchy
-    interlacing it is at most l_3, so `lambda2 - next_ritz` is at least the
-    gap l_2 - l_3 that the estimate had to resolve.  `restarts` counts how
-    often the basis filled up and the iteration restarted from its top Ritz
-    vector.
+    basis at the last Ritz pair (nan with fewer than two basis vectors).  By
+    Cauchy interlacing it is at most l_3, so `lambda2 - next_ritz` is at
+    least the gap l_2 - l_3 that the estimate had to resolve.  `restarts`
+    counts how often the basis filled up and the iteration restarted from
+    its top Ritz vector, and how often a seeded start was drawn again
+    because deflating the top pair left at most 1e-8 of its norm (a draw
+    along the object's realification, up to roundoff).
     """
 
     lambda1: float
@@ -214,18 +214,19 @@ def lambda2_power(
     the object, with unit singular value), so the Gram map M = B_r B_r^T is
     applied with xi1 projected out and its largest eigenvalue is l_2^2.
     Symmetric Lanczos with full reorthogonalization builds a Krylov basis
-    from a seeded random start.  Every step applies M once and extends the
-    tridiagonal T; the top Ritz pair of T, with Lanczos's own residual
-    estimate beta_k |s_k|, is formed only every RITZ_EVERY steps, when the
-    basis is full (a restart), when beta_k vanishes, and when the next
-    matvec would reach `max_iters`.  Once that estimate reaches `tol`, the
-    explicit residual ||M u - rho u|| of the Ritz vector u and its Rayleigh
-    quotient rho is computed with one more matvec; the iteration stops only
-    when that is at most `tol`.  `max_iters` caps the Gram matvecs, the
-    explicit-residual ones included, and `power_iters` counts them all.
-    Without convergence the reported residual is the last estimate.  The
-    function keeps the name its callers and the benchmark use.  Every
-    application of B and B^T goes through one OperatorPlan.  The inner
+    from a seeded random start, drawn again from the same generator while
+    deflation leaves it at most 1e-8 of its norm.  Every step applies M once
+    and extends the tridiagonal T; the top Ritz pair of T, with Lanczos's
+    own residual estimate beta_k |s_k|, is formed only every RITZ_EVERY
+    steps, when the basis is full (a restart), when beta_k vanishes, and
+    when the next matvec would reach `max_iters`.  Once that estimate reaches
+    `tol`, the explicit residual ||M u - rho u|| of the Ritz vector u and
+    its Rayleigh quotient rho is computed with one more matvec; the
+    iteration stops only when that is at most `tol`.  `max_iters` caps the
+    Gram matvecs, the explicit-residual ones included, and `power_iters`
+    counts them all.  Without convergence the reported residual is the last
+    estimate.  The function keeps the name its callers and the benchmark use.
+    Every application of B and B^T goes through one OperatorPlan.  The inner
     products, norms and basis projections are einsum sums (grids._dot) and
     the tridiagonal solves are plain loops, so no digit depends on the BLAS
     thread count.
@@ -244,16 +245,20 @@ def lambda2_power(
     lambda1 = _norm(apply_realB_T(pt, op, xi1, plan))
     lambda2n = _norm(apply_realB_T(pt, op, realify(-1j * x0) / nrm, plan))
 
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(2 * op.n)
-    u -= _dot(xi1, u) * xi1
-    u /= _norm(u)
+    # A draw that lies along xi1 up to roundoff deflates to noise; draw again.
+    rng, restarts, drawn, deflated = np.random.default_rng(seed), -1, 0.0, 0.0
+    while deflated <= 1e-8 * drawn:
+        u = rng.standard_normal(2 * op.n)
+        drawn = _norm(u)
+        u -= _dot(xi1, u) * xi1
+        deflated, restarts = _norm(u), restarts + 1
+    u /= deflated
 
     cap = min(LANCZOS_BASIS, 2 * op.n - 1)
     V = np.empty((cap, 2 * op.n))
     T = np.zeros((cap, cap))  # the current cycle's tridiagonal, filled as it grows
     V[0] = u
-    k = matvecs = restarts = 0
+    k = matvecs = 0
     rho, residual, next_ritz = 0.0, np.inf, float("nan")
     converged = False
     while matvecs < max_iters:
@@ -296,13 +301,14 @@ def lambda2_power(
 
     lam2 = float(np.sqrt(max(rho, 0.0)))
     r = apply_realB_T(pt, op, u, plan)
+    r_sq = _dot(r, r)  # the next call overwrites r
     r_rot = apply_realB_T(pt, op, realify(-1j * unrealify(u)), plan)
     return SpectralReport(
         lambda1=lambda1,
         lambda2=lam2,
         lambda2n=lambda2n,
         residual=residual,
-        pairing_defect=abs(_dot(r, r) + _dot(r_rot, r_rot) - 1.0),
+        pairing_defect=abs(r_sq + _dot(r_rot, r_rot) - 1.0),
         power_iters=matvecs,
         converged=converged,
         next_ritz=next_ritz,
@@ -323,13 +329,10 @@ class GapDiagnostic:
     im_norm: float
     defects: np.ndarray
 
-    @property
-    def max_defect(self) -> float:
-        return float(np.abs(self.defects).max())
-
 
 def check_gap_condition(pt: LinearizationPoint, op: PropagationOp, u) -> GapDiagnostic:
-    u = np.asarray(u, dtype=np.complex128)
-    im_norm = float(np.linalg.norm(np.imag(apply_Bstar(pt, op, u))))
-    defects = np.real(apply_astar(op, u) * np.conj(pt.y))
-    return GapDiagnostic(im_norm=im_norm, defects=defects)
+    """The gap functional and defects of u, both read off one A* u, with
+    B* u = conj(omega) . A* u."""
+    y = apply_astar(op, _vector(u, np.complex128, op.n, "check_gap_condition"))
+    return GapDiagnostic(im_norm=float(np.linalg.norm(np.imag(np.conj(pt.omega) * y))),
+                         defects=np.real(y * np.conj(pt.y)))

@@ -1,5 +1,7 @@
 """Tests for the linearization and singular-structure machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from phasedr.grids import GridShape, realify, unrealify
 from phasedr.images import ImageSpec, gen_image
 from phasedr.solvers import fdr_step
 from phasedr.spectral import (
-    apply_B,
-    apply_Bstar,
     apply_Sloc,
     apply_realB,
     apply_realB_T,
@@ -34,10 +34,21 @@ def _instance(dims=(3, 3), variant="one-and-half", mask_seed=5, img_seed=3, marg
     return op, x0, linearize_at_solution(op, x0)
 
 
+def _B(pt, op, v):
+    """B v for a complex v from the real form: B is complex-linear."""
+    return unrealify(apply_realB(pt, op, v.real)) + 1j * unrealify(apply_realB(pt, op, v.imag))
+
+
+def _Bstar(pt, op, u):
+    """B* u from the transpose of the real form: its real part is
+    B_r^T G(u) and its imaginary part B_r^T G(-i u)."""
+    return apply_realB_T(pt, op, realify(u)) + 1j * apply_realB_T(pt, op, realify(-1j * u))
+
+
 class TestBOperator:
     def test_Bstar_of_solution_is_data(self):
         op, x0, pt = _instance()
-        out = apply_Bstar(pt, op, x0)
+        out = _Bstar(pt, op, x0)
         assert np.abs(out.imag).max() < 1e-12
         assert np.all(out.real >= -1e-12)
         assert np.allclose(out.real, pt.b, atol=1e-12)
@@ -46,7 +57,7 @@ class TestBOperator:
         op, _, pt = _instance()
         rng = np.random.default_rng(2)
         u = random_complex(rng, op.n)
-        assert np.linalg.norm(apply_B(pt, op, apply_Bstar(pt, op, u)) - u) < 1e-10
+        assert np.linalg.norm(_B(pt, op, _Bstar(pt, op, u)) - u) < 1e-10
 
     def test_matches_dense_B(self):
         op, _, pt = _instance()
@@ -54,8 +65,8 @@ class TestBOperator:
         rng = np.random.default_rng(3)
         v = random_complex(rng, op.N)
         u = random_complex(rng, op.n)
-        assert np.linalg.norm(apply_B(pt, op, v) - dense @ v) < 1e-10
-        assert np.linalg.norm(apply_Bstar(pt, op, u) - dense.conj().T @ u) < 1e-10
+        assert np.linalg.norm(_B(pt, op, v) - dense @ v) < 1e-10
+        assert np.linalg.norm(_Bstar(pt, op, u) - dense.conj().T @ u) < 1e-10
 
     def test_dense_B_helper_agrees(self):
         op, _, pt = _instance()
@@ -93,16 +104,37 @@ class TestRealForm:
         assert np.linalg.norm(apply_realB(pt, op, r) - realB @ r) < 1e-10
 
     def test_one_plan_gives_the_one_shot_bits(self):
-        # lambda2_power hands one OperatorPlan to every B and B^T it applies.
+        # lambda2_power hands one OperatorPlan to every B and B^T it applies,
+        # and its Gram matvec hands apply_realB the plan's own buffer.
         op, _, pt = _instance(dims=(4, 5))
         plan = OperatorPlan(op)
         rng = np.random.default_rng(8)
         u, r = rng.standard_normal(2 * op.n), rng.standard_normal(op.N)
         for _ in range(2):
-            for fn, v in ((apply_B, r + 1j * r[::-1]), (apply_Bstar, unrealify(u)),
-                          (apply_realB, r), (apply_realB_T, u)):
+            for fn, v in ((apply_realB, r), (apply_realB_T, u)):
                 got, want = fn(pt, op, v, plan=plan), fn(pt, op, v)
                 assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            got = apply_realB(pt, op, apply_realB_T(pt, op, u, plan), plan)
+            want = apply_realB(pt, op, apply_realB_T(pt, op, u).copy())
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize("side", [16, 64])
+    def test_held_plan_gram_matvec_copies_no_N_vector(self, side):
+        # A steady apply_realB(apply_realB_T(u)) on one plan allocates less
+        # than one complex N-length vector: A* and the products stay in the
+        # plan's flat, and A reads it in place.
+        op = make_operator("one-and-half", GridShape((side, side)), seed=2)
+        pt = linearize_at_solution(op, random_complex(np.random.default_rng(4), op.n))
+        plan, u = OperatorPlan(op), np.random.default_rng(5).standard_normal(2 * op.n)
+        for _ in range(2):
+            apply_realB(pt, op, apply_realB_T(pt, op, u, plan), plan)
+        tracemalloc.start()
+        try:
+            apply_realB(pt, op, apply_realB_T(pt, op, u, plan), plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * op.N
 
     def test_key_norm_identity(self):
         # |G(w)|^2 = |B^T G(w)|^2 + |B^T G(-iw)|^2 for every w
@@ -128,12 +160,40 @@ class TestSloc:
     def test_B_compression(self):
         # B S v = i B Im(v)
         op, _, pt = _instance()
+        B = dense_B(pt, op)
         rng = np.random.default_rng(7)
         for _ in range(10):
             v = random_complex(rng, op.N)
-            lhs = apply_B(pt, op, apply_Sloc(pt, op, v))
-            rhs = 1j * apply_B(pt, op, np.imag(v).astype(complex))
+            lhs = B @ apply_Sloc(pt, op, v)
+            rhs = 1j * (B @ v.imag)
             assert np.linalg.norm(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("variant,margin", [("one-and-half", 1), ("multi", 1),
+                                                ("one-mask", 0)])
+    def test_one_pass_form_matches_split_form(self, variant, margin):
+        # Re(v) - B*B conj(v) is (I - B*B) Re(v) + i B*B Im(v) up to roundoff.
+        op, _, pt = _instance(dims=(4, 4), variant=variant, margin=margin)
+        B = dense_B(pt, op)
+        gram = B.conj().T @ B
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            v = random_complex(rng, op.N)
+            want = v.real - gram @ v.real + 1j * (gram @ v.imag)
+            assert np.linalg.norm(apply_Sloc(pt, op, v) - want) <= 1e-14 * np.linalg.norm(v)
+
+    def test_one_A_and_one_Astar_per_call(self, monkeypatch):
+        op, x0, pt = _instance()
+        calls = []
+        for name in ("apply_a", "apply_astar"):
+            def counted(*args, _real=getattr(spectral, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        apply_Sloc(pt, op, random_complex(np.random.default_rng(1), op.N))
+        assert sorted(calls) == ["apply_a", "apply_astar"]
+        calls.clear()
+        check_gap_condition(pt, op, x0)
+        assert calls == ["apply_astar"]
 
     def test_null_vectors_fixed_and_rotated_null_annihilated(self):
         op, _, pt = _instance()
@@ -347,6 +407,16 @@ class TestLambda2Power:
             assert abs(np.linalg.norm(s) - 1.0) < 1e-14
             assert abs(abs(s @ vectors[:, -1]) - 1.0) < 1e-10
 
+    def test_start_of_pure_roundoff_is_drawn_again(self):
+        # x0 is the complex Gaussian of default_rng(0), so realify(x0), the
+        # top left singular vector, is the seed-0 draw: deflating the top
+        # pair leaves only roundoff, and the start is drawn again.
+        op = make_operator("one-mask", GridShape((8, 8)), seed=1)
+        pt = linearize_at_solution(op, random_complex(np.random.default_rng(0), op.n))
+        report = lambda2_power(pt, op, seed=0)
+        assert report.converged and report.restarts == 1
+        assert abs(report.lambda2 - svd_oracle(pt, op).values[1]) < 1e-10
+
     def test_max_iters_exhausted(self):
         op, _, pt = _instance(dims=(6, 6))
         report = lambda2_power(pt, op, max_iters=5)
@@ -409,7 +479,7 @@ class TestGapCondition:
         op, x0, pt = _instance(dims=(4, 4))
         diag = check_gap_condition(pt, op, 1j * x0 / np.linalg.norm(x0))
         assert abs(diag.im_norm - 1.0) < 1e-10
-        assert diag.max_defect < 1e-10
+        assert np.abs(diag.defects).max() < 1e-10
 
     def test_solution_direction_vanishes(self):
         op, x0, pt = _instance(dims=(4, 4))
@@ -434,7 +504,10 @@ class TestGapCondition:
     (lambda op, pt: lambda2_power(linearize_at_solution(op, np.zeros(op.n)), op), "A y = 0"),
     (lambda op, pt: apply_realB_T(pt, op, np.zeros(2 * op.n + 2)), "apply_realB_T"),
     (lambda op, pt: apply_Sloc(pt, op, np.zeros(op.N - 1)), "apply_Sloc"),
-], ids=["svd-needs-N-at-least-2n", "lambda2-at-Ay-zero", "realB_T-length", "Sloc-length"])
+    (lambda op, pt: apply_realB(pt, op, np.zeros(op.N + 1)), "apply_realB:"),
+    (lambda op, pt: check_gap_condition(pt, op, np.zeros(op.n - 1)), "check_gap_condition"),
+], ids=["svd-needs-N-at-least-2n", "lambda2-at-Ay-zero", "realB_T-length", "Sloc-length",
+        "realB-length", "gap-length"])
 def test_argument_errors(call, match):
     # One coded pattern on a 3-point axis: N = 5 < 2n = 6.
     op = make_operator("one-mask", GridShape((3,)), seed=1)

@@ -4,7 +4,10 @@ The cases are run_solver solves (four mask layouts, four grids, FDR and
 ODR at three paddings, three starts, with and without a sector) and
 pooled 64x64 FDR and ODR solves; A* and A, and the extension's operators
 on its lift, on the same layouts, grids and paddings (U A~ y of a random
-y, and A~* of that block); and lambda2_power reports at 6x6.
+y, and A~* of that block); lambda2_power reports at 6x6; and, at 6x6 and
+16x16 on the four layouts, the real form of B and its transpose (one-shot
+and on one held plan), the gap diagnostic, and, in cases of their own,
+S_loc.
 Each line hashes the bytes of its outputs, so two checkouts print the
 same lines exactly when they give the same bits.  phasedr is imported
 from the src/ of the checkout this file is in.  To check that a change
@@ -36,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from phasedr.forward import (
+    OperatorPlan,
     apply_a,
     apply_astar,
     extend_op,
@@ -43,9 +47,16 @@ from phasedr.forward import (
     extended_astar,
     make_operator,
 )
-from phasedr.grids import GridShape
+from phasedr.grids import GridShape, unrealify
 from phasedr.solvers import NO_SECTOR, InitSpec, SectorSpec, SolverConfig, run_solver
-from phasedr.spectral import lambda2_power, linearize_at_solution
+from phasedr.spectral import (
+    apply_realB,
+    apply_realB_T,
+    apply_Sloc,
+    check_gap_condition,
+    lambda2_power,
+    linearize_at_solution,
+)
 
 VARIANTS = ("one-mask", "one-and-half", "two-mask", "multi")
 DIMS = ((3, 4, 5), (8, 8), (16, 16), (40, 40))
@@ -97,6 +108,29 @@ def _spectral(variant) -> list:
     return [repr(astuple(lambda2_power(linearize_at_solution(op, x0), op, seed=5)))]
 
 
+def _bmaps(variant, dims) -> list:
+    """apply_realB and apply_realB_T one-shot, then twice on one held plan
+    with the Gram matvec between, and the gap diagnostic.  A held plan's
+    apply_realB_T result is its buffer, so it is copied before the next call."""
+    op, x0, _ = instance(variant, dims)
+    pt = linearize_at_solution(op, x0)
+    rng = np.random.default_rng(19)
+    r, u = rng.standard_normal(op.N), rng.standard_normal(2 * op.n)
+    out, plan = [apply_realB(pt, op, r), apply_realB_T(pt, op, u).copy()], OperatorPlan(op)
+    for _ in range(2):
+        out += [apply_realB(pt, op, r, plan), apply_realB_T(pt, op, u, plan).copy(),
+                apply_realB(pt, op, apply_realB_T(pt, op, u, plan), plan)]
+    gap = check_gap_condition(pt, op, unrealify(u))
+    return out + [gap.im_norm, gap.defects]
+
+
+def _sloc(variant, dims) -> list:
+    op, x0, _ = instance(variant, dims)
+    rng = np.random.default_rng(23)
+    return [apply_Sloc(linearize_at_solution(op, x0), op,
+                       rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N))]
+
+
 def _cases() -> dict:
     cases = {}
     for dims in DIMS:
@@ -119,6 +153,10 @@ def _cases() -> dict:
             _solve, "one-and-half", (64, 64), padding, "ri", "free")
     for variant in VARIANTS:
         cases[f"lambda2/{variant}/6x6"] = (_spectral, variant)
+        for dims in ((6, 6), (16, 16)):
+            tag = "x".join(map(str, dims))
+            cases[f"bmaps/{variant}/{tag}"] = (_bmaps, variant, dims)
+            cases[f"sloc/{variant}/{tag}"] = (_sloc, variant, dims)
     return cases
 
 
