@@ -2,26 +2,17 @@
 iterations, with spectral-gap convergence diagnostics."""
 
 from .forward import (
-    ExtendedOp,
     MaskSpec,
     MeasuredData,
     PropagationOp,
     apply_a,
     apply_astar,
-    extend_op,
-    extended_a,
-    extended_astar,
     make_mask,
     make_operator,
     synthesize_data,
 )
 from .grids import (
     GridShape,
-    dft_oversampled,
-    dft_plain,
-    idft_oversampled,
-    idft_plain,
-    phase_factor,
     realify,
     unrealify,
 )
@@ -32,9 +23,7 @@ from .solvers import (
     RecoveryResult,
     SectorSpec,
     SolverConfig,
-    align_phase,
     fdr_step,
-    odr_step,
     run_solver,
 )
 from .spectral import (
@@ -42,7 +31,6 @@ from .spectral import (
     LinearizationPoint,
     SpectralReport,
     apply_Sloc,
-    apply_realB,
     apply_realB_T,
     check_gap_condition,
     lambda2_power,

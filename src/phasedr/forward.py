@@ -24,12 +24,13 @@ them, forward from the block to the images and inverse back, each made
 on first use and both sharing one work stack.  An OperatorPlan adds the
 (L, n) mask phasors and their conjugates, an ExtendedPlan the object
 block's mask phasors and the projection onto U's range.  A call given
-another argument copies it into the plan's buffer, and a result asked
-for elsewhere is copied out of it.  A solver makes one plan per solve
-and hands it to every call, and a DR step runs its transforms on the
-plan's buffers; a one-shot call makes a throwaway plan.  A plan keeps no
-reference to a module's function, so a wrapper installed on one
-(perfbench's tracer) still sees every call.
+another argument copies it into the plan's buffer.  A* and A~* return
+the plan's own buffer, not a copy, so on a held plan the next call
+overwrites their result.  A solver makes one plan per solve and hands it
+to every call, and a DR step runs its transforms on the plan's buffers;
+a one-shot call makes a throwaway plan.  A plan keeps no reference to a
+module's function, so a wrapper installed on one (perfbench's tracer)
+still sees every call.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 from .grids import (  # dft_oversampled: bound here for perfbench's binding test
     GridShape,
     TransformPlan,
-    _buffer,
     _norm,
     _vector,
     dft_oversampled,
@@ -72,7 +72,6 @@ class MaskSpec:
 
     phases: np.ndarray
     kind: str
-    seed: int
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -100,7 +99,7 @@ def make_mask(shape: GridShape, kind: str, seed: int = 0) -> MaskSpec:
         phases = rng.uniform(0.0, 2.0 * np.pi, shape.n)
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
-    return MaskSpec(phases=_freeze(phases), kind=kind, seed=int(seed))
+    return MaskSpec(phases=_freeze(phases), kind=kind)
 
 
 @dataclass(frozen=True)
@@ -143,15 +142,14 @@ def make_operator(
     shape: GridShape,
     seed: int = 0,
     patterns: int = 3,
-    with_plain: bool = True,
 ) -> PropagationOp:
     """Build a propagation operator for one of the measurement layouts.
 
     one-mask       one oversampled coded pattern           (N = n_os)
     one-and-half   oversampled coded + oversampled plain   (N = 2 n_os)
     two-mask       two oversampled coded patterns          (N = 2 n_os)
-    multi          `patterns` unoversampled patterns, the last one plain
-                   when with_plain is set                  (N = patterns * n)
+    multi          `patterns` unoversampled patterns,      (N = patterns * n)
+                   the last one plain
 
     Pattern k's mask is seeded with seed + k.  The normalization c = 1/sqrt(N)
     is verified against random vectors at construction.
@@ -165,9 +163,7 @@ def make_operator(
     elif variant == VARIANT_MULTI:
         if patterns < 2:
             raise ValueError("multi variant needs at least 2 patterns")
-        kinds = [MASK_UNIFORM] * patterns
-        if with_plain:
-            kinds[-1] = MASK_IDENTITY
+        kinds = [MASK_UNIFORM] * (patterns - 1) + [MASK_IDENTITY]
         masks = tuple(make_mask(shape, k, seed + i) for i, k in enumerate(kinds))
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -182,7 +178,7 @@ def _verify_isometry(op: PropagationOp) -> None:
     plan = OperatorPlan(op)  # one throwaway plan for the whole check
     for _ in range(3):
         x = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-        y = apply_astar(op, x, out=plan.flat, plan=plan)
+        y = apply_astar(op, x, plan=plan)
         err = _norm(apply_a(op, y, plan=plan) - x) / _norm(x)
         if not err < 1e-10:
             raise RuntimeError(f"operator normalization failed: |AA*x - x|/|x| = {err:.3e}")
@@ -222,8 +218,8 @@ class OperatorPlan(_TransformPair):
     grid.n) pattern view, which hold A*'s result and A's argument; the
     transform plans between the stack and images (see _TransformPair); and
     the (L, n) mask phasors `mus` and their conjugates, made on A's first
-    call.  A call given flat as A*'s out or A's y copies nothing.  A DR
-    step hands A and A* its reflection and A* x there."""
+    call.  A* returns flat itself, and A given flat as y copies nothing.
+    A DR step hands A and A* its reflection and A* x there."""
 
     def __init__(self, op: PropagationOp) -> None:
         self.stack = np.empty((len(op.masks), op.n), dtype=np.complex128)
@@ -248,20 +244,17 @@ def _plan(plan, cls, *target):
     return plan
 
 
-def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.ndarray:
+def apply_astar(op: PropagationOp, x, after=None, plan=None) -> np.ndarray:
     """A* x: stacked masked DFTs, length N, from one stacked transform call.
 
     The masking and the scaling by op.c run in the transform's hooks.
     after(rows), when given, then runs on those rows of the plan's pattern
-    images, on the pool for large grids (see grids).  The result is written
-    into out when given, a C-contiguous length-N complex128 buffer apart
-    from x, and returned: the plan's flat itself, or a copy of it.  plan is
-    an OperatorPlan of op; without one the call makes its own."""
-    own = plan is None
+    images, on the pool for large grids (see grids).  The result is the
+    plan's flat, not a copy: on a held plan the next call on it overwrites
+    the result.  plan is an OperatorPlan of op; without one the call makes
+    its own, so its result is a new array."""
     plan = _plan(plan, OperatorPlan, op)
     x = _vector(x, np.complex128, op.n, "apply_astar")
-    if out is not None and out is not plan.flat:
-        _buffer(out, plan.y_shape, "apply_astar: out", x)
     stack, images, mus, c = plan.stack, plan.images, plan.mus, plan.c
 
     def mask(rows):
@@ -273,11 +266,7 @@ def apply_astar(op: PropagationOp, x, after=None, out=None, plan=None) -> np.nda
             after(rows)
 
     dft_plain(stack, op.grid, before=mask, after=scale, out=images, plan=plan.forward)
-    if out is None:
-        return plan.flat if own else plan.flat.copy()
-    if out is not plan.flat:
-        np.copyto(out, plan.flat)
-    return out
+    return plan.flat
 
 
 def apply_a(op: PropagationOp, y, before=None, plan=None) -> np.ndarray:
@@ -522,11 +511,9 @@ def extended_a(ext: ExtendedOp, y, plan=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasuredData:
-    """Magnitude data b >= 0 with its noise metadata."""
+    """Magnitude data b >= 0."""
 
     b: np.ndarray
-    nsr: float
-    noise_seed: int
 
 
 def synthesize_data(op: PropagationOp, x0, nsr: float = 0.0, noise_seed: int = 0) -> MeasuredData:
@@ -546,4 +533,4 @@ def synthesize_data(op: PropagationOp, x0, nsr: float = 0.0, noise_seed: int = 0
         eps = rng.standard_normal(op.N)
         eps *= nsr * _norm(b) / _norm(eps)
         b = np.maximum(b + eps, 0.0)
-    return MeasuredData(b=_freeze(b), nsr=float(nsr), noise_seed=int(noise_seed))
+    return MeasuredData(b=_freeze(b))

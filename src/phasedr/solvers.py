@@ -262,7 +262,7 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
         raise ValueError("fdr_step: out must not overlap the call's inputs")
     z = apply_a(op, plan.scratch, before=reflect, plan=plan.ops)
     x = sector_project(z, sector)
-    apply_astar(op, x, after=update, out=plan.scratch, plan=plan.ops)
+    apply_astar(op, x, after=update, plan=plan.ops)
     if plan.estimate is not None:
         # x + 0.5 * (estimate - z), in one new buffer
         half = np.subtract(plan.estimate, z)
@@ -343,20 +343,17 @@ def _alignment(x0: np.ndarray, diff: np.ndarray):
     return align
 
 
-def align_phase(x, x0, out=None) -> tuple[complex, float]:
+def align_phase(x, x0) -> tuple[complex, float]:
     """Optimal global phase alpha (|alpha| = 1) and the error ||alpha x - x0||.
 
     The inner product's imaginary part is the difference of two real dots
     summed in the same order, so align_phase(x0, x0) gives exactly
-    alpha = 1 and error 0.  alpha x - x0 is formed in out when given, a
-    C-contiguous complex128 buffer of x's length apart from x and x0."""
+    alpha = 1 and error 0."""
     x = np.asarray(x, dtype=np.complex128)
     x0 = np.asarray(x0, dtype=np.complex128)
     if x.shape != x0.shape:
         raise ValueError("align_phase: length mismatch")
-    diff = np.empty(x.shape, dtype=np.complex128) if out is None else _buffer(
-        out, x.shape, "align_phase: out", x, x0)
-    return _alignment(x0, diff)(x)
+    return _alignment(x0, np.empty(x.shape, dtype=np.complex128))(x)
 
 
 @dataclass(frozen=True)

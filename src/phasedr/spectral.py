@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import OperatorPlan, PropagationOp, apply_a, apply_astar
+from .forward import OperatorPlan, PropagationOp, _plan, apply_a, apply_astar
 from .grids import _dot, _norm, _vector, phase_factor, realify, unrealify
 
 
@@ -55,8 +55,8 @@ def apply_realB(pt: LinearizationPoint, op: PropagationOp, r, plan=None) -> np.n
     r may be the plan's own buffer, as apply_realB_T returns it.  plan,
     here and in apply_realB_T, is an OperatorPlan of op, as for apply_a;
     without one the call makes its own."""
+    plan = _plan(plan, OperatorPlan, op)
     r = _vector(r, np.float64, op.N, "apply_realB")
-    plan = plan or OperatorPlan(op)
     np.multiply(pt.omega.imag, r, out=plan.flat.imag)  # before .real, which r may be
     np.multiply(pt.omega.real, r, out=plan.flat.real)
     return realify(apply_a(op, plan.flat, plan=plan))
@@ -67,9 +67,9 @@ def apply_realB_T(pt: LinearizationPoint, op: PropagationOp, u, plan=None) -> np
     with B* w = conj(omega) . A* w.  A* w and the product stay in the plan's
     flat, so the result is a real view of that buffer, which the next call
     on the plan overwrites."""
+    plan = _plan(plan, OperatorPlan, op)
     u = _vector(u, np.float64, 2 * op.n, "apply_realB_T")
-    plan = plan or OperatorPlan(op)
-    y = apply_astar(op, unrealify(u), out=plan.flat, plan=plan)
+    y = apply_astar(op, unrealify(u), plan=plan)
     return np.multiply(np.conjugate(y, out=y), pt.omega, out=y).real  # Re of conj(B* w)
 
 
@@ -85,7 +85,7 @@ def apply_Sloc(pt: LinearizationPoint, op: PropagationOp, v) -> np.ndarray:
     v = _vector(v, np.complex128, op.N, "apply_Sloc")
     plan = OperatorPlan(op)
     w = np.multiply(pt.omega, np.conjugate(v, out=plan.flat), out=plan.flat)
-    y = apply_astar(op, apply_a(op, w, plan=plan), out=plan.flat, plan=plan)
+    y = apply_astar(op, apply_a(op, w, plan=plan), plan=plan)
     return np.real(v) - np.conj(pt.omega) * y
 
 
@@ -109,10 +109,10 @@ def dense_B(pt: LinearizationPoint, op: PropagationOp) -> np.ndarray:
     """Materialize B = A diag(omega) as an n x N array (small problems only).
 
     Row j is conj(A* e_j) . omega, with A* e_j from apply_astar through
-    one plan."""
+    one plan, copied out of the plan's flat into the row."""
     plan, rows = OperatorPlan(op), np.empty((op.n, op.N), dtype=np.complex128)
     for row, e in zip(rows, np.eye(op.n, dtype=np.complex128)):
-        apply_astar(op, e, out=row, plan=plan)
+        np.copyto(row, apply_astar(op, e, plan=plan))
     return np.multiply(np.conj(rows, out=rows), pt.omega, out=rows)
 
 

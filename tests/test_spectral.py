@@ -118,6 +118,22 @@ class TestRealForm:
             want = apply_realB(pt, op, apply_realB_T(pt, op, u).copy())
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
+    @pytest.mark.parametrize("fn", [apply_realB, apply_realB_T])
+    @pytest.mark.parametrize("dims, mask_seed", [((4, 4), 2), ((3, 3), 1)],
+                             ids=["other-masks", "other-shape"])
+    def test_foreign_plan_is_refused_before_it_is_written(self, fn, dims, mask_seed):
+        # A plan made for another operator raises an error naming the plan,
+        # and its buffer keeps what it held.
+        op = make_operator("one-and-half", GridShape((4, 4)), seed=1)
+        pt = linearize_at_solution(op, random_complex(np.random.default_rng(4), op.n))
+        plan = OperatorPlan(make_operator("one-and-half", GridShape(dims), seed=mask_seed))
+        plan.flat[:] = random_complex(np.random.default_rng(5), plan.flat.size)
+        held = plan.flat.copy()
+        v = np.ones(op.N if fn is apply_realB else 2 * op.n)
+        with pytest.raises(ValueError, match="plan: a OperatorPlan made for other arguments"):
+            fn(pt, op, v, plan)
+        assert np.array_equal(plan.flat, held)
+
     @pytest.mark.parametrize("side", [16, 64])
     def test_held_plan_gram_matvec_copies_no_N_vector(self, side):
         # A steady apply_realB(apply_realB_T(u)) on one plan allocates less

@@ -4,7 +4,8 @@ The cases are run_solver solves (four mask layouts, four grids, FDR and
 ODR at three paddings, three starts, with and without a sector) and
 pooled 64x64 FDR and ODR solves; A* and A, and the extension's operators
 on its lift, on the same layouts, grids and paddings (U A~ y of a random
-y, and A~* of that block); lambda2_power reports at 6x6; and, at 6x6 and
+y, and A~* of that block); A and then A* twice on one held plan, on a
+dense and an FFT grid; lambda2_power reports at 6x6; and, at 6x6 and
 16x16 on the four layouts, the real form of B and its transpose (one-shot
 and on one held plan), the gap diagnostic, and, in cases of their own,
 S_loc.
@@ -95,6 +96,20 @@ def _operators(variant, dims) -> list:
     return [apply_astar(op, x), apply_a(op, y)]
 
 
+def _held_plan(variant, dims) -> list:
+    """A y, then A* of two foreign vectors, on one OperatorPlan.  A* on a
+    held plan may return the plan's buffer, so each result is copied
+    before the next call."""
+    op, _, _ = instance(variant, dims)
+    rng = np.random.default_rng(29)
+    y = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+    x1 = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    x2 = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    plan = OperatorPlan(op)
+    out = [apply_a(op, y, plan=plan)]
+    return out + [apply_astar(op, x, plan=plan).copy() for x in (x1, x2)]
+
+
 def _extension(variant, dims, padding) -> list:
     op, _, _ = instance(variant, dims)
     ext = extend_op(op, PADDINGS[padding](op.n, op.N))
@@ -151,6 +166,10 @@ def _cases() -> dict:
         algorithm = f"odr-{padding}" if padding else "fdr"
         cases[f"solve/one-and-half/64x64/{algorithm}/ri/free"] = (
             _solve, "one-and-half", (64, 64), padding, "ri", "free")
+    # A dense 15x15 and an FFT 79x79 image grid.
+    for dims in ((8, 8), (40, 40)):
+        tag = "x".join(map(str, dims))
+        cases[f"heldplan/one-and-half/{tag}"] = (_held_plan, "one-and-half", dims)
     for variant in VARIANTS:
         cases[f"lambda2/{variant}/6x6"] = (_spectral, variant)
         for dims in ((6, 6), (16, 16)):
