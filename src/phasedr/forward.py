@@ -226,7 +226,7 @@ class OperatorPlan(_TransformPair):
         self.flat = np.empty(op.N, dtype=np.complex128)
         self.images = self.flat.reshape(len(op.masks), op.grid.n)
         super().__init__(op, op, tuple(map(range, op.shape.dims)), self.stack, self.images)
-        self.c, self.y_shape = op.c, (op.N,)
+        self.c = op.c
         self.mus = np.stack([m.values for m in op.masks])
 
     @cached_property

@@ -276,7 +276,6 @@ class TransformPlan:
                              f"stack, got shape {np.shape(src)}")
         self.src = _buffer(src, np.shape(src), f"{what}: the input")
         dest_shape = (*src.shape[:-1], prod(dest_dims))
-        # dest may be src itself, so _buffer gets no inputs to check overlap with
         self.dest = np.empty(dest_shape, dtype=np.complex128) if dest is None else _buffer(
             dest, dest_shape, f"{what}: out")
         at = 0
@@ -370,17 +369,13 @@ def _name(dims: tuple[int, ...], image: tuple[int, ...], inverse: bool) -> str:
     return ("idft_" if inverse else "dft_") + ("plain" if image == dims else "oversampled")
 
 
-def _buffer(buf, shape: tuple[int, ...], what: str, *inputs) -> np.ndarray:
-    """buf, once checked to be a C-contiguous complex128 array of this shape
-    that shares no memory with any of inputs; raises ValueError otherwise.
-    A call that writes into buf, or fills it in a hook, reads it through no
-    copy and reads no input that it overwrites."""
+def _buffer(buf, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """buf, once checked to be a C-contiguous complex128 array of this
+    shape; raises ValueError otherwise.  A call that writes into buf, or
+    fills it in a hook, then reads it through no copy."""
     if (type(buf) is not np.ndarray or buf.dtype != _COMPLEX or buf.shape != shape
             or not buf.flags.c_contiguous):
         raise ValueError(f"{what} must be a C-contiguous complex128 array of shape {shape}")
-    for v in inputs:
-        if v is not None and np.may_share_memory(buf, v):
-            raise ValueError(f"{what} must not overlap the call's inputs")
     return buf
 
 
@@ -493,7 +488,9 @@ def unrealify(p) -> np.ndarray:
     if p.ndim != 1 or p.size % 2:
         raise ValueError(f"unrealify: need even flat length, got shape {p.shape}")
     half = p.size // 2
-    return p[:half] + 1j * p[half:]
+    v = np.empty(half, dtype=np.complex128)
+    v.real, v.imag = p[:half], p[half:]
+    return v
 
 
 def _dot(u, v) -> float:

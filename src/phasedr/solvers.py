@@ -22,34 +22,32 @@ two stacked transform calls (dense DFT-matrix products on grids of up to
 31 points per axis, FFTs above).  Its per-pattern pointwise work runs in
 those calls' hooks, inside each pattern's transform task (see grids);
 only the sums over patterns, in A and in ODR's object projection, run on
-the caller.  Both steps write the next iterate into the buffer of the
-iterate before last.  The solver's norms, its near start and its phase
-alignment sum without BLAS (grids._norm).  The dense transform passes
-call BLAS gemm, once per pattern and too small for OpenBLAS to split
-over threads.  So iterates and diagnostics do not depend on the BLAS
-thread count.
+the caller.  The solver's norms, its near start and its phase alignment
+sum without BLAS (grids._norm).  The dense transform passes call BLAS
+gemm, once per pattern and too small for OpenBLAS to split over threads.
+So iterates and diagnostics do not depend on the BLAS thread count.
 
-The two steps share one contract, step(v, target, b, sector, out, plan)
--> v+, so run_solver picks one per solve and its loop does not branch on
-the algorithm.  It prepares the step once per solve as a StepPlan: the
-plan of forward for its operator (an OperatorPlan for FDR, an
-ExtendedPlan, which also projects onto U's range, for ODR; each holds
-its own buffers and the transform plans made for them), the pattern
-view of b, the magnitude buffer, ODR's hook, and for each of
-the solve's two iterate buffers as input, with the other as output, the
-views and hooks a step takes of them.  So a step makes no closure, no
-view and no check that the plan already made.  Each step works in the
-plan's buffers and the buffer of the iterate before last, leaves its
-change x+ - x in the plan's scratch and, when the plan's estimate is
-set, replaces it with the object estimate of x+: FDR updates A y, since
-AA* = I gives A y+ from quantities the step has already computed, and
-ODR reads the x coordinates off U^-1 h+.  run_solver sets up its
-measurement once per solve too: align_phase's alignment on x0 and its
-diff buffer, and the float views of the scratch and the two iterate
-buffers, on which the step residual's norms sum.  Where FDR's steps run
+The two steps share one contract, step(v, target, b, sector, plan) -> v+,
+so run_solver picks one per solve and its loop does not branch on the
+algorithm.  It prepares the step once per solve as a StepPlan, made for
+the solve's first iterate: the plan of forward for its operator (an
+OperatorPlan for FDR, an ExtendedPlan, which also projects onto U's
+range, for ODR; each holds its own buffers and the transform plans made
+for them), the pattern view of b, the magnitude buffer, ODR's hook, the
+two iterates a solve alternates between, the first and one more, and
+for each direction between them the views and hooks a step takes of
+them.  So a step makes no closure, no view and no check that the plan
+already made.  A step from one iterate writes the other and returns it,
+leaves its change x+ - x in the plan's scratch and, when the plan's
+estimate is set, replaces it with the object estimate of x+: FDR updates
+A y, since AA* = I gives A y+ from quantities the step has already
+computed, and ODR reads the x coordinates off U^-1 h+.  run_solver sets
+up its measurement once per solve too: align_phase's alignment on x0 and
+its diff buffer, and the float views of the scratch and the two
+iterates, on which the step residual's norms sum.  Where FDR's steps run
 on the pool, the two norms of the step residual ||x+ - x|| / ||x|| run
 there too, side by side (see StepPlan).  A step called without a plan,
-as in fdr_step(y, op, b), makes a throwaway one.
+as in fdr_step(y, op, b), makes a throwaway one on y.
 """
 
 from __future__ import annotations
@@ -139,24 +137,25 @@ def sector_project(x, sector: SectorSpec) -> np.ndarray:
 
 class StepPlan:
     """What a DR step on one operator (FDR) or extension (ODR) and one data
-    vector b sets up, made once per solve and reused by every step given it:
-    the operator plan (see forward), the (L, grid.n) pattern view of b
-    (ODR's scaled by L c), a float buffer of that shape for the
-    magnitudes |y|, and ODR's hook `project`.  `scratch` is an
-    iterate-length view of a buffer the step is done with (the operator
-    plan's `flat`, or ODR's g): after a step it holds the step change
-    x+ - x, which FDR writes per pattern in its update hook.  `estimate`,
-    None unless its user sets it, is the object estimate of the iterate:
-    when set, each step replaces it with a new array, the estimate of x+
-    (it never writes into the old one, which the caller may still hold).
-    FDR needs the old one for the new, ODR reads the new one off x+.
-    `bind(v, out)` gives what a step from the iterate v into out takes of
-    them: FDR's two hooks on their pattern views, or ODR's forward
-    transform plan made for v's block and the operator plan's y (sharing
-    its work stack), and the object block views of v and out.  It is made,
-    with out's checks, on the pair's first step and kept for the last two
-    pairs, so over a solve, whose two iterate buffers swap roles every
-    step, a step makes no closure, view or check of them after the second.
+    vector b sets up, made once per solve, for the solve's first iterate v,
+    and reused by every step given it: the operator plan (see forward), the
+    (L, grid.n) pattern view of b (ODR's scaled by L c), a float buffer of
+    that shape for the magnitudes |y|, and ODR's hook `project`.
+    `iterates` holds v, adopted without a copy once checked to be a
+    C-contiguous complex128 iterate (a length-N vector for FDR, a flat
+    (L, K) block for ODR), and a second buffer like it.  A step from one of
+    them writes x+ into the other and returns it; any other array raises
+    ValueError.  So for each direction between the two the plan holds what
+    a step takes of them: FDR's two hooks on their pattern views, or ODR's
+    forward transform plan made for the block and the operator plan's y
+    (sharing its work stack), and the object block views of both.
+    `scratch` is an iterate-length view of a buffer the step is done with
+    (the operator plan's `flat`, or ODR's g): after a step it holds the
+    step change x+ - x, which FDR writes per pattern in its update hook.
+    `estimate`, None unless its user sets it, is the object estimate of the
+    iterate: when set, each step replaces it with a new array, the estimate
+    of x+ (it never writes into the old one, which the caller may still
+    hold).  FDR needs the old one for the new, ODR reads the new one off x+.
     `pooled` says whether the step writes x+ and its change on the pool:
     FDR does when its transforms split the patterns across it
     (grids.PARALLEL_MIN_POINTS), and the solver then sums its two residual
@@ -164,10 +163,9 @@ class StepPlan:
     whose cache then holds them, and sums them there.  A step without a
     plan makes its own."""
 
-    def __init__(self, op, b) -> None:
+    def __init__(self, op, b, v) -> None:
         self.target = (op, b)
         self.estimate = None
-        self.pairs = []
         base = op.base if isinstance(op, ExtendedOp) else op
         shape = (len(base.masks), base.grid.n)
         if np.size(b) != base.N:
@@ -179,27 +177,29 @@ class StepPlan:
             self.bs = len(base.masks) * base.c * self.bs  # the lifted A~'s scale
             self.scratch = self.ops.g.reshape(-1)
             self.pooled = False
+            self.name = "odr_step"
         else:
             self.ops = OperatorPlan(op)
             self.scratch = self.ops.flat
             self.pooled = len(self.ops.inverse.groups) > 1
+            self.name = "fdr_step"
+        v = _buffer(v, self.scratch.shape, f"{self.name}: the iterate")
+        self.iterates = (v, np.empty_like(v))
+        self.steps = [self._views(*pair) for pair in (self.iterates, self.iterates[::-1])]
 
-    def bind(self, v, out) -> tuple:
-        """(v, out, ...), for the C-contiguous iterate v: see the class."""
-        for pair in self.pairs:
-            if pair[0] is v and pair[1] is out:
-                return pair
+    def _views(self, v, out) -> tuple:
+        """(out, ...), what a step from the iterate v into out takes: see the class."""
         ops = self.ops
-        if isinstance(ops, ExtendedPlan):
-            _buffer(out, v.shape, "odr_step: out", v)
-            forward = TransformPlan(ops.grid, ops.grid.dims, False, v.reshape(ops.g.shape), ops.y,
-                                    ops.work, ops.index)
-            views = (forward, ops.objects(v), ops.objects(out))
-        else:
-            _buffer(out, ops.y_shape, "fdr_step: out", v)
-            views = self._fdr_hooks(v.reshape(self.bs.shape), out.reshape(self.bs.shape))
-        self.pairs = [(v, out, *views), *self.pairs[:1]]
-        return self.pairs[0]
+        if isinstance(ops, OperatorPlan):
+            return (out, *self._fdr_hooks(v.reshape(self.bs.shape), out.reshape(self.bs.shape)))
+        return (out, TransformPlan(ops.grid, ops.grid.dims, False, v.reshape(ops.g.shape), ops.y,
+                                   ops.work, ops.index), ops.objects(v), ops.objects(out))
+
+    def step_from(self, v) -> tuple:
+        """(out, ...), what a step from v takes, for v one of the iterates."""
+        if v is not self.iterates[0] and v is not self.iterates[1]:
+            raise ValueError(f"{self.name}: the plan is made for other iterates")
+        return self.steps[v is self.iterates[1]]
 
     def _fdr_hooks(self, ys, rs) -> tuple:
         """FDR's hooks on the pattern views of y and r: before A, r = P2 y
@@ -234,18 +234,17 @@ class StepPlan:
         np.multiply(self.bs[rows], yr, out=yr)
 
 
-def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
-             plan=None) -> np.ndarray:
+def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, plan=None) -> np.ndarray:
     """One Fourier-domain DR update y + P1(2 P2 - I)y - P2 y.
 
     P1 y = A*[A y]_X projects onto the diffracted-field set A* X and
     P2 y = b . y/|y| onto the magnitude set {|y| = b}.  Costs one A / A*
-    pair.  y+ is written into out when given, a C-contiguous length-N
-    complex128 buffer that overlaps neither y nor the plan's estimate.
-    plan is a StepPlan of (op, b); without one the step makes its own.
-    When plan.estimate holds u = A y, the step replaces it with a new
-    array, the next estimate A y+ = [z]_X + (u - z)/2 with
-    z = A(2 P2 y - y), which AA* = I makes exact at no extra FFT.
+    pair.  plan is a StepPlan of (op, b), and y one of its iterates: y+ is
+    written into the other and returned.  Without one the step makes its
+    own on y, a length-N vector, so y+ is a new array.  When plan.estimate
+    holds u = A y, the step replaces it with a new array, the next
+    estimate A y+ = [z]_X + (u - z)/2 with z = A(2 P2 y - y), which
+    AA* = I makes exact at no extra FFT.
 
     Everything but the pattern sum inside A is per pattern, so it runs in
     the transforms' hooks, next to each pattern's transform: the finiteness
@@ -254,12 +253,10 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     operator plan's own buffer (forward.OperatorPlan), so neither copies
     its argument or its result.
     """
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    plan = _plan(plan, StepPlan, op, b)
-    r = np.empty(op.N, dtype=np.complex128) if out is None else out
-    _, _, reflect, update = plan.bind(y, r)
-    if plan.estimate is not None and np.may_share_memory(r, plan.estimate):
-        raise ValueError("fdr_step: out must not overlap the call's inputs")
+    if plan is None:
+        plan = StepPlan(op, b, np.ascontiguousarray(y, dtype=np.complex128))
+        y = plan.iterates[0]
+    r, reflect, update = _plan(plan, StepPlan, op, b).step_from(y)
     z = apply_a(op, plan.scratch, before=reflect, plan=plan.ops)
     x = sector_project(z, sector)
     apply_astar(op, x, after=update, plan=plan.ops)
@@ -271,8 +268,7 @@ def fdr_step(y, op: PropagationOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     return r
 
 
-def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
-             plan=None) -> np.ndarray:
+def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, plan=None) -> np.ndarray:
     """One ODR update of the lift h = U x (forward.ExtendedOp), a flat
     (L, K) block: h+ = h - g + P_X(2g - h), g = P_U(L c F^-1(b . phase(F h))),
     with F the DFT from the block to the images, F^-1 its unnormalized
@@ -280,20 +276,20 @@ def odr_step(h, ext: ExtendedOp, b, sector: SectorSpec = NO_SECTOR, out=None,
     on object pixel j, mu_j times the sector-projected sum_l conj(mu_l)
     (.)_l / L, zero on padded pixels.  This is U of x + [2z - x]_X - z,
     z = A~(b . phase(A~* x)).  b . phase and the mask of U's range run per
-    pattern in the inverse's hooks; the plan's ExtendedPlan holds P_U.  h+
-    is written into out when given, a C-contiguous complex128 buffer of h's
-    length apart from h.  plan is a StepPlan of (ext, b); without one the
-    step makes its own.  The step change h+ - h is left in g, the plan's
-    scratch, and when plan.estimate is set, the step replaces it with a
-    new array, the x coordinates of U^-1 h+.
+    pattern in the inverse's hooks; the plan's ExtendedPlan holds P_U.
+    plan is a StepPlan of (ext, b), and h one of its iterates: h+ is
+    written into the other and returned.  Without one the step makes its
+    own on h.  The step change h+ - h is left in g, the plan's scratch, and
+    when plan.estimate is set, the step replaces it with a new array, the
+    x coordinates of U^-1 h+.
     """
-    h = np.ascontiguousarray(h, dtype=np.complex128)
+    if plan is None:
+        plan = StepPlan(ext, b, np.ascontiguousarray(h, dtype=np.complex128))
+        h = plan.iterates[0]
+    r, forward, hx, rx = _plan(plan, StepPlan, ext, b).step_from(h)
     if not np.isfinite(h).all():
         raise FloatingPointError("odr_step: non-finite iterate")
-    plan = _plan(plan, StepPlan, ext, b)
     ops, g = plan.ops, plan.scratch
-    r = np.empty_like(h) if out is None else out
-    _, _, forward, hx, rx = plan.bind(h, r)
     dft_plain(forward.src, ops.grid, out=ops.y, plan=forward)
     idft_plain(ops.y, ops.grid, before=plan.project, after=ops.restrict, out=ops.g,
                plan=ops.inverse)
@@ -505,22 +501,19 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     target, step = (op, fdr_step) if ext is None else (ext, odr_step)
 
     iterate = _initial_iterate(cfg.init, op, x0)
-    plan = StepPlan(target, b)
+    plan = StepPlan(target, b, iterate if ext is None else extended_a(ext, iterate))  # h = U A~ y0
+    iterate, ops = plan.iterates[0], plan.ops
     # The object estimate: A y (FDR), the x coordinates of U^-1 h (ODR).
-    if ext is None:
-        plan.estimate = apply_a(op, iterate, plan=plan.ops)
-    else:
-        iterate, ops = extended_a(ext, iterate, plan=plan.ops), plan.ops  # h = U A~ y0
-        plan.estimate = ops.object_part(ops.objects(iterate)).reshape(op.n)
-    # Each step is written into the buffer of the iterate before last, and
-    # leaves its change in the plan's scratch, so no iterate-length buffer
-    # is allocated per step (glibc would otherwise trim its heap and fault
-    # the pages back in every step).  The measurement is set up once: the
-    # alignment on x0, and the float views of the scratch and of the two
-    # iterate buffers, which swap roles every step.
+    plan.estimate = (apply_a(op, iterate, plan=ops) if ext is None
+                     else ops.object_part(ops.objects(iterate)).reshape(op.n))
+    # Each step is written into the plan's other iterate, and leaves its
+    # change in the plan's scratch, so no iterate-length buffer is
+    # allocated per step (glibc would otherwise trim its heap and fault the
+    # pages back in every step).  The measurement is set up once: the
+    # alignment on x0, and the float views of the scratch and of the plan's
+    # two iterates, which the steps alternate between.
     align = None if x0 is None else _alignment(x0, np.empty(op.n, dtype=np.complex128))
-    spare = np.empty_like(iterate)
-    scratch, floats = _floats(plan.scratch), [_floats(iterate), _floats(spare)]
+    scratch, floats = _floats(plan.scratch), [_floats(v) for v in plan.iterates]
 
     history: list[tuple[int, float, float]] = []
     tol, max_iters = cfg.tol, cfg.max_iters
@@ -543,14 +536,14 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
         if rel <= tol or step_res <= tol or k >= max_iters:
             break
 
-        nxt = step(iterate, target, b, cfg.sector, out=spare, plan=plan)
-        change, denom = _norms(scratch, floats[0], plan.pooled)  # scratch: nxt - iterate
+        # The iterate k is plan.iterates[(k - 1) % 2]; scratch: nxt - iterate.
+        nxt = step(iterate, target, b, cfg.sector, plan=plan)
+        change, denom = _norms(scratch, floats[(k - 1) % 2], plan.pooled)
         # nxt is finite when its change from the finite iterate is; only an
         # overflowing change needs the full check.
         finite = isfinite(change) or np.all(np.isfinite(nxt))
         step_res = change / denom if denom > 0 else float("inf")
-        iterate, spare = nxt, iterate
-        floats.reverse()
+        iterate = nxt
         k += 1
 
     return RecoveryResult(

@@ -178,6 +178,15 @@ def test_realify_round_trip_exact():
     assert np.array_equal(unrealify(realify(v)), v)
 
 
+def test_unrealify_round_trip_keeps_signed_zeros():
+    # -0.0 and +0.0 differ in their bits, so the round trip keeps each sign
+    # in either part: no sum with 0.0 may turn a -0.0 into +0.0.
+    p = np.array([1.0, -0.0, 2.0, 0.0, -0.0, 3.0, 0.0, -0.0])
+    v = unrealify(p)
+    assert realify(v).tobytes() == p.tobytes()
+    assert unrealify(realify(v)).tobytes() == v.tobytes()
+
+
 def test_real_inner_product_identity():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -236,15 +236,14 @@ class TestFdrStepBits:
         y[::7] = 0.0  # w = 1 where |y| = 0
         u = random_complex(rng, op.n)
         want_y, want_u = _oracle_fdr_step(y, op, b, sector, u)
-        plan = StepPlan(op, b)
+        plan = StepPlan(op, b, y)
+        plan.iterates[1].fill(np.nan)  # so an entry the step leaves unwritten fails
         plan.estimate = u
         got_y = fdr_step(y, op, b, sector, plan=plan)
+        assert got_y is plan.iterates[1]
         assert np.array_equal(_bits(got_y), _bits(want_y))
         assert np.array_equal(_bits(plan.estimate), _bits(want_u))
         assert np.array_equal(_bits(fdr_step(y, op, b, sector)), _bits(want_y))
-        buf = np.full(op.N, np.nan, dtype=complex)
-        assert fdr_step(y, op, b, sector, out=buf) is buf
-        assert np.array_equal(_bits(buf), _bits(want_y))
 
     def test_nonfinite_raises_on_the_pool_and_the_pool_recovers(self, monkeypatch):
         monkeypatch.setattr(grids, "PARALLEL_MIN_POINTS", 1)
@@ -274,7 +273,7 @@ class TestFdrStepBits:
         assert np.isinf(np.abs(y[op.grid.n]))
         u = random_complex(rng, op.n)
         want_y, want_u = _oracle_fdr_step(y, op, b, NO_SECTOR, u)
-        plan = StepPlan(op, b)
+        plan = StepPlan(op, b, y)
         plan.estimate = u
         got_y = fdr_step(y, op, b, plan=plan)
         assert np.array_equal(_bits(got_y), _bits(want_y))
@@ -285,8 +284,8 @@ class TestOdrStepBits:
     # The step iterates the lifted block h = U x.  It restricts A~'s block
     # in its after hook (per pattern on the pool, or once over all
     # patterns), projects the pixels whose m block is cut (n + 7 and L n - 1
-    # cut some) through their reflectors and writes into out; all give the
-    # per-pattern block oracle's bits.  Mapped back by U^-1 it is the
+    # cut some) through their reflectors and writes into the plan's other
+    # iterate; all give the per-pattern block oracle's bits.  Mapped back by U^-1 it is the
     # x-domain step to roundoff: the two sum in different coordinates.
     # (17, 16) and (17, 2, 3) have 33-point oversampled axes, so FFT passes.
     PADDED = pytest.mark.parametrize("dims", [(4, 4), (2, 3, 4), (17, 16), (17, 2, 3)], ids=str)
@@ -319,9 +318,10 @@ class TestOdrStepBits:
             h = per_pattern_lift(ext, x)
             want = per_pattern_block_odr_step(h, ext, b, sector)
             assert np.array_equal(_bits(odr_step(h, ext, b, sector)), _bits(want)), ext.ntilde
-            buf = np.full(h.size, np.nan, dtype=complex)
-            assert odr_step(h, ext, b, sector, out=buf) is buf
-            assert np.array_equal(_bits(buf), _bits(want)), ext.ntilde
+            plan = StepPlan(ext, b, h)
+            plan.iterates[1].fill(np.nan)  # so an entry the step leaves unwritten fails
+            assert odr_step(h, ext, b, sector, plan=plan) is plan.iterates[1]
+            assert np.array_equal(_bits(plan.iterates[1]), _bits(want)), ext.ntilde
 
     @SECTOR
     @VARIANT
@@ -343,10 +343,10 @@ class TestOdrStepBits:
         rng = np.random.default_rng(25)
         for ntilde in sorted({max(t, n) for t in (n + 7, L * n - 1, min(4 * n, N))}):
             ext = extend_op(op, ntilde)
-            plan = StepPlan(ext, b)
+            h = per_pattern_lift(ext, random_complex(rng, ntilde))
+            plan = StepPlan(ext, b, h)
             plan.estimate = old = np.zeros(n, dtype=complex)
-            h = odr_step(per_pattern_lift(ext, random_complex(rng, ntilde)), ext, b, sector,
-                         plan=plan)
+            h = odr_step(h, ext, b, sector, plan=plan)
             want = per_pattern_unlift(ext, h)[:n]
             assert plan.estimate is not old and not old.any()
             assert _norm(plan.estimate - want) <= 1e-12 * _norm(want), ntilde
@@ -363,48 +363,68 @@ def _step_case(algorithm, variant="one-and-half", dims=(4, 4)):
 
 
 class TestStepBuffers:
-    # A buffer the step cannot write through, or one that overlaps the
-    # iterate, is rejected instead of giving wrong numbers.
+    # A plan is made for a solve's first iterate and a second buffer of its
+    # own; a step from one of the two writes the other and returns it.
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
-    @pytest.mark.parametrize("case", ["length", "dtype", "strided", "overlap"])
-    def test_bad_out_raises(self, algorithm, case):
+    def test_step_from_one_iterate_writes_the_other(self, algorithm):
         step, target, b, v = _step_case(algorithm)
-        out = {"length": lambda: np.empty(v.size + 1, dtype=complex),
-               "dtype": lambda: np.empty(v.size, dtype=np.complex64),
-               "strided": lambda: np.empty(2 * v.size, dtype=complex)[::2],
-               "overlap": lambda: v}[case]()
-        with pytest.raises(ValueError, match="out"):
-            step(v, target, b, out=out)
+        plan = StepPlan(target, b, v)
+        assert plan.iterates[0] is v
+        for i in (0, 1, 0):
+            before = plan.iterates[i].copy()
+            assert step(plan.iterates[i], target, b, plan=plan) is plan.iterates[1 - i]
+            assert np.array_equal(_bits(plan.iterates[i]), _bits(before))
+
+    @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
+    def test_foreign_iterate_raises(self, algorithm):
+        step, target, b, v = _step_case(algorithm)
+        plan = StepPlan(target, b, v)
+        for foreign in (v.copy(), v[:], list(v)):
+            with pytest.raises(ValueError, match=f"{step.__name__}: the plan is made for other"):
+                step(foreign, target, b, plan=plan)
+
+    # 4x4 one-and-half: N = 98 on two 7x7 pattern images, and ODR's lift at
+    # 4n is a (2, 36) block, flat 72.
+    @pytest.mark.parametrize("algorithm, case", [
+        ("fdr", "one-more"), ("odr", "one-more"), ("odr", "2-d"), ("fdr", "2-d")])
+    def test_misshapen_iterate_raises(self, algorithm, case):
+        step, target, b, v = _step_case(algorithm)
+        assert (target.N, v.size) == (98, 98 if algorithm == "fdr" else 72)
+        bad = np.append(v, 0.0) if case == "one-more" else v.reshape(2, -1)
+        named = rf"{step.__name__}: the iterate .* shape \({v.size},\)"
+        with pytest.raises(ValueError, match=named):
+            step(bad, target, b)
+        with pytest.raises(ValueError, match=named):
+            StepPlan(target, b, bad)
 
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
     def test_plan_of_another_operator_raises(self, algorithm):
         step, target, b, v = _step_case(algorithm)
         other = _step_case(algorithm)[1]  # equal, but made anew
         with pytest.raises(ValueError, match="plan"):
-            step(v, target, b, plan=StepPlan(other, b))
+            step(v, target, b, plan=StepPlan(other, b, v))
         with pytest.raises(ValueError, match="plan"):
-            step(v, target, b, plan=StepPlan(target, b.copy()))
+            step(v, target, b, plan=StepPlan(target, b.copy(), v))
 
 
 class TestPlanReuse:
     # One plan serves every step of a solve: a chain of planned steps, each
-    # written into the buffer of the iterate before last, equals a chain of
-    # steps on fresh buffers and a fresh plan each, bit for bit, in the
-    # iterates and in the object estimates the steps leave in their plans.
+    # written into the plan's other iterate, equals a chain of steps with a
+    # fresh plan each, bit for bit, in the iterates and in the object
+    # estimates the steps leave in their plans.
     STEPS = 30
 
     def _chains(self, algorithm, variant, dims, sector):
         step, target, b, v = _step_case(algorithm, variant, dims)
-        plan = StepPlan(target, b)
-        planned, spare, oneshot = v.copy(), None, v.copy()
+        plan = StepPlan(target, b, v.copy())
+        planned, oneshot = plan.iterates[0], v
         plan.estimate = u = random_complex(np.random.default_rng(24), target.n)
         for _ in range(self.STEPS):
-            nxt = step(planned, target, b, sector, out=spare, plan=plan)
-            fresh = StepPlan(target, b)
+            planned = step(planned, target, b, sector, plan=plan)
+            fresh = StepPlan(target, b, oneshot)
             fresh.estimate = u
             oneshot, u = step(oneshot, target, b, sector, plan=fresh), fresh.estimate
             assert np.array_equal(_bits(plan.estimate), _bits(u))
-            planned, spare = nxt, planned
             assert np.array_equal(_bits(planned), _bits(oneshot))
 
     @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
@@ -426,33 +446,27 @@ class TestPlanReuse:
 
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
     def test_steady_step_allocates_no_iterate_length_buffer(self, algorithm):
-        # After warm-up a planned step works in its plan's buffers and the
-        # buffer of the iterate before last; what it allocates on the way
-        # (numpy's casting buffers, object-length vectors) stays below one
-        # N-length complex buffer, 16 N bytes.
+        # After warm-up a planned step works in its plan's buffers, its
+        # other iterate among them; what it allocates on the way (numpy's
+        # casting buffers, object-length vectors) stays below one N-length
+        # complex buffer, 16 N bytes.
         step, target, b, v = _step_case(algorithm, dims=(64, 64))
         N = b.size
-        plan = StepPlan(target, b)
+        plan = StepPlan(target, b, v)
         plan.estimate = random_complex(np.random.default_rng(24), target.n)
-        bufs = [v, np.empty_like(v)]
-
-        def one_step():
-            step(bufs[0], target, b, out=bufs[1], plan=plan)
-            bufs.reverse()
-
         for _ in range(3):
-            one_step()
-        bound = [id(pair) for pair in plan.pairs]
+            v = step(v, target, b, plan=plan)
+        assert v is plan.iterates[1]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            one_step()
+            v = step(v, target, b, plan=plan)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 16 * N, f"a steady {algorithm} step peaked at {peak} bytes, N = {N}"
-        # Both directions between the two buffers stay bound: nothing new.
-        assert [id(pair) for pair in plan.pairs] == bound and len(bound) == 2
+        # The step went back to the first iterate: no buffer is new.
+        assert v is plan.iterates[0]
 
 
 class TestStepResidual:
@@ -471,25 +485,26 @@ class TestStepResidual:
         res = run_solver(cfg, op, b, x0)
         assert res.iterations == 12
         ext = extend_op(op, res.ntilde) if algorithm == "odr" else None
-        plan = StepPlan(op if ext is None else ext, b)
-        assert plan.pooled == (algorithm == "fdr" and dims == (64, 64))
         y = _initial_iterate(cfg.init, op, x0)
         if ext is None:
-            step, target, plan.estimate = fdr_step, op, apply_a(op, y)
+            step, target = fdr_step, op
+        else:
+            step, target, y = odr_step, ext, extended_a(ext, y)
+        plan = StepPlan(target, b, y)
+        assert plan.pooled == (algorithm == "fdr" and dims == (64, 64))
+        if ext is None:
+            plan.estimate = first = apply_a(op, y)
         else:  # ODR reads each estimate off h+, so it never reads this one
-            step, target, plan.estimate = odr_step, ext, np.zeros(op.n, dtype=complex)
-            y = extended_a(ext, y, plan=plan.ops)
-        first = plan.estimate if ext is None else plan.ops.object_part(
-            plan.ops.objects(y)).reshape(op.n)
+            plan.estimate = np.zeros(op.n, dtype=complex)
+            first = plan.ops.object_part(plan.ops.objects(y)).reshape(op.n)
         assert res.history[0][1] == align_phase(first, x0)[1] / _norm(x0)
-        spare = None
         for _, rel, step_res in res.history[1:]:
-            nxt = step(y, target, b, out=spare, plan=plan)
+            nxt = step(y, target, b, plan=plan)
             change = nxt - y
             assert np.array_equal(_bits(plan.scratch), _bits(change))
             assert step_res == _norm(change) / _norm(y)
             assert rel == align_phase(plan.estimate, x0)[1] / _norm(x0)
-            y, spare = nxt, y
+            y = nxt
         # No sector: the result's x_hat is the last step's estimate.
         assert np.array_equal(_bits(plan.estimate), _bits(res.x_hat))
 

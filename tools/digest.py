@@ -8,7 +8,10 @@ y, and A~* of that block); A and then A* twice on one held plan, on a
 dense and an FFT grid; lambda2_power reports at 6x6; and, at 6x6 and
 16x16 on the four layouts, the real form of B and its transpose (one-shot
 and on one held plan), the gap diagnostic, and, in cases of their own,
-S_loc.
+S_loc; and one-shot DR steps, fdr_step(y, op, b, sector) and
+odr_step(h, ext, b, sector) on h = U A~ y, on the four layouts at 3x4x5,
+8x8 and 40x40 with and without a sector, ODR at the 4n and n+3 paddings
+where they are below N.
 Each line hashes the bytes of its outputs, so two checkouts print the
 same lines exactly when they give the same bits.  phasedr is imported
 from the src/ of the checkout this file is in.  To check that a change
@@ -49,7 +52,8 @@ from phasedr.forward import (
     make_operator,
 )
 from phasedr.grids import GridShape, unrealify
-from phasedr.solvers import NO_SECTOR, InitSpec, SectorSpec, SolverConfig, run_solver
+from phasedr.solvers import (NO_SECTOR, InitSpec, SectorSpec, SolverConfig, fdr_step, odr_step,
+                             run_solver)
 from phasedr.spectral import (
     apply_realB,
     apply_realB_T,
@@ -118,6 +122,17 @@ def _extension(variant, dims, padding) -> list:
     return [h, extended_astar(ext, h)]
 
 
+def _step(variant, dims, padding, sector) -> list:
+    """One step from a random y: FDR's, or ODR's on the lift U A~ y."""
+    op, _, b = instance(variant, dims)
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+    if padding is None:
+        return [fdr_step(y, op, b, SECTORS[sector])]
+    ext = extend_op(op, PADDINGS[padding](op.n, op.N))
+    return [odr_step(extended_a(ext, y), ext, b, SECTORS[sector])]
+
+
 def _spectral(variant) -> list:
     op, x0, _ = instance(variant, (6, 6))
     return [repr(astuple(lambda2_power(linearize_at_solution(op, x0), op, seed=5)))]
@@ -160,6 +175,17 @@ def _cases() -> dict:
             cases[f"ops/{variant}/{tag}"] = (_operators, variant, dims)
             for padding in PADDINGS:
                 cases[f"ext/{variant}/{tag}/{padding}"] = (_extension, variant, dims, padding)
+    for dims in ((3, 4, 5), (8, 8), (40, 40)):
+        tag = "x".join(map(str, dims))
+        for variant in VARIANTS:
+            op = instance(variant, dims)[0]
+            for padding in (None, "4n", "n+3"):
+                if padding and PADDINGS[padding](op.n, op.N) >= op.N:
+                    continue
+                algorithm = f"odr-{padding}" if padding else "fdr"
+                for sector in SECTORS:
+                    cases[f"step/{variant}/{tag}/{algorithm}/{sector}"] = (
+                        _step, variant, dims, padding, sector)
     # 64x64 runs on a 127x127 grid, where the transforms split over the
     # pool: FDR's on the whole stack, ODR's on the compact block at 4n.
     for padding in (None, "4n"):
