@@ -305,12 +305,16 @@ def ratio_to_ntilde(ratio: float, n: int, N: int) -> int:
 def run_padding_sweep(cfg: ExperimentConfig) -> PaddingSweepResult:
     """Final error of the object-domain iteration versus the padding ratio.
 
-    Every solve is ODR from a random start.  Ratios map to
-    ntilde = min(round(ratio*n), N); run_solver runs the endpoint ntilde = N
-    as the Fourier-domain recursion, which is the identical iteration there,
-    so those trials match FDR runs bit for bit under equal seeds.  Emits rows
-    (ratio, ntilde, trial, final_error, min_error, iters).
+    Every solve is ODR from a random start.  Ratios must be finite and
+    positive, else ValueError; they map to ntilde = min(round(ratio*n), N),
+    at least n, so a ratio below 1 runs at ntilde = n.  run_solver runs the
+    endpoint ntilde = N as the Fourier-domain recursion, which is the
+    identical iteration there, so those trials match FDR runs bit for bit
+    under equal seeds.  Emits rows (ratio, ntilde, trial, final_error,
+    min_error, iters).
     """
+    if not all(0 < ratio < np.inf for ratio in cfg.ntilde_ratios):  # nan fails it too
+        raise ValueError("ntilde ratios must be finite and > 0")
     cfg = replace(cfg, solver=replace(cfg.solver, algorithm=ALGO_ODR,
                                       init=replace(cfg.solver.init, kind=INIT_RANDOM)))
     out = PaddingSweepResult()
@@ -338,12 +342,17 @@ def run_padding_sweep(cfg: ExperimentConfig) -> PaddingSweepResult:
                     cfg.comment())
 
 
+def _mean_ranks(values) -> np.ndarray:
+    """The ranks 0, 1, ... of values, each run of equal values given their mean rank."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts + 1) / 2)[inverse]
+
+
 def rank_correlation(xs, ys) -> float:
-    """Spearman-style rank correlation (stable ranks, no tie averaging)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    rx = np.argsort(np.argsort(xs, kind="stable"), kind="stable").astype(float)
-    ry = np.argsort(np.argsort(ys, kind="stable"), kind="stable").astype(float)
+    """Spearman's rank correlation, ties given their mean rank: the
+    correlation of the two rank vectors, 0.0 when either is constant."""
+    rx, ry = _mean_ranks(xs), _mean_ranks(ys)
     rx -= rx.mean()
     ry -= ry.mean()
     denom = np.sqrt((rx**2).sum() * (ry**2).sum())

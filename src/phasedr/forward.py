@@ -254,7 +254,7 @@ def apply_astar(op: PropagationOp, x, after=None, plan=None) -> np.ndarray:
     the result.  plan is an OperatorPlan of op; without one the call makes
     its own, so its result is a new array."""
     plan = _plan(plan, OperatorPlan, op)
-    x = _vector(x, np.complex128, op.n, "apply_astar")
+    x = _vector(x, np.complex128, op.n, "apply_astar: x")
     stack, images, mus, c = plan.stack, plan.images, plan.mus, plan.c
 
     def mask(rows):
@@ -282,7 +282,7 @@ def apply_a(op: PropagationOp, y, before=None, plan=None) -> np.ndarray:
     if y is not plan.flat:
         if before is not None:
             raise ValueError("apply_a: a before hook fills the plan's flat, which y must be")
-        np.copyto(plan.flat, _vector(y, np.complex128, op.N, "apply_a"))
+        np.copyto(plan.flat, _vector(y, np.complex128, op.N, "apply_a: y"))
     stack, conj_mus = plan.stack, plan.conj_mus
 
     def unmask(rows):
@@ -485,7 +485,7 @@ def extended_astar(ext: ExtendedOp, h, plan=None) -> np.ndarray:
     plan is an ExtendedPlan of ext, whose y the result is; without one the
     call makes its own."""
     plan = _plan(plan, ExtendedPlan, ext)
-    h = _vector(h, np.complex128, plan.g.size, "extended_astar")
+    h = _vector(h, np.complex128, plan.g.size, "extended_astar: h")
     np.copyto(plan.g, h.reshape(plan.g.shape))
     y, c = plan.y, ext.base.c
 
@@ -501,7 +501,7 @@ def extended_a(ext: ExtendedOp, y, plan=None) -> np.ndarray:
     the block, into the plan's g, whose after hook zeroes g off U's range;
     then the rest of P_U and the scale.  plan is an ExtendedPlan of ext;
     without one the call makes its own."""
-    y = _vector(y, np.complex128, ext.N, "extended_a")
+    y = _vector(y, np.complex128, ext.N, "extended_a: y")
     plan = _plan(plan, ExtendedPlan, ext)
     np.copyto(plan.y, y.reshape(plan.y.shape))
     idft_plain(plan.y, plan.grid, after=plan.restrict, out=plan.g, plan=plan.inverse)

@@ -379,12 +379,18 @@ def _buffer(buf, shape: tuple[int, ...], what: str) -> np.ndarray:
     return buf
 
 
-def _vector(v, dtype, length: int, fn: str) -> np.ndarray:
-    """v as a flat dtype array of this length; else a ValueError that names
-    fn, the public function that was given v."""
+def _vector(v, dtype, length: int, what: str) -> np.ndarray:
+    """v as a flat dtype array of this length, the one check of a vector
+    that enters the library; else a ValueError that names what, the public
+    function and its argument ("apply_a: y").  A complex v for the real
+    dtype np.float64 is refused, not cut to its real part.  The dtype test
+    comes first, so a call for a complex dtype, as on the step path, skips
+    np.iscomplexobj."""
+    if dtype is np.float64 and np.iscomplexobj(v):
+        raise ValueError(f"{what} must be real, got complex values")
     v = np.asarray(v, dtype=dtype)
     if v.shape != (length,):
-        raise ValueError(f"{fn}: expected length {length}, got shape {v.shape}")
+        raise ValueError(f"{what} must be a length-{length} vector, got shape {v.shape}")
     return v
 
 

@@ -69,7 +69,7 @@ from .forward import (
     extend_op,
     extended_a,
 )
-from .grids import (TransformPlan, _buffer, _dot, _floats, _norm, _run_tasks, _unit,
+from .grids import (TransformPlan, _buffer, _dot, _floats, _norm, _run_tasks, _unit, _vector,
                     dft_plain, idft_plain)
 
 ALGO_FDR = "fdr"
@@ -139,8 +139,9 @@ class StepPlan:
     """What a DR step on one operator (FDR) or extension (ODR) and one data
     vector b sets up, made once per solve, for the solve's first iterate v,
     and reused by every step given it: the operator plan (see forward), the
-    (L, grid.n) pattern view of b (ODR's scaled by L c), a float buffer of
-    that shape for the magnitudes |y|, and ODR's hook `project`.
+    (L, grid.n) pattern view of b, checked to be a real length-N vector
+    (grids._vector; ODR's view scaled by L c), a float buffer of that
+    shape for the magnitudes |y|, and ODR's hook `project`.
     `iterates` holds v, adopted without a copy once checked to be a
     C-contiguous complex128 iterate (a length-N vector for FDR, a flat
     (L, K) block for ODR), and a second buffer like it.  A step from one of
@@ -166,23 +167,21 @@ class StepPlan:
     def __init__(self, op, b, v) -> None:
         self.target = (op, b)
         self.estimate = None
-        base = op.base if isinstance(op, ExtendedOp) else op
+        extended = isinstance(op, ExtendedOp)
+        base = op.base if extended else op
         shape = (len(base.masks), base.grid.n)
-        if np.size(b) != base.N:
-            raise ValueError(f"b must hold op.N = {base.N} magnitudes, got {np.size(b)}")
-        self.bs = np.asarray(b).reshape(shape)
+        self.name = "odr_step" if extended else "fdr_step"
+        self.bs = _vector(b, np.float64, base.N, f"{self.name}: b").reshape(shape)
         self.mag = np.empty(shape)
-        if isinstance(op, ExtendedOp):
+        if extended:
             self.ops = ExtendedPlan(op)
             self.bs = len(base.masks) * base.c * self.bs  # the lifted A~'s scale
             self.scratch = self.ops.g.reshape(-1)
             self.pooled = False
-            self.name = "odr_step"
         else:
             self.ops = OperatorPlan(op)
             self.scratch = self.ops.flat
             self.pooled = len(self.ops.inverse.groups) > 1
-            self.name = "fdr_step"
         v = _buffer(v, self.scratch.shape, f"{self.name}: the iterate")
         self.iterates = (v, np.empty_like(v))
         self.steps = [self._views(*pair) for pair in (self.iterates, self.iterates[::-1])]
@@ -345,11 +344,9 @@ def align_phase(x, x0) -> tuple[complex, float]:
     The inner product's imaginary part is the difference of two real dots
     summed in the same order, so align_phase(x0, x0) gives exactly
     alpha = 1 and error 0."""
-    x = np.asarray(x, dtype=np.complex128)
-    x0 = np.asarray(x0, dtype=np.complex128)
-    if x.shape != x0.shape:
-        raise ValueError("align_phase: length mismatch")
-    return _alignment(x0, np.empty(x.shape, dtype=np.complex128))(x)
+    x0 = _vector(x0, np.complex128, np.size(x0), "align_phase: x0")
+    x = _vector(x, np.complex128, x0.size, "align_phase: x")
+    return _alignment(x0, np.empty_like(x0))(x)
 
 
 @dataclass(frozen=True)
@@ -386,8 +383,8 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:  # nan fails it too
-            raise ValueError("tol must be > 0")
+        if not (isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -395,14 +392,14 @@ class RecoveryResult:
     """Outcome of a solver run.
 
     x_hat is the object estimate the last history row was measured on, and
-    aligned_error = min_{|a|=1} ||a x_hat - x0|| (nan without ground truth);
-    relative_error divides by ||x0||, so it equals history[-1][1].  history
-    holds one row (k, relative_error, step_residual) per iterate, where
-    step_residual is the relative iterate change used for stopping (nan at
-    k = 1).  iterations is the index k of the last iterate, the initial
-    iterate being k = 1: the run took iterations - 1 DR steps, and history
-    has iterations rows.  When the last iterate is non-finite, history has
-    one row fewer, x_hat is all nan and both errors are nan.  stop says
+    relative_error = min_{|a|=1} ||a x_hat - x0|| / ||x0|| (nan without
+    ground truth), so it equals history[-1][1].  history holds one row
+    (k, relative_error, step_residual) per iterate, where step_residual is
+    the relative iterate change used for stopping (nan at k = 1).
+    iterations is the index k of the last iterate, the initial iterate
+    being k = 1: the run took iterations - 1 DR steps, and history has
+    iterations rows.  When the last iterate is non-finite, history has
+    one row fewer, x_hat is all nan and relative_error is nan.  stop says
     why the run ended, one of STOP_ERROR_TOL ("error tol"), STOP_STEP_TOL
     ("step tol"), STOP_MAX_ITERS ("max_iters") and STOP_NON_FINITE
     ("non-finite"); `converged` reads true for the two tolerance tests.
@@ -414,7 +411,6 @@ class RecoveryResult:
     """
 
     x_hat: np.ndarray
-    aligned_error: float
     relative_error: float
     iterations: int
     stop: str
@@ -463,7 +459,8 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     cfg.ntilde coordinates, min(4n, N) when unset; at ntilde = N it is the
     FDR recursion and runs as FDR, bit for bit.  Any other ntilde outside
     [n, N] raises ValueError, as do an x0 that is not a length-n vector or
-    is all zero and a b without N values.  The result records the resolved
+    is all zero and a b that is not a real length-N vector (grids._vector
+    checks both; the step plan checks b).  The result records the resolved
     ntilde.
     FDR starts at y0 (see _initial_iterate) and ODR at the lift
     h = U A~ y0 = forward.extended_a(ext, y0), so the two first estimates
@@ -481,12 +478,9 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     coordinates of U^-1 h (ODR), sector-projected when a sector is
     active.  The result is the last evaluation, so history[-1][1] equals
     relative_error exactly; a non-finite iterate evaluates to an all-nan
-    x_hat with nan errors.
+    x_hat with a nan error.
     """
-    b = np.asarray(b, dtype=np.float64)
-    x0 = None if x0 is None else np.asarray(x0, dtype=np.complex128)
-    if x0 is not None and x0.shape != (op.n,):
-        raise ValueError(f"run_solver: x0 must be a length-{op.n} vector, got shape {x0.shape}")
+    x0 = None if x0 is None else _vector(x0, np.complex128, op.n, "run_solver: x0")
     norm_x0 = _norm(x0) if x0 is not None else float("nan")
     if norm_x0 == 0:
         raise ValueError("run_solver: x0 must be nonzero (the error is relative to its norm)")
@@ -524,12 +518,10 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
     while True:
         if not finite:
             x_hat = np.full(op.n, np.nan, dtype=np.complex128)
-            aligned = float("nan")
-            rel = aligned / norm_x0
+            rel = float("nan")
             break
         x_hat = sector_project(plan.estimate, cfg.sector)
-        aligned = align(x_hat)[1] if align is not None else float("nan")
-        rel = aligned / norm_x0
+        rel = align(x_hat)[1] / norm_x0 if align is not None else float("nan")
         history.append((k, rel, step_res))
         # rel is nan without ground truth and step_res nan at k = 1, so
         # neither passes its test there.
@@ -548,7 +540,6 @@ def run_solver(cfg: SolverConfig, op: PropagationOp, b, x0=None) -> RecoveryResu
 
     return RecoveryResult(
         x_hat=x_hat,
-        aligned_error=aligned,
         relative_error=rel,
         iterations=k,
         stop=(STOP_NON_FINITE if not finite else STOP_ERROR_TOL if rel <= tol

@@ -56,7 +56,7 @@ def apply_realB(pt: LinearizationPoint, op: PropagationOp, r, plan=None) -> np.n
     here and in apply_realB_T, is an OperatorPlan of op, as for apply_a;
     without one the call makes its own."""
     plan = _plan(plan, OperatorPlan, op)
-    r = _vector(r, np.float64, op.N, "apply_realB")
+    r = _vector(r, np.float64, op.N, "apply_realB: r")
     np.multiply(pt.omega.imag, r, out=plan.flat.imag)  # before .real, which r may be
     np.multiply(pt.omega.real, r, out=plan.flat.real)
     return realify(apply_a(op, plan.flat, plan=plan))
@@ -68,7 +68,7 @@ def apply_realB_T(pt: LinearizationPoint, op: PropagationOp, u, plan=None) -> np
     flat, so the result is a real view of that buffer, which the next call
     on the plan overwrites."""
     plan = _plan(plan, OperatorPlan, op)
-    u = _vector(u, np.float64, 2 * op.n, "apply_realB_T")
+    u = _vector(u, np.float64, 2 * op.n, "apply_realB_T: u")
     y = apply_astar(op, unrealify(u), plan=plan)
     return np.multiply(np.conjugate(y, out=y), pt.omega, out=y).real  # Re of conj(B* w)
 
@@ -82,7 +82,7 @@ def apply_Sloc(pt: LinearizationPoint, op: PropagationOp, v) -> np.ndarray:
     complex-linear: B*B conj(v) = B*B Re(v) - i B*B Im(v).  So S_loc takes
     one A and one A*, on one plan.
     """
-    v = _vector(v, np.complex128, op.N, "apply_Sloc")
+    v = _vector(v, np.complex128, op.N, "apply_Sloc: v")
     plan = OperatorPlan(op)
     w = np.multiply(pt.omega, np.conjugate(v, out=plan.flat), out=plan.flat)
     y = apply_astar(op, apply_a(op, w, plan=plan), plan=plan)
@@ -333,6 +333,6 @@ class GapDiagnostic:
 def check_gap_condition(pt: LinearizationPoint, op: PropagationOp, u) -> GapDiagnostic:
     """The gap functional and defects of u, both read off one A* u, with
     B* u = conj(omega) . A* u."""
-    y = apply_astar(op, _vector(u, np.complex128, op.n, "check_gap_condition"))
+    y = apply_astar(op, _vector(u, np.complex128, op.n, "check_gap_condition: u"))
     return GapDiagnostic(im_norm=float(np.linalg.norm(np.imag(np.conj(pt.omega) * y))),
                          defects=np.real(y * np.conj(pt.y)))

@@ -43,7 +43,11 @@ def test_nan_near_delta_is_config_error():
     ["noise-sweep", "--nsr", "0.7"],
     ["noise-sweep", "--trials", "1", "--max-iters", "10", "--nsr", "nan,0.1"],
     ["global", "--tol", "nan"],
-], ids=["no-trials", "zero-tol", "negative-margin", "nsr-above-half", "nan-nsr", "nan-tol"])
+    ["global", "--trials", "1", "--tol", "inf"],
+    ["padding-sweep", "--trials", "1", "--max-iters", "5", "--ntilde", "inf"],
+    ["padding-sweep", "--trials", "1", "--max-iters", "5", "--ntilde=-3"],
+], ids=["no-trials", "zero-tol", "negative-margin", "nsr-above-half", "nan-nsr", "nan-tol",
+        "infinite-tol", "infinite-ntilde", "negative-ntilde"])
 def test_runner_config_error_exits_2(argv, capsys):
     # A ValueError from a runner's configuration is a config error, not a crash.
     assert main([*argv, "--shape", "4x4"]) == 2

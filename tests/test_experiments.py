@@ -84,6 +84,9 @@ def test_ratio_to_ntilde_clamps():
 def test_rank_correlation_monotone():
     assert rank_correlation([1, 2, 3, 4], [0.1, 0.2, 0.5, 0.9]) == pytest.approx(1.0)
     assert rank_correlation([1, 2, 3, 4], [0.9, 0.5, 0.2, 0.1]) == pytest.approx(-1.0)
+    # ties take their mean rank: a flat tail is no perfect trend, a flat curve none
+    assert rank_correlation([4, 6, 8], [0.67, 1, 1]) == pytest.approx(np.sqrt(3) / 2)
+    assert rank_correlation([4, 6, 8], [1, 1, 1]) == 0.0
 
 
 def test_comment_records_every_setting():
@@ -305,6 +308,13 @@ class TestPaddingSweep:
         cfg = _cfg("padding-sweep", dims=(6, 6), trials=2, ntilde_ratios=(4.0,),
                    solver=SolverConfig(algorithm="fdr", max_iters=60, tol=1e-9))
         assert run_padding_sweep(cfg).rows == run_padding_sweep(cfg).rows
+
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan"), -3.0, 0.0])
+    def test_ntilde_ratios_validated(self, ratio):
+        cfg = _cfg("padding-sweep", dims=(4, 4), trials=1, ntilde_ratios=(4.0, ratio),
+                   solver=SolverConfig(max_iters=5))
+        with pytest.raises(ValueError, match="ntilde ratios"):
+            run_padding_sweep(cfg)
 
 
 # A 128x128 instance (n = 16384, longer than the vectors whose dot products

@@ -591,9 +591,12 @@ class TestAlignPhase:
         for theta in np.linspace(0, 2 * np.pi, 360, endpoint=False):
             assert err <= np.linalg.norm(np.exp(1j * theta) * x - x0) + 1e-12
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            align_phase(np.ones(3), np.ones(4))
+    @pytest.mark.parametrize("x, x0", [
+        (np.ones(3), np.ones(4)), (np.ones((3, 3)), np.ones((3, 3))),
+    ], ids=["lengths", "2d-pair"])
+    def test_length_mismatch(self, x, x0):
+        with pytest.raises(ValueError, match="align_phase"):
+            align_phase(x, x0)
 
 
 class TestRunSolver:
@@ -606,7 +609,7 @@ class TestRunSolver:
             init=InitSpec(kind="near", seed=1, delta=1e-3),
         )
         res = run_solver(cfg, op, b, x0)
-        assert res.aligned_error <= 1e-10
+        assert res.relative_error <= 1e-10  # ||x0|| = 1
         assert res.iterations <= 500
         errs = [h[1] for h in res.history]
         assert errs[-1] < errs[0]
@@ -621,12 +624,13 @@ class TestRunSolver:
         (lambda: SolverConfig(tol=0.0), "tol"),
         (lambda: SolverConfig(tol=-1e-9), "tol"),
         (lambda: SolverConfig(tol=np.nan), "tol"),
+        (lambda: SolverConfig(tol=np.inf), "tol"),
         (lambda: InitSpec(kind="random"), "unknown init kind"),
         (lambda: InitSpec(kind="near", delta=np.nan), "delta"),
         (lambda: InitSpec(kind="near", delta=np.inf), "delta"),
         (lambda: InitSpec(kind="near", delta=-1e-3), "delta"),
-    ], ids=["unknown-algorithm", "zero-tol", "negative-tol", "nan-tol", "unknown-init",
-            "nan-delta", "infinite-delta", "negative-delta"])
+    ], ids=["unknown-algorithm", "zero-tol", "negative-tol", "nan-tol", "infinite-tol",
+            "unknown-init", "nan-delta", "infinite-delta", "negative-delta"])
     def test_config_validation(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
@@ -664,13 +668,15 @@ class TestRunSolver:
             run_solver(cfg, op, b, np.zeros(op.n))
 
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])
-    @pytest.mark.parametrize("case", ["short-x0", "2d-x0", "short-b", "long-b"])
+    @pytest.mark.parametrize("case", ["short-x0", "2d-x0", "short-b", "long-b", "2d-b",
+                                      "complex-b"])
     def test_misshapen_input_raises(self, algorithm, case):
-        # x0 must be a length-n vector and b hold N values, also when a
-        # step is called directly; the error names the argument.
+        # x0 must be a length-n vector and b a real length-N vector, also
+        # when a step is called directly; the error names the argument.
         op, x0, b = _instance()
         x0, b, name = {"short-x0": (x0[:-1], b, "x0"), "2d-x0": (x0.reshape(3, 3), b, "x0"),
-                       "short-b": (x0, b[:-1], "b"), "long-b": (x0, np.append(b, 1.0), "b")}[case]
+                       "short-b": (x0, b[:-1], "b"), "long-b": (x0, np.append(b, 1.0), "b"),
+                       "2d-b": (x0, b.reshape(1, -1), "b"), "complex-b": (x0, b * 1j, "b")}[case]
         cfg = SolverConfig(algorithm=algorithm, max_iters=5)
         with pytest.raises(ValueError, match=rf"\b{name} must"):
             run_solver(cfg, op, b, x0)
@@ -733,7 +739,7 @@ class TestRunSolver:
         assert res.iterations == 2
         assert len(res.history) == res.iterations - 1
         assert res.x_hat.shape == (op.n,) and np.all(np.isnan(res.x_hat))
-        assert np.isnan(res.aligned_error) and np.isnan(res.relative_error)
+        assert np.isnan(res.relative_error)
         assert not res.converged
 
     @pytest.mark.parametrize("algorithm", ["fdr", "odr"])

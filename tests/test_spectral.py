@@ -522,8 +522,10 @@ class TestGapCondition:
     (lambda op, pt: apply_Sloc(pt, op, np.zeros(op.N - 1)), "apply_Sloc"),
     (lambda op, pt: apply_realB(pt, op, np.zeros(op.N + 1)), "apply_realB:"),
     (lambda op, pt: check_gap_condition(pt, op, np.zeros(op.n - 1)), "check_gap_condition"),
+    (lambda op, pt: apply_realB(pt, op, np.ones(op.N) * 1j), "apply_realB: r must be real"),
+    (lambda op, pt: apply_realB_T(pt, op, np.ones(2 * op.n) + 1j), "apply_realB_T: u must be real"),
 ], ids=["svd-needs-N-at-least-2n", "lambda2-at-Ay-zero", "realB_T-length", "Sloc-length",
-        "realB-length", "gap-length"])
+        "realB-length", "gap-length", "realB-complex", "realB_T-complex"])
 def test_argument_errors(call, match):
     # One coded pattern on a 3-point axis: N = 5 < 2n = 6.
     op = make_operator("one-mask", GridShape((3,)), seed=1)

@@ -7,10 +7,10 @@ whitespace and a comment.  Run from the repository root:
     python tools/src_lines.py [directory]
     python tools/src_lines.py --against REV [directory]
 
-With --against, it makes a temporary git worktree of the revision REV, as
-tools/digest.py --against does, counts that worktree's src/phasedr and
-the directory (src/phasedr when not given), and prints both counts and
-the difference per module.
+With --against, it reads the modules of src/phasedr at the git revision
+REV with git ls-tree and git show, counts them and the directory
+(src/phasedr when not given), and prints both counts and the difference
+per module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import ast
 import io
 import subprocess
-import tempfile
 import tokenize
 from pathlib import Path
 
@@ -76,17 +75,15 @@ def comparison(before: dict[str, tuple[int, int]],
 
 
 def against(rev: str) -> dict[str, tuple[int, int]]:
-    """The counts of src/phasedr at the git revision rev, read in a
-    temporary worktree that is removed again."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(tree), rev], check=True)
-        try:
-            return counts(tree / "src" / "phasedr")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                           check=True)
+    """The counts of src/phasedr at the git revision rev, whose modules
+    are read from the repository with git ls-tree and git show."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                              text=True).stdout
+
+    names = git("ls-tree", "--name-only", f"{rev}:src/phasedr").splitlines()
+    return {name: count(git("show", f"{rev}:src/phasedr/{name}"))
+            for name in sorted(names) if name.endswith(".py")}
 
 
 def main(argv=None) -> None:
