@@ -25,6 +25,7 @@ from .solvers import (
     INIT_CONSTANT,
     INIT_NEAR,
     INIT_RANDOM,
+    SectorSpec,
     SolverConfig,
     run_solver,
 )
@@ -367,6 +368,5 @@ def prob_lower_bound(n: int, S: int, alpha: float, beta: float) -> float:
     """
     if S < 0:
         raise ValueError("S must be >= 0")
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("sector bounds must lie in [0, 1]")
+    SectorSpec(alpha, beta)
     return 1.0 - n * abs((beta + alpha) / 2.0) ** (S // 2)

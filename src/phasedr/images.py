@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridShape
+from .solvers import SectorSpec
 
 KIND_RPP = "rpp"
 KIND_TCB = "tcb"
@@ -35,6 +36,7 @@ class ImageSpec:
             raise ValueError(f"unknown image kind {self.kind!r}")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
+        SectorSpec(self.alpha, self.beta)  # the phases' sector: bounds in [0, 1]
 
 
 def _interior_dims(spec: ImageSpec) -> tuple[int, ...]:

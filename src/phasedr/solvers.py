@@ -110,28 +110,29 @@ NO_SECTOR = SectorSpec(1.0, 1.0)
 def sector_project(x, sector: SectorSpec) -> np.ndarray:
     """Componentwise nearest point in the sector {r e^{it}: t in [-a*pi, b*pi]}.
 
-    Angles within a quarter turn of a sector edge project onto that edge's
-    ray; anything further maps to 0.  Idempotent.  An inactive sector is the
-    identity: it returns the input itself (as complex128), not a copy.
+    A point inside is kept.  A point outside goes to the nearer of the two
+    edge rays, each clipped at 0: the larger of its projections onto the
+    edges' unit vectors, times that vector, or 0 when both are at most 0.
+    That is the nearest point for every sector, convex (a + b <= 1) or not.
+    The inside test allows 1e-15 rad, about two ulps at pi, past the upper
+    edge: a point put on that edge may read an ulp past it, and stays put
+    on a second call, while a point 1e-12 rad past is moved.  A point put
+    on the lower edge may read an ulp below it and is moved again, by
+    roundoff, so the map is idempotent to roundoff, not bitwise.  An
+    inactive sector is the identity: it returns the input itself (as
+    complex128), not a copy.
     """
     x = np.asarray(x, dtype=np.complex128)
     if not sector.active:
         return x
-    a = sector.alpha * np.pi
-    b = sector.beta * np.pi
-    theta = np.angle(x)
-
+    a, b = sector.alpha * np.pi, sector.beta * np.pi
     # Membership via angular offset from the interval start, wrapped to [0, 2pi).
-    two_pi = 2.0 * np.pi
-    inside = np.mod(theta + a, two_pi) <= (a + b) + 1e-15
-    upper = np.mod(theta - b, two_pi) <= 0.5 * np.pi
-    lower = np.mod(-a - theta, two_pi) <= 0.5 * np.pi
-
-    edge_up = np.real(x * np.exp(-1j * b)) * np.exp(1j * b)
-    edge_lo = np.real(x * np.exp(1j * a)) * np.exp(-1j * a)
-
-    out = np.where(inside, x, np.where(upper, edge_up, np.where(lower, edge_lo, 0.0)))
-    out[x == 0] = 0.0
+    outside = ~(np.mod(np.angle(x) + a, 2.0 * np.pi) <= (a + b) + 1e-15)
+    out, z = x.copy(), x[outside]
+    p_up, p_lo = np.real(z * np.exp(-1j * b)), np.real(z * np.exp(1j * a))
+    edge = np.where(p_up >= p_lo, p_up * np.exp(1j * b), p_lo * np.exp(-1j * a))
+    edge[np.maximum(p_up, p_lo) <= 0] = 0.0
+    out[outside] = edge
     return out
 
 

@@ -539,3 +539,11 @@ def test_construction_check_catches_a_broken_map(name, build, monkeypatch):
     monkeypatch.setattr(forward, name, lambda *args, **kwargs: 2 * original(*args, **kwargs))
     with pytest.raises(RuntimeError):
         build(op)
+
+
+def test_construction_check_catches_a_normalization_off_by_a_millionth():
+    # c off by 1e-6 puts AA* off the identity by 2e-6, far above roundoff.
+    op = make_operator(VARIANT_ONE_AND_HALF, GridShape((4, 4)))
+    op.__dict__["c"] = op.c * (1 + 1e-6)  # the cached property's value
+    with pytest.raises(RuntimeError, match="normalization"):
+        forward._verify_isometry(op)

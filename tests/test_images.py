@@ -69,6 +69,13 @@ def test_negative_margin_rejected():
         ImageSpec(kind="rpp", shape=GridShape((4, 4)), margin=-1)
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (3.0, 1.0), (1.0, -0.5)],
+                         ids=["nan", "alpha-3", "beta-negative"])
+def test_sector_bounds_outside_unit_interval_rejected(alpha, beta):
+    with pytest.raises(ValueError, match="sector bounds"):
+        ImageSpec(kind="rpp", shape=GridShape((4, 4)), margin=0, alpha=alpha, beta=beta)
+
+
 def test_support_rank_edge_cases():
     assert support_rank(np.zeros((3, 3))) == 0
     point = np.zeros((3, 3))

@@ -29,6 +29,7 @@ from phasedr.solvers import (
     StepPlan,
     _initial_iterate,
     align_phase,
+    estimate_rate,
     fdr_step,
     odr_step,
     run_solver,
@@ -82,7 +83,8 @@ class TestSectorProject:
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        for s in [SectorSpec(0.0, 0.5), SectorSpec(0.25, 0.5), SectorSpec(0.0, 1.0)]:
+        for s in [SectorSpec(0.0, 0.5), SectorSpec(0.25, 0.5), SectorSpec(0.0, 1.0),
+                  SectorSpec(0.9, 0.9)]:
             x = random_complex(rng, 64)
             once = sector_project(x, s)
             assert np.linalg.norm(sector_project(once, s) - once) < 1e-12
@@ -91,11 +93,27 @@ class TestSectorProject:
         from oracles import sector_nearest_point
 
         rng = np.random.default_rng(11)
-        for s in [SectorSpec(0.0, 0.5), SectorSpec(0.3, 0.6)]:
-            for z in random_complex(rng, 12):
+        # The last three are not convex (alpha + beta > 1): there a point
+        # within a quarter turn past one edge can be nearer the other.  Eight
+        # unit points spread over the arc outside each sector test the edge
+        # choice wherever it is made.
+        for s in [SectorSpec(0.0, 0.5), SectorSpec(0.3, 0.6), SectorSpec(0.6, 0.6),
+                  SectorSpec(0.9, 0.9), SectorSpec(1.0, 0.5)]:
+            past = (2.0 - s.alpha - s.beta) * (np.arange(8) + 0.5) / 8
+            outside = np.exp(1j * np.pi * (s.beta + past))
+            for z in np.concatenate([random_complex(rng, 12), outside]):
                 got = sector_project(np.array([z]), s)[0]
                 ref = sector_nearest_point(z, s.alpha, s.beta)
                 assert abs(got - ref) < 1e-4
+
+    @pytest.mark.parametrize("edge", [-0.25, 0.5], ids=["lower", "upper"])
+    def test_point_just_past_an_edge_is_moved(self, edge):
+        # The inside test allows 1e-15 rad past the upper edge, not 1e-12.
+        s = SectorSpec(0.25, 0.5)
+        t = edge * np.pi + np.sign(edge) * 1e-12
+        got = sector_project(np.array([np.exp(1j * t)]), s)[0]
+        assert np.angle(got) == pytest.approx(edge * np.pi, abs=1e-15)
+        assert abs(got) == pytest.approx(1.0)
 
     def test_inactive_sector_identity(self):
         rng = np.random.default_rng(4)
@@ -614,6 +632,13 @@ class TestRunSolver:
         errs = [h[1] for h in res.history]
         assert errs[-1] < errs[0]
         assert res.rate_estimate < 1.0
+
+    def test_rate_reads_the_last_window_of_errors(self):
+        # 21 errors: the first ratio is 0.1, the last 19 are 0.5.  The
+        # window of RATE_WINDOW = 20 ratios takes in the first one.
+        errors = [1.0, 0.1] + [0.1 * 0.5**k for k in range(1, 20)]
+        assert estimate_rate(errors) == pytest.approx((0.1 * 0.5**19) ** (1 / 20))
+        assert estimate_rate(errors[1:]) == pytest.approx(0.5)
 
     def test_max_iters_validation(self):
         with pytest.raises(ValueError):

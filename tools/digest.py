@@ -10,8 +10,8 @@ dense and an FFT grid; lambda2_power reports at 6x6; and, at 6x6 and
 and on one held plan), the gap diagnostic, and, in cases of their own,
 S_loc; and one-shot DR steps, fdr_step(y, op, b, sector) and
 odr_step(h, ext, b, sector) on h = U A~ y, on the four layouts at 3x4x5,
-8x8 and 40x40 with and without a sector, ODR at the 4n and n+3 paddings
-where they are below N.
+8x8 and 40x40 with no sector, a convex one and a non-convex one, ODR at
+the 4n and n+3 paddings where they are below N.
 Each line hashes the bytes of its outputs, so two checkouts print the
 same lines exactly when they give the same bits.  phasedr is imported
 from the src/ of the checkout this file is in.  To check that a change
@@ -67,6 +67,9 @@ VARIANTS = ("one-mask", "one-and-half", "two-mask", "multi")
 DIMS = ((3, 4, 5), (8, 8), (16, 16), (40, 40))
 STARTS = ("ri", "ci", "near")
 SECTORS = {"free": NO_SECTOR, "sector": SectorSpec(0.25, 0.5)}
+# The steps also run in a non-convex sector (alpha + beta > 1), where a
+# point within a quarter turn past one edge can be nearer the other.
+STEP_SECTORS = {**SECTORS, "wide": SectorSpec(0.75, 0.75)}
 # The ODR paddings: the default, halfway to N, and a cut one.
 PADDINGS = {"4n": lambda n, N: min(4 * n, N), "half": lambda n, N: (n + N) // 2 + 1,
             "n+3": lambda n, N: n + 3}
@@ -128,9 +131,9 @@ def _step(variant, dims, padding, sector) -> list:
     rng = np.random.default_rng(31)
     y = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
     if padding is None:
-        return [fdr_step(y, op, b, SECTORS[sector])]
+        return [fdr_step(y, op, b, STEP_SECTORS[sector])]
     ext = extend_op(op, PADDINGS[padding](op.n, op.N))
-    return [odr_step(extended_a(ext, y), ext, b, SECTORS[sector])]
+    return [odr_step(extended_a(ext, y), ext, b, STEP_SECTORS[sector])]
 
 
 def _spectral(variant) -> list:
@@ -183,7 +186,7 @@ def _cases() -> dict:
                 if padding and PADDINGS[padding](op.n, op.N) >= op.N:
                     continue
                 algorithm = f"odr-{padding}" if padding else "fdr"
-                for sector in SECTORS:
+                for sector in STEP_SECTORS:
                     cases[f"step/{variant}/{tag}/{algorithm}/{sector}"] = (
                         _step, variant, dims, padding, sector)
     # 64x64 runs on a 127x127 grid, where the transforms split over the
